@@ -61,7 +61,6 @@ __all__ = [
     "path_inverse",
     "path_direct_sum",
     "spectral_flow",
-    "spectral_crossings",
     "verify_crossing_sign_lemma",
     "building_index",
     "cz_axiom_suite",
@@ -172,8 +171,7 @@ class SymmetricPath:
         samples = max(int(samples), MIN_SAMPLES)
         ts = np.linspace(0.0, 1.0, samples)
         values = np.stack([np.asarray(func(t), dtype=float) for t in ts])
-        values = 0.5 * (values + np.swapaxes(values, -1, -2))
-        return cls(values, func=func)
+        return cls(_symmetrized(values), func=func)
 
     @property
     def samples(self):
@@ -186,17 +184,24 @@ class SymmetricPath:
             return 0.5 * (s + s.T)
         m = self.samples
         x = float(t) * (m - 1)
-        i0 = int(np.clip(math.floor(x) - 1, 0, m - 4))
-        w = np.ones(4)
-        xs = x - i0
-        for a in range(4):
-            for b in range(4):
-                if a != b:
-                    w[a] *= (xs - b) / (a - b)
+        i0 = min(max(math.floor(x) - 1, 0), m - 4)
+        w = _lagrange_weights(x - i0)
         return np.tensordot(w, self.values[i0 : i0 + 4], axes=(0, 0))
 
-    def max_norm(self):
-        return float(np.max(np.sqrt(np.sum(self.values ** 2, axis=(1, 2)))))
+
+def _symmetrized(a):
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
+def _lagrange_weights(x):
+    """Weights of the 4-point Lagrange stencil on nodes 0..3 at position x;
+    the midpoint of the middle cell, x = 1.5, gets (-1/16, 9/16, 9/16, -1/16)."""
+    w = np.ones(4)
+    for a in range(4):
+        for b in range(4):
+            if a != b:
+                w[a] *= (x - b) / (a - b)
+    return w
 
 
 class SymplecticPath:
@@ -243,18 +248,12 @@ class SymplecticPath:
             return np.asarray(self.func(t), dtype=float)
         m = self.samples
         x = float(t) * (m - 1)
-        i0 = int(np.clip(math.floor(x), 0, m - 1))
+        i0 = min(max(math.floor(x), 0), m - 1)
         t0 = self.ts[i0]
         h = float(t) - t0
         if abs(h) < 1e-15:
             return self.values[i0]
         return _rk4_step(self.generator, self.values[i0], t0, h)
-
-    def dot_at(self, t, value=None):
-        """Phi'(t) = J0 S(t) Phi(t)."""
-        phi = self.at(t) if value is None else value
-        j0 = standard_j(self.n)
-        return j0 @ self.generator.at(t) @ phi
 
     def endpoint(self):
         return self.values[-1]
@@ -341,6 +340,7 @@ def solve_path(generator):
     ts = generator.ts
     h = ts[1] - ts[0]
     have_func = generator.func is not None
+    mid_weights = [_lagrange_weights(offset + 0.5) for offset in range(3)]
     for i in range(m - 1):
         phi = values[i]
         s0 = generator.values[i]
@@ -348,27 +348,14 @@ def solve_path(generator):
         if have_func:
             s_mid = generator.at(ts[i] + 0.5 * h)
         else:
-            i0 = int(np.clip(i - 1, 0, m - 4))
-            w = _midpoint_weights(i - i0)
-            s_mid = np.tensordot(w, generator.values[i0 : i0 + 4], axes=(0, 0))
+            i0 = min(max(i - 1, 0), m - 4)
+            s_mid = np.tensordot(mid_weights[i - i0], generator.values[i0 : i0 + 4], axes=(0, 0))
         k1 = j0 @ s0 @ phi
         k2 = j0 @ s_mid @ (phi + 0.5 * h * k1)
         k3 = j0 @ s_mid @ (phi + 0.5 * h * k2)
         k4 = j0 @ s1 @ (phi + h * k3)
         values[i + 1] = phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return SymplecticPath(values, generator)
-
-
-def _midpoint_weights(offset):
-    """Lagrange weights for the midpoint of cell [offset, offset+1] on a
-    4-node stencil 0..3; the interior case is (-1/16, 9/16, 9/16, -1/16)."""
-    x = offset + 0.5
-    w = np.ones(4)
-    for a in range(4):
-        for b in range(4):
-            if a != b:
-                w[a] *= (x - b) / (a - b)
-    return w
 
 
 # ---------------------------------------------------------------------------
@@ -569,21 +556,16 @@ def rotation_cz_sp2(path):
 def maslov_loop(path):
     """Maslov index of a symplectic loop via the winding of the determinant
     of the unitary polar factor."""
-    d = 2 * path.n
     if np.max(np.abs(path.endpoint() - path.values[0])) > 1e-8:
         raise ValueError("maslov_loop requires a loop: Phi(1) must equal Phi(0)")
-    dets = np.empty(path.samples, dtype=complex)
-    for i, phi in enumerate(path.values):
-        u, _, vt = np.linalg.svd(phi)
-        q = u @ vt  # orthogonal polar factor, in Sp(2n) hence of the form [[X,-Y],[Y,X]]
-        x = q[: path.n, : path.n]
-        y = q[path.n :, : path.n]
-        if (
-            np.max(np.abs(q[: path.n, path.n :] + y)) > 1e-8
-            or np.max(np.abs(q[path.n :, path.n :] - x)) > 1e-8
-        ):
-            raise ValueError("polar factor is not unitary-block structured")
-        dets[i] = np.linalg.det(x + 1j * y)
+    n = path.n
+    u, _, vt = np.linalg.svd(path.values)
+    q = u @ vt  # orthogonal polar factors, in Sp(2n) hence of the form [[X,-Y],[Y,X]]
+    x = q[:, :n, :n]
+    y = q[:, n:, :n]
+    if np.max(np.abs(q[:, :n, n:] + y)) > 1e-8 or np.max(np.abs(q[:, n:, n:] - x)) > 1e-8:
+        raise ValueError("polar factor is not unitary-block structured")
+    dets = np.linalg.det(x + 1j * y)
     ang = _unwrapped_angle(dets, "polar determinant winding")
     winding = (ang[-1] - ang[0]) / (2.0 * math.pi)
     k = int(round(winding))
@@ -705,48 +687,69 @@ def local_model_for(orbit, eps=DEFAULT_EPSILON):
 # ---------------------------------------------------------------------------
 
 
+def _on_grid(path, samples):
+    """Values and generator samples of ``path`` on the uniform grid with
+    ``samples`` nodes: its own arrays when the grids agree, else one pass of
+    its evaluators over the new nodes."""
+    if path.samples == samples:
+        return path.values, path.generator.values
+    ts = np.linspace(0.0, 1.0, samples)
+    return (
+        np.stack([path.at(t) for t in ts]),
+        np.stack([path.generator.at(t) for t in ts]),
+    )
+
+
 def _symplectic_inverse(m, j0):
-    return -j0 @ m.T @ j0
+    return -j0 @ np.swapaxes(m, -1, -2) @ j0
+
+
+def _product_generator(p_val, s_p, s_q, j0):
+    return s_p + j0 @ p_val @ j0 @ s_q @ j0 @ np.swapaxes(p_val, -1, -2) @ j0
+
+
+def _inverse_generator(p_val, s_p):
+    return -(np.swapaxes(p_val, -1, -2) @ s_p @ p_val)
 
 
 def path_product(p, q, samples=None):
     """Pointwise product path t -> P(t) Q(t).
 
     The generator is ``S_P + J0 P J0 S_Q J0 P^T J0``, which is exactly
-    symmetric for symplectic P.
+    symmetric for symplectic P.  Both are computed on the whole grid at once
+    (``samples`` nodes, by default the finer operand grid); the per-point
+    evaluators serve off-grid times.
     """
     if p.n != q.n:
         raise ValueError("paths must share a dimension")
     j0 = standard_j(p.n)
+    samples = max(p.samples, q.samples) if samples is None else max(int(samples), MIN_SAMPLES)
+    p_vals, s_p = _on_grid(p, samples)
+    q_vals, s_q = _on_grid(q, samples)
 
     def gen(t):
-        pt = p.at(t)
-        return p.generator.at(t) + j0 @ pt @ j0 @ q.generator.at(t) @ j0 @ pt.T @ j0
+        return _product_generator(p.at(t), p.generator.at(t), q.generator.at(t), j0)
 
     def func(t):
         return p.at(t) @ q.at(t)
 
-    if samples is None:
-        samples = max(p.samples, q.samples)
-    s_path = SymmetricPath.from_callable(gen, samples=samples)
-    values = np.stack([func(t) for t in s_path.ts])
-    return SymplecticPath(values, s_path, func=func)
+    s_path = SymmetricPath(_symmetrized(_product_generator(p_vals, s_p, s_q, j0)), func=gen)
+    return SymplecticPath(p_vals @ q_vals, s_path, func=func)
 
 
 def path_inverse(p):
-    """Pointwise inverse path t -> P(t)^{-1}, generator -P^T S P."""
+    """Pointwise inverse path t -> P(t)^{-1} = -J0 P^T J0, generator -P^T S P."""
     j0 = standard_j(p.n)
 
     def gen(t):
-        pt = p.at(t)
-        return -(pt.T @ p.generator.at(t) @ pt)
+        return _inverse_generator(p.at(t), p.generator.at(t))
 
     def func(t):
         return _symplectic_inverse(p.at(t), j0)
 
-    s_path = SymmetricPath.from_callable(gen, samples=p.samples)
-    values = np.stack([func(t) for t in s_path.ts])
-    return SymplecticPath(values, s_path, func=func)
+    s_vals = _symmetrized(_inverse_generator(p.values, p.generator.values))
+    s_path = SymmetricPath(s_vals, func=gen)
+    return SymplecticPath(_symplectic_inverse(p.values, j0), s_path, func=func)
 
 
 def _interleave_indices(n1, n2):
@@ -761,13 +764,15 @@ def _interleave_indices(n1, n2):
 def path_direct_sum(p, q):
     """Direct-sum path in Sp(2(n1+n2)) with block coordinates interleaved
     into the (q..., p...) convention."""
-    n = p.n + q.n
+    d = 2 * (p.n + q.n)
     i1, i2 = _interleave_indices(p.n, q.n)
+    block1 = (Ellipsis,) + np.ix_(i1, i1)
+    block2 = (Ellipsis,) + np.ix_(i2, i2)
 
     def embed(a, b):
-        m = np.zeros((2 * n, 2 * n))
-        m[np.ix_(i1, i1)] = a
-        m[np.ix_(i2, i2)] = b
+        m = np.zeros(a.shape[:-2] + (d, d))
+        m[block1] = a
+        m[block2] = b
         return m
 
     def gen(t):
@@ -777,9 +782,10 @@ def path_direct_sum(p, q):
         return embed(p.at(t), q.at(t))
 
     samples = max(p.samples, q.samples)
-    s_path = SymmetricPath.from_callable(gen, samples=samples)
-    values = np.stack([func(t) for t in s_path.ts])
-    return SymplecticPath(values, s_path, func=func)
+    p_vals, s_p = _on_grid(p, samples)
+    q_vals, s_q = _on_grid(q, samples)
+    s_path = SymmetricPath(_symmetrized(embed(s_p, s_q)), func=gen)
+    return SymplecticPath(embed(p_vals, q_vals), s_path, func=func)
 
 
 # ---------------------------------------------------------------------------
@@ -919,13 +925,6 @@ def _locate_crossings(family, order):
     return merged, flow
 
 
-def spectral_crossings(family, order=None):
-    """Refined list of operator-family crossings: s*, net direction, kernel size."""
-    order = family.fourier_order if order is None else order
-    crossings, _ = _locate_crossings(family, order)
-    return crossings
-
-
 def spectral_flow(family, order=None):
     """Net signed count of operator eigenvalues crossing zero from s = -1 to
     s = +1 in the Fourier truncation; equals the difference of negative
@@ -1060,13 +1059,20 @@ def _random_generator(rng, n, scale=1.0):
     a0 = sym(scale)
     coeffs = [(sym(scale / (m + 1)), sym(scale / (m + 1))) for m in (1, 2)]
 
-    def func(t):
-        s = a0.copy()
+    def series(t, cos, sin):
+        s = a0
         for m, (c, dcoef) in enumerate(coeffs, start=1):
-            s = s + c * math.cos(2.0 * math.pi * m * t) + dcoef * math.sin(2.0 * math.pi * m * t)
+            s = s + c * cos(2.0 * math.pi * m * t) + dcoef * sin(2.0 * math.pi * m * t)
         return s
 
-    return SymmetricPath.from_callable(func, samples=DEFAULT_SAMPLES)
+    # The grid is summed with array cos/sin; off-grid times (solver
+    # midpoints, bisection) take the scalar route, which is much cheaper
+    # per point than numpy on a single time.
+    ts = np.linspace(0.0, 1.0, DEFAULT_SAMPLES)
+    return SymmetricPath(
+        _symmetrized(series(_times(ts), np.cos, np.sin)),
+        func=lambda t: series(t, math.cos, math.sin),
+    )
 
 
 def _random_nondegenerate_path(rng, n, scale=1.0, tries=40):
@@ -1083,25 +1089,41 @@ def _random_nondegenerate_path(rng, n, scale=1.0, tries=40):
         except IrregularCrossing:
             continue
         return path
-    raise RuntimeError("could not draw a nondegenerate random path")
+    raise IrregularCrossing(f"could not draw a nondegenerate random path in {tries} tries")
+
+
+def _times(t):
+    """A time or an array of times, shaped to broadcast against (d, d) matrices."""
+    return np.asarray(t, dtype=float)[..., None, None]
+
+
+def _vectorized_path(func, gen, samples=DEFAULT_SAMPLES):
+    """Path whose evaluators ``func`` and ``gen`` accept a time or an array of
+    times; the grid is sampled with one call of each."""
+    ts = np.linspace(0.0, 1.0, samples)
+    s_path = SymmetricPath(_symmetrized(gen(ts)), func=gen)
+    return SymplecticPath(func(ts), s_path, func=func)
 
 
 def _rotation_loop(k, n=1):
     """Loop exp(2 pi k t J0) acting in the first Sp(2) block."""
+    s_const = np.zeros((2 * n, 2 * n))
+    s_const[0, 0] = s_const[n, n] = 2.0 * math.pi * k
+
     def func(t):
-        m = np.eye(2 * n)
-        r = _rot2(2.0 * math.pi * k * t)
-        m[np.ix_([0, n], [0, n])] = r
+        angle = 2.0 * math.pi * k * np.asarray(t, dtype=float)
+        c, s = np.cos(angle), np.sin(angle)
+        m = np.broadcast_to(np.eye(2 * n), angle.shape + (2 * n, 2 * n)).copy()
+        m[..., 0, 0] = c
+        m[..., 0, n] = -s
+        m[..., n, 0] = s
+        m[..., n, n] = c
         return m
 
     def gen(t):
-        s = np.zeros((2 * n, 2 * n))
-        s[np.ix_([0, n], [0, n])] = 2.0 * math.pi * k * np.eye(2)
-        return s
+        return np.broadcast_to(s_const, np.shape(t) + s_const.shape)
 
-    s_path = SymmetricPath.from_callable(gen, samples=DEFAULT_SAMPLES)
-    values = np.stack([func(t) for t in s_path.ts])
-    return SymplecticPath(values, s_path, func=func)
+    return _vectorized_path(func, gen)
 
 
 def _check(report, name, detail, ok, failures):
@@ -1150,12 +1172,12 @@ def cz_axiom_suite(seed, instances=50):
                 mu_rot == mu,
                 failures,
             )
-        inv = path_inverse(path)
+        mu_inv = cz_crossing_form(path_inverse(path))
         _check(
             report,
             "inverse",
-            {"instance": i, "mu": mu, "mu_inverse": cz_crossing_form(inv)},
-            cz_crossing_form(inv) == -mu,
+            {"instance": i, "mu": mu, "mu_inverse": mu_inv},
+            mu_inv == -mu,
             failures,
         )
         # Homotopy invariance: endpoint-fixing perturbation Phi * exp(lambda sin(pi t) J0 Stilde).
@@ -1167,21 +1189,19 @@ def cz_axiom_suite(seed, instances=50):
             m0 = j0 @ stilde
 
             def bfunc(t, lam=lam, m0=m0):
-                return _expm(lam * math.sin(math.pi * t) * m0)
+                return _expm(lam * np.sin(math.pi * _times(t)) * m0)
 
             def bgen(t, lam=lam, stilde=stilde):
-                return lam * math.pi * math.cos(math.pi * t) * stilde
+                return lam * math.pi * np.cos(math.pi * _times(t)) * stilde
 
-            b_sym = SymmetricPath.from_callable(bgen, samples=path.samples)
-            b_vals = np.stack([bfunc(t) for t in b_sym.ts])
-            b_path = SymplecticPath(b_vals, b_sym, func=bfunc)
+            b_path = _vectorized_path(bfunc, bgen, samples=path.samples)
             try:
                 mu_pert = cz_crossing_form(path_product(path, b_path))
                 break
             except IrregularCrossing:
                 continue
         else:
-            raise RuntimeError("homotopy perturbation kept hitting irregular crossings")
+            raise IrregularCrossing("homotopy perturbation kept hitting irregular crossings")
         _check(
             report,
             "homotopy",
@@ -1193,11 +1213,12 @@ def cz_axiom_suite(seed, instances=50):
         n_gen = _random_generator(rng, n, scale=0.7)
         n_path = solve_path(n_gen)
         conj = path_product(path_product(n_path, path), path_inverse(n_path))
+        mu_conj = cz_crossing_form(conj)
         _check(
             report,
             "naturality",
-            {"instance": i, "mu": mu, "mu_conjugated": cz_crossing_form(conj)},
-            cz_crossing_form(conj) == mu,
+            {"instance": i, "mu": mu, "mu_conjugated": mu_conj},
+            mu_conj == mu,
             failures,
         )
         # Loop composition: mu(L Phi) = 2 maslov(L) + mu(Phi).
@@ -1234,14 +1255,8 @@ def cz_axiom_suite(seed, instances=50):
             if np.max(np.abs(eigs.imag)) < 1e-12 and np.min(np.abs(eigs.real)) > 0.05:
                 break
         s_const = SymmetricPath.from_callable(lambda t, s=s: s, samples=DEFAULT_SAMPLES)
-        path = solve_path(s_const)
-        _check(
-            report,
-            "zero",
-            {"instance": i, "mu": cz_crossing_form(path)},
-            cz_crossing_form(path) == 0,
-            failures,
-        )
+        mu = cz_crossing_form(solve_path(s_const))
+        _check(report, "zero", {"instance": i, "mu": mu}, mu == 0, failures)
     # Signature axiom: constant generator with norm below 2 pi.
     for i in range(12):
         while True:
@@ -1251,13 +1266,13 @@ def cz_axiom_suite(seed, instances=50):
             if np.max(np.abs(eigs)) < 0.95 * 2.0 * math.pi and np.min(np.abs(eigs)) > 0.05:
                 break
         s_const = SymmetricPath.from_callable(lambda t, s=s: s, samples=DEFAULT_SAMPLES)
-        path = solve_path(s_const)
+        mu = cz_crossing_form(solve_path(s_const))
         expected = int(np.sum(eigs > 0) - np.sum(eigs < 0)) // 2
         _check(
             report,
             "signature",
-            {"instance": i, "expected": expected, "mu": cz_crossing_form(path)},
-            cz_crossing_form(path) == expected,
+            {"instance": i, "expected": expected, "mu": mu},
+            mu == expected,
             failures,
         )
     if failures:
@@ -1269,15 +1284,20 @@ def cz_axiom_suite(seed, instances=50):
 
 
 def _expm(m):
-    """Dense matrix exponential by scaling-and-squaring with a Taylor core."""
-    norm = float(np.max(np.abs(m)))
-    j = max(0, int(math.ceil(math.log2(max(norm, 1e-30) / 0.25))))
-    a = m / (2.0 ** j)
-    term = np.eye(m.shape[0])
-    out = np.eye(m.shape[0])
+    """Dense matrix exponential of one matrix or of a stack, by
+    scaling-and-squaring with a Taylor core; each matrix gets its own
+    scaling exponent."""
+    m = np.asarray(m, dtype=float)
+    stack = m.reshape((-1,) + m.shape[-2:])
+    norm = np.max(np.abs(stack), axis=(1, 2))
+    j = np.maximum(0, np.ceil(np.log2(np.maximum(norm, 1e-30) / 0.25))).astype(int)
+    a = stack / (2.0 ** j)[:, None, None]
+    term = np.eye(m.shape[-1])
+    out = np.eye(m.shape[-1])
     for i in range(1, 19):
         term = term @ a / i
         out = out + term
-    for _ in range(j):
-        out = out @ out
-    return out
+    for step in range(int(np.max(j))):
+        squared = j > step
+        out[squared] = out[squared] @ out[squared]
+    return out.reshape(m.shape)

@@ -10,9 +10,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from chlab import cli
+from chlab import cli, czengine
 
 
 def run_cli(capsys, *argv):
@@ -165,6 +166,35 @@ def test_verify_rejects_unknown_check(capsys):
         cli.main(["verify", "nonsense"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("which", ["axioms", "spectral-flow", "sign-lemma"])
+def test_verify_exhausted_random_draw_is_numeric_abort(capsys, monkeypatch, which):
+    # every drawn generator is zero, so every solved path ends at the
+    # identity and the nondegenerate-path draw runs out of tries
+    def zero_generator(rng, n, scale=1.0):
+        return czengine.SymmetricPath(np.zeros((czengine.MIN_SAMPLES, 2 * n, 2 * n)))
+
+    monkeypatch.setattr(czengine, "_random_generator", zero_generator)
+    code, out, err = run_cli(capsys, "verify", which)
+    assert code == 3
+    assert "could not draw a nondegenerate random path" in out
+    assert f"verify {which}: NUMERIC ABORT" in out
+    assert err == ""  # no traceback
+
+
+def test_verify_axioms_homotopy_retry_exhaustion_is_numeric_abort(capsys, monkeypatch):
+    def irregular_product(*args, **kwargs):
+        raise czengine.IrregularCrossing("injected irregular crossing")
+
+    monkeypatch.setattr(czengine, "path_product", irregular_product)
+    code, out, err = run_cli(capsys, "verify", "axioms", "-f", "json")
+    assert code == 3
+    payload = json.loads(out)
+    (check,) = payload["checks"]
+    assert not payload["ok"] and not check["ok"]
+    assert "homotopy perturbation kept hitting irregular crossings" in check["report"]["error"]
+    assert err == ""  # no traceback
 
 
 # ---------------------------------------------------------------------------

@@ -235,6 +235,121 @@ def test_path_inverse_inverts_values():
         assert np.allclose(inv.at(t) @ p.at(t), np.eye(2), atol=1e-8)
 
 
+def _product_reference(p, q, ts):
+    """Per-sample values and generator of t -> P(t) Q(t)."""
+    j0 = standard_j(p.n)
+    values, gens = [], []
+    for t in ts:
+        pt = p.at(t)
+        values.append(pt @ q.at(t))
+        g = p.generator.at(t) + j0 @ pt @ j0 @ q.generator.at(t) @ j0 @ pt.T @ j0
+        gens.append(0.5 * (g + g.T))
+    return np.stack(values), np.stack(gens)
+
+
+def _inverse_reference(p, ts):
+    """Per-sample values and generator of t -> P(t)^{-1}."""
+    j0 = standard_j(p.n)
+    values, gens = [], []
+    for t in ts:
+        pt = p.at(t)
+        values.append(-j0 @ pt.T @ j0)
+        g = -(pt.T @ p.generator.at(t) @ pt)
+        gens.append(0.5 * (g + g.T))
+    return np.stack(values), np.stack(gens)
+
+
+def _embed(a, b):
+    i1, i2 = czengine._interleave_indices(a.shape[0] // 2, b.shape[0] // 2)
+    m = np.zeros((a.shape[0] + b.shape[0],) * 2)
+    m[np.ix_(i1, i1)] = a
+    m[np.ix_(i2, i2)] = b
+    return m
+
+
+def _direct_sum_reference(p, q, ts):
+    """Per-sample values and generator of the direct sum."""
+    values = np.stack([_embed(p.at(t), q.at(t)) for t in ts])
+    gens = np.stack([_embed(p.generator.at(t), q.generator.at(t)) for t in ts])
+    return values, gens
+
+
+def _assert_matches(path, reference):
+    values, gens = reference
+    assert np.max(np.abs(path.values - values)) < 1e-12
+    assert np.max(np.abs(path.generator.values - gens)) < 1e-12
+
+
+@pytest.fixture(scope="module")
+def operand_paths():
+    """Two random paths on the default 1024-node grid (no exact evaluator)
+    and a 4097-node path with an exact evaluator."""
+    rng = np.random.default_rng(5)
+    p = czengine._random_nondegenerate_path(rng, 1)
+    q = czengine._random_nondegenerate_path(rng, 1)
+    fine = path_product(czengine._rotation_loop(1), _constant_path(np.diag([1.0, -1.0])),
+                        samples=4097)
+    return p, q, fine
+
+
+def test_batched_algebra_matches_per_sample_on_shared_grid(operand_paths):
+    p, q, _fine = operand_paths
+    assert p.samples == q.samples == 1024
+    _assert_matches(path_product(p, q), _product_reference(p, q, p.ts))
+    _assert_matches(path_inverse(p), _inverse_reference(p, p.ts))
+    _assert_matches(path_direct_sum(p, q), _direct_sum_reference(p, q, p.ts))
+
+
+def test_batched_algebra_matches_per_sample_on_mismatched_grid(operand_paths):
+    p, _q, fine = operand_paths
+    assert (p.samples, fine.samples) == (1024, 4097)
+    prod = path_product(p, fine)
+    assert prod.samples == 4097
+    _assert_matches(prod, _product_reference(p, fine, prod.ts))
+    _assert_matches(path_product(fine, p), _product_reference(fine, p, prod.ts))
+    _assert_matches(path_inverse(fine), _inverse_reference(fine, fine.ts))
+    total = path_direct_sum(p, fine)
+    assert total.samples == 4097
+    _assert_matches(total, _direct_sum_reference(p, fine, total.ts))
+
+
+def test_algebra_off_grid_values_use_exact_evaluators(operand_paths):
+    p, q, fine = operand_paths
+    j0 = standard_j(1)
+    t = 0.123456789  # not a node of either grid
+    prod = path_product(p, fine)
+    assert np.array_equal(prod.at(t), p.at(t) @ fine.at(t))
+    _, ref_gens = _product_reference(p, fine, [t])
+    assert np.array_equal(prod.generator.at(t), ref_gens[0])
+    inv = path_inverse(p)
+    assert np.array_equal(inv.at(t), -j0 @ p.at(t).T @ j0)
+    assert np.array_equal(inv.generator.at(t), _inverse_reference(p, [t])[1][0])
+    total = path_direct_sum(p, q)
+    assert np.array_equal(total.at(t), _embed(p.at(t), q.at(t)))
+    assert np.array_equal(total.generator.at(t), _embed(p.generator.at(t), q.generator.at(t)))
+
+
+def test_suite_builders_sample_the_grid_like_their_evaluators():
+    gen = czengine._random_generator(np.random.default_rng(9), 2)
+    assert np.max(np.abs(gen.values - np.stack([gen.at(t) for t in gen.ts]))) < 1e-12
+    loop = czengine._rotation_loop(-2, n=2)
+    assert np.max(np.abs(loop.values - np.stack([loop.at(t) for t in loop.ts]))) < 1e-12
+    assert np.max(np.abs(loop.generator.values
+                         - np.stack([loop.generator.at(t) for t in loop.ts]))) < 1e-12
+
+
+def test_stacked_expm_matches_one_matrix_at_a_time():
+    rng = np.random.default_rng(3)
+    stack = rng.normal(0.0, 1.0, size=(40, 4, 4)) * np.linspace(0.0, 3.0, 40)[:, None, None]
+    batched = czengine._expm(stack)
+    for m, e in zip(stack, batched):
+        assert np.array_equal(czengine._expm(m), e)
+    j0 = standard_j(2)
+    s = 0.5 * (stack[-1] + stack[-1].T)
+    e = czengine._expm(j0 @ s)
+    assert np.max(np.abs(e.T @ j0 @ e - j0)) < 1e-10
+
+
 def test_direct_sum_adds_indices():
     p = _constant_path(1.0 * np.eye(2))
     q = _constant_path(4.5 * np.eye(2))
