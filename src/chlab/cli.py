@@ -392,6 +392,7 @@ _NUMERIC_ERRORS = (
     czengine.UnwrapFailure,
     czengine.EndpointDegenerate,
     czengine.TrackingAmbiguity,
+    czengine.NoCrossingFound,
     morse.SpuriousCriticalPoint,
     morse.NonConvergentTrajectory,
 )
@@ -427,7 +428,6 @@ def cmd_verify(which, opts, fmt):
 
     ok = all(r.ok for r in results)
     any_violation = any(r.failure_kind == "violation" for r in results)
-    any_numeric = any(r.failure_kind == "numeric" for r in results)
     status = 0 if ok else (1 if any_violation else 3)
 
     if fmt == "json":

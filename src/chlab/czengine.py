@@ -106,7 +106,7 @@ class TrackingAmbiguity(ArithmeticError):
     """Eigenvalue continuation could not disambiguate a crossing."""
 
 
-class NoCrossingFound(ValueError):
+class NoCrossingFound(ArithmeticError):
     """A crossing was required but none could be located."""
 
 
@@ -243,12 +243,15 @@ class SymplecticPath:
     def at(self, t):
         """Evaluate Phi(t); off-grid values come from the exact evaluator
         when present, else from one Runge-Kutta substep off the nearest
-        lower grid node."""
+        lower grid node.  A grid node returns its stored sample."""
         if self.func is not None:
             return np.asarray(self.func(t), dtype=float)
         m = self.samples
         x = float(t) * (m - 1)
         i0 = min(max(math.floor(x), 0), m - 1)
+        # t * (m - 1) can round to just below a node index
+        if i0 + 1 < m and self.ts[i0 + 1] <= t:
+            i0 += 1
         t0 = self.ts[i0]
         h = float(t) - t0
         if abs(h) < 1e-15:
@@ -284,15 +287,14 @@ class AsymptoticFamily:
     when the family is turned into self-adjoint operators
     ``A_s = -J0 d/dt - S(s, .)`` acting on loops."""
 
-    __slots__ = ("func", "n", "fourier_order", "ds_func", "name")
+    __slots__ = ("func", "n", "fourier_order", "name")
 
-    def __init__(self, func, n, fourier_order=32, ds_func=None, name=""):
+    def __init__(self, func, n, fourier_order=32, name=""):
         if fourier_order < 4:
             raise ValueError("fourier truncation order must be >= 4")
         self.func = func
         self.n = int(n)
         self.fourier_order = int(fourier_order)
-        self.ds_func = ds_func
         self.name = name
         for s in (-1.0, 0.0, 1.0):
             for t in (0.0, 0.37, 0.74):

@@ -168,10 +168,6 @@ class GroupSpec:
         return {BINARY_TETRAHEDRAL: 3, BINARY_OCTAHEDRAL: 4, BINARY_ICOSAHEDRAL: 5}[self.kind]
 
     @property
-    def is_polyhedral(self):
-        return self.kind in _POLYHEDRAL
-
-    @property
     def label(self):
         if self.kind == CYCLIC:
             return f"C:{self.n}"
@@ -223,12 +219,6 @@ def _generators(spec):
     phi = (1.0 + math.sqrt(5.0)) / 2.0
     t = Quaternion(phi / 2.0, 1.0 / (2.0 * phi), 0.5, 0.0)
     return [omega, t]
-
-
-def dihedral_generators(n):
-    """The distinguished pair (A, B) of the binary dihedral group."""
-    a, b = _generators(GroupSpec(BINARY_DIHEDRAL, n))
-    return a, b
 
 
 class _ElementTable:

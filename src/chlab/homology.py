@@ -3,18 +3,17 @@
 The generators in each filtration level are the good Reeb orbits below
 that level's action threshold.  Their gradings are all even, so the
 differential vanishes for parity reasons and homology equals the graded
-generator count; the module still carries an explicit sparse rational
-differential and a generic row-reduction rank computation so the data
-model covers nonzero differentials.  Inclusions between levels pair
-orbits with the same base and multiplicity, and the direct limit is
-compared degreewise against the closed form and the Dynkin diagram of
-the group.
+generator count.  The complex stores no differential: ``build_complex``
+raises ``ParityViolation`` if two good generators ever land in adjacent
+gradings, the only way a nonzero differential could arise.  Inclusions
+between levels pair orbits with the same base and multiplicity, and the
+direct limit is compared degreewise against the closed form and the
+Dynkin diagram of the group.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from .groups import dynkin_type
 from .orbits import enumerate_orbits, orbit_row
@@ -57,17 +56,17 @@ class GradedVectorSpace:
 
 @dataclass
 class FilteredComplex:
-    """Chain complex of one filtration level: generators plus differential.
+    """Chain complex of one filtration level, given by its generators.
 
-    generators maps grading -> list of good orbits; differential maps
-    grading d -> sparse matrix (dict (row, col) -> Fraction) representing
-    the map from degree d to degree d - 1.
+    generators maps grading -> list of good orbits.  No two occupied
+    gradings are adjacent (``build_complex`` checks this), so the
+    differential, which lowers the grading by one, is zero and is not
+    stored.
     """
 
     spec: object
     N: int
     generators: dict
-    differential: dict = field(default_factory=dict)
 
     def degree_rank(self, degree):
         return len(self.generators.get(degree, ()))
@@ -91,60 +90,17 @@ def build_complex(spec, N):
     for orbit in enumerate_orbits(spec, N):
         if orbit.good:
             generators.setdefault(orbit.grading, []).append(orbit)
-    degrees = sorted(generators)
-    for d in degrees:
+    for d in sorted(generators):
         if d + 1 in generators:
             raise ParityViolation(
                 f"{spec.label} N={N}: good generators in adjacent gradings "
                 f"{d} and {d + 1}")
-    differential = {}
-    for d in degrees:
-        rows = len(generators.get(d - 1, ()))
-        if rows:
-            raise ParityViolation(
-                f"{spec.label} N={N}: degree {d} would map onto occupied "
-                f"degree {d - 1}")
-        differential[d] = {}
-    return FilteredComplex(spec=spec, N=N, generators=generators,
-                           differential=differential)
-
-
-def _matrix_rank(entries, rows, cols):
-    """Rank of a sparse rational matrix by exact Gaussian elimination."""
-    if not entries or rows == 0 or cols == 0:
-        return 0
-    dense = [[Fraction(0)] * cols for _ in range(rows)]
-    for (i, j), value in entries.items():
-        dense[i][j] = Fraction(value)
-    rank = 0
-    pivot_row = 0
-    for j in range(cols):
-        pivot = next((i for i in range(pivot_row, rows) if dense[i][j] != 0), None)
-        if pivot is None:
-            continue
-        dense[pivot_row], dense[pivot] = dense[pivot], dense[pivot_row]
-        lead = dense[pivot_row][j]
-        for i in range(pivot_row + 1, rows):
-            if dense[i][j] != 0:
-                factor = dense[i][j] / lead
-                dense[i] = [a - factor * b for a, b in zip(dense[i], dense[pivot_row])]
-        pivot_row += 1
-        rank += 1
-        if pivot_row == rows:
-            break
-    return rank
+    return FilteredComplex(spec=spec, N=N, generators=generators)
 
 
 def homology_ranks(complex):
-    """Graded homology ranks: dim ker(d_deg) - rank(d_{deg+1})."""
-    ranks = {}
-    for degree in complex.degrees:
-        dim = complex.degree_rank(degree)
-        out_rank = _matrix_rank(complex.differential.get(degree, {}),
-                                complex.degree_rank(degree - 1), dim)
-        in_rank = _matrix_rank(complex.differential.get(degree + 1, {}),
-                               dim, complex.degree_rank(degree + 1))
-        ranks[degree] = dim - out_rank - in_rank
+    """Graded homology ranks: with zero differential, the generator counts."""
+    ranks = {d: complex.degree_rank(d) for d in complex.degrees}
     return GradedVectorSpace({d: r for d, r in ranks.items() if r})
 
 

@@ -20,12 +20,15 @@ sums
 
 where Max and Min are the full H-orbits of maximum- and minimum-type fixed
 points and m is an integer sharpness.  Because each sum ranges over a whole
-orbit, f is exactly H-invariant: group-averaging it is a no-op, which the
-constructor verifies numerically rather than assuming.  Saddle points then
-appear at the remaining fixed points, forced by symmetry.  The sharpness is
-escalated through a small ladder until a quasi-uniform scan certifies that
-the critical set is exactly Fix(H) and every Hessian index matches the
-expected assignment (minima on minimum-type points, and so on).
+orbit, f is exactly H-invariant, so group-averaging it is a no-op.  The
+constructor verifies this numerically rather than assuming it: the
+maximum of |f(R x) - f(x)| over the rotations and a sphere sample must
+stay below TOL_INVARIANCE, and it also bounds |avg_R f(R x) - f(x)|.
+Saddle points then appear at the remaining fixed points, forced by
+symmetry.  The sharpness is escalated through a small ladder until a
+quasi-uniform scan certifies that the critical set is exactly Fix(H) and
+every Hessian index matches the expected assignment (minima on
+minimum-type points, and so on).
 
 Flow lines and the weighted complex
 -----------------------------------
@@ -104,8 +107,6 @@ SNAP_RADIUS = 5e-4
 STEP_LIMIT = 20_000
 #: arc-length step of the unit-speed integrator (shrunk near the targets)
 STEP_BASE = 2e-3
-
-_EXPECTED_UPSTAIRS = None  # count check is derived from the fixed orbits
 
 
 class SpuriousCriticalPoint(ArithmeticError):
@@ -247,15 +248,6 @@ class InvariantMorseFunction:
         for rot in self.rotations:
             worst = max(worst, float(np.max(np.abs(self.value(pts @ rot.T) - base))))
         return worst
-
-    def averaging_residual(self, samples=2048):
-        """max |avg_R f(R x) - f(x)|: group-averaging must be a no-op."""
-        pts = _fibonacci_sphere(samples)
-        base = self.value(pts)
-        acc = np.zeros_like(base)
-        for rot in self.rotations:
-            acc += self.value(pts @ rot.T)
-        return float(np.max(np.abs(acc / len(self.rotations) - base)))
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +406,6 @@ def build_invariant_morse(spec):
         if residual > TOL_INVARIANCE:
             raise SpuriousCriticalPoint(
                 f"{spec.label}: invariance residual {residual:.3e} exceeds {TOL_INVARIANCE}")
-        averaging = func.averaging_residual()
-        if averaging > TOL_INVARIANCE:
-            raise SpuriousCriticalPoint(
-                f"{spec.label}: group averaging moved the function by {averaging:.3e}")
         reason = _scan_critical_set(func)
         if reason is not None:
             raise SpuriousCriticalPoint(f"{spec.label}: {reason}")
@@ -470,7 +458,6 @@ class Trajectory:
     start: tuple
     end: tuple
     orbit_class: int
-    polyline: tuple = field(repr=False, default=())
 
 
 @dataclass
@@ -506,14 +493,13 @@ def _integrate_batch(func, seeds, sign, target_points):
     arc-length step shrinks near the targets so a trajectory cannot hop over
     its destination.  Once a seed comes within SNAP_RADIUS of a target it is
     finished by Newton iteration (the linear basin), which must land within
-    TOL_CONVERGENCE of that target.  Returns (endpoint indices, polylines).
-    Raises NonConvergentTrajectory when the step budget runs out or a snap
-    lands elsewhere.
+    TOL_CONVERGENCE of that target.  Returns the endpoint indices.  Raises
+    NonConvergentTrajectory when the step budget runs out or a snap lands
+    elsewhere.
     """
     x = np.array(seeds, dtype=float)
     n = len(x)
     endpoints = np.full(n, -1, dtype=int)
-    polylines = [[tuple(row)] for row in x]
     active = np.ones(n, dtype=bool)
     targets = np.asarray(target_points, dtype=float)
 
@@ -545,9 +531,6 @@ def _integrate_batch(func, seeds, sign, target_points):
         dist = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * cur @ targets.T))
         near = np.min(dist, axis=1)
         which = np.argmin(dist, axis=1)
-        if steps % 50 == 0:
-            for row, i in enumerate(idx):
-                polylines[i].append(tuple(cur[row]))
         for row in np.nonzero(near < SNAP_RADIUS)[0]:
             i = idx[row]
             tgt = targets[which[row]]
@@ -557,9 +540,8 @@ def _integrate_batch(func, seeds, sign, target_points):
                     f"{func.spec.label}: endpoint snap near {tuple(np.round(tgt, 6))} "
                     f"failed to converge")
             endpoints[i] = int(which[row])
-            polylines[i].append(tuple(tgt))
             active[i] = False
-    return endpoints, [tuple(line) for line in polylines]
+    return endpoints
 
 
 def _critical_permutations(func, crits):
@@ -613,7 +595,7 @@ def count_flow_lines(func, source, target):
         return FlowLines(src.name, tgt.name, 0, 0, (), ())
 
     sign = -1.0 if descending else +1.0
-    endpoints, polylines = _integrate_batch(func, seeds, sign, target_points)
+    endpoints = _integrate_batch(func, seeds, sign, target_points)
     for endpoint in endpoints:
         if far_targets[endpoint].kind.name != far_kind.name:
             raise NonConvergentTrajectory(
@@ -679,9 +661,7 @@ def count_flow_lines(func, source, target):
         saddle_pt = crits[ci].point
         far_pt = far_targets[endpoints[ti]].point
         start, end = (saddle_pt, far_pt) if descending else (far_pt, saddle_pt)
-        line = polylines[ti] if descending else tuple(reversed(polylines[ti]))
-        trajectories.append(Trajectory(
-            start=start, end=end, orbit_class=class_ids[find(ti)], polyline=line))
+        trajectories.append(Trajectory(start=start, end=end, orbit_class=class_ids[find(ti)]))
 
     return FlowLines(
         source=src.name,
@@ -703,14 +683,14 @@ class OrbifoldComplex:
 
     For every supported group the saddle orbit is non-orientable (order-2
     isotropy acting by a half-turn reverses the unstable direction), so the
-    generators sit in degrees 0 and 2, every differential is the zero
-    matrix, and the homology ranks are those of the two-sphere.
+    generators sit in degrees 0 and 2.  The differential lowers the degree
+    by one, so it is zero and is not stored; ``ranks`` are the generator
+    counts per degree, those of the two-sphere.
     """
 
     spec_label: str
     generators: dict
     excluded: tuple
-    differential: dict
     flow_counts: dict
     ranks: tuple
 
@@ -744,25 +724,10 @@ def orbifold_complex(spec):
             flow = count_flow_lines(func, entries[hi].name, entries[lo].name)
             flow_counts[(entries[hi].name, entries[lo].name)] = flow
 
-    # the differential between surviving generators: index gaps are 2, so
-    # every matrix is empty or zero; assemble shapes honestly and verify
-    differential = {}
-    for deg in (2, 1):
-        rows = len(generators[deg - 1])
-        cols = len(generators[deg])
-        differential[deg] = np.zeros((rows, cols), dtype=int)
-
-    boundary_sq = differential[1] @ differential[2]
-    if boundary_sq.size and np.any(boundary_sq):
-        raise HomologyMismatch(f"{spec.label}: the squared differential is nonzero")
-
-    ranks = []
-    for deg in (0, 1, 2):
-        dim = len(generators[deg])
-        rank_in = np.linalg.matrix_rank(differential[deg + 1]) if deg + 1 in differential and differential[deg + 1].size else 0
-        rank_out = np.linalg.matrix_rank(differential[deg]) if deg in differential and differential[deg].size else 0
-        ranks.append(dim - rank_in - rank_out)
-    ranks = tuple(ranks)
+    # generators in degrees 0 and 2 only (an orientable saddle makes the
+    # degree-1 count nonzero and fails the check), so the differential
+    # vanishes and homology is the generator count per degree
+    ranks = tuple(len(generators[deg]) for deg in (0, 1, 2))
     if ranks != (1, 0, 1):
         raise HomologyMismatch(f"{spec.label}: homology ranks {ranks}, expected (1, 0, 1)")
 
@@ -770,7 +735,6 @@ def orbifold_complex(spec):
         spec_label=spec.label,
         generators=generators,
         excluded=tuple(excluded),
-        differential=differential,
         flow_counts=flow_counts,
         ranks=ranks,
     )

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 
 from .groups import (
     BINARY_DIHEDRAL,
@@ -47,21 +47,20 @@ class LiftMismatch(AssertionError):
     """Homotopy lookup table disagrees with the group-theoretic lift."""
 
 
+@total_ordering
 class FormalScalar:
     """Exact first-order jet a + b*eps, eps a positive formal infinitesimal.
 
     The total order is lexicographic on (a, b), which is the limit order
     as eps -> 0+.  Ring operations are exact over Fraction; a product of
-    two eps-terms is truncated (eps^2 := 0) and the truncation is flagged
-    by the sticky `truncated` attribute.
+    two eps-terms drops the eps^2 term (eps^2 := 0).
     """
 
-    __slots__ = ("a", "b", "truncated")
+    __slots__ = ("a", "b")
 
-    def __init__(self, a, b=0, truncated=False):
+    def __init__(self, a, b=0):
         self.a = Fraction(a)
         self.b = Fraction(b)
-        self.truncated = bool(truncated)
 
     @staticmethod
     def _coerce(x):
@@ -75,12 +74,12 @@ class FormalScalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return FormalScalar(self.a + o.a, self.b + o.b, self.truncated or o.truncated)
+        return FormalScalar(self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FormalScalar(-self.a, -self.b, self.truncated)
+        return FormalScalar(-self.a, -self.b)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -98,9 +97,7 @@ class FormalScalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        dropped = self.b != 0 and o.b != 0
-        return FormalScalar(self.a * o.a, self.a * o.b + self.b * o.a,
-                            self.truncated or o.truncated or dropped)
+        return FormalScalar(self.a * o.a, self.a * o.b + self.b * o.a)
 
     __rmul__ = __mul__
 
@@ -121,24 +118,6 @@ class FormalScalar:
         if o is NotImplemented:
             return NotImplemented
         return self._cmp_key() < o._cmp_key()
-
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self._cmp_key() <= o._cmp_key()
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self._cmp_key() > o._cmp_key()
-
-    def __ge__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self._cmp_key() >= o._cmp_key()
 
     def __str__(self):
         if self.b == 0:

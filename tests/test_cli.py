@@ -197,6 +197,22 @@ def test_verify_axioms_homotopy_retry_exhaustion_is_numeric_abort(capsys, monkey
     assert err == ""  # no traceback
 
 
+@pytest.mark.parametrize("fmt", ["markdown", "json"])
+def test_verify_sign_lemma_no_crossing_is_numeric_abort(capsys, monkeypatch, fmt):
+    # nonzero flow with no located crossing: the search missed one, which is
+    # a numeric abort (exit 3), not unusable arguments (exit 2)
+    monkeypatch.setattr(czengine, "_locate_crossings", lambda family, order: ([], 1))
+    code, out, err = run_cli(capsys, "verify", "sign-lemma", "-f", fmt)
+    assert code == 3
+    if fmt == "json":
+        (check,) = json.loads(out)["checks"]
+        assert not check["ok"]
+        assert "no crossing could be localized" in check["report"]["error"]
+    else:
+        assert "verify sign-lemma: NUMERIC ABORT" in out
+    assert err == ""  # no traceback
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------

@@ -77,6 +77,18 @@ def test_solver_preserves_symplectic_form():
             assert np.max(np.abs(phi.T @ j0 @ phi - j0)) < 1e-7
 
 
+@pytest.mark.parametrize("samples", [512, 1024, 4097])
+def test_path_at_grid_node_returns_stored_sample(samples):
+    # t * (m - 1) rounds below the node index at some nodes; at() must still
+    # return the stored sample there instead of a substep off the node below
+    ts = np.linspace(0.0, 1.0, samples)[:, None, None]
+    stack = np.array([[2.0, 0.3], [0.3, -1.0]]) + ts * np.array([[1.0, 0.5], [0.5, 4.0]])
+    path = solve_path(SymmetricPath(stack))
+    assert path.func is None and path.generator.func is None
+    for i, t in enumerate(path.ts):
+        assert np.array_equal(path.at(t), path.values[i]), i
+
+
 # ---------------------------------------------------------------------------
 # crossing-form index
 # ---------------------------------------------------------------------------
@@ -378,8 +390,7 @@ def _linear_family(s0, s1, order=16):
         w = 0.5 * (s + 1.0)
         return (1.0 - w) * a + w * b
 
-    return AsymptoticFamily(func, n=1, fourier_order=order,
-                            ds_func=lambda s, t: 0.5 * (b - a))
+    return AsymptoticFamily(func, n=1, fourier_order=order)
 
 
 def test_spectral_flow_of_constant_family_is_zero():

@@ -2,10 +2,14 @@
 ranks, the closed-form answer, filtration inclusions, the direct limit, and
 the class-count correspondence."""
 
+import dataclasses
+
 import pytest
 
+from chlab import homology
 from chlab.homology import (
     GradedVectorSpace,
+    ParityViolation,
     build_complex,
     closed_form,
     direct_limit,
@@ -15,6 +19,7 @@ from chlab.homology import (
     mckay_check,
 )
 from chlab.groups import parse_group_spec
+from chlab.orbits import enumerate_orbits
 
 BATTERY = tuple(f"C:{n}" for n in range(2, 13)) + tuple(
     f"D:{n}" for n in range(2, 9)
@@ -32,9 +37,18 @@ def test_build_complex_dihedral_three():
     assert cx.degree_rank(2) == 5
     assert cx.degrees == [0, 2]
     assert sum(cx.degree_rank(d) for d in cx.degrees) == 10
-    # full differential vanishes for parity reasons
-    for matrix in cx.differential.values():
-        assert all(v == 0 for v in matrix.values())
+    # the differential vanishes for parity reasons: ranks are generator counts
+    assert homology_ranks(cx).ranks == {d: cx.degree_rank(d) for d in cx.degrees}
+
+
+def test_build_complex_rejects_adjacent_gradings(monkeypatch):
+    # a good generator in odd grading next to an even one is the only way a
+    # nonzero differential could arise; build_complex must refuse it
+    even, other = [o for o in enumerate_orbits("D:3", 1) if o.good and o.grading == 2][:2]
+    odd = dataclasses.replace(other, grading=3)
+    monkeypatch.setattr(homology, "enumerate_orbits", lambda spec, N: [even, odd])
+    with pytest.raises(ParityViolation, match="adjacent gradings 2 and 3"):
+        build_complex("D:3", 1)
 
 
 def test_build_complex_small_cases():

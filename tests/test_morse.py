@@ -138,8 +138,8 @@ def test_orbifold_complex_excludes_saddles():
     assert cx.generators[1] == ()
     assert cx.generators[2] == ("Face",)
     assert cx.excluded == ("Edge",)
-    for matrix in cx.differential.values():
-        assert not np.any(np.asarray(matrix))
+    # no generator in degree 1, so the differential vanishes
+    assert cx.ranks == (1, 0, 1)
     assert ("Face", "Edge") in cx.flow_counts
     assert ("Edge", "Vertex") in cx.flow_counts
 

@@ -38,6 +38,12 @@ def test_formal_scalar_is_ordered_lexicographically():
     assert FormalScalar(1, 5) < FormalScalar(2, -5)
     assert FormalScalar(2, -1) < FormalScalar(2, 0) < FormalScalar(2, 1)
     assert FormalScalar(Fraction(1, 3), 0) < FormalScalar(Fraction(1, 2), -100)
+    # the derived comparisons, also against int and Fraction on either side
+    a, b = FormalScalar(2, -1), FormalScalar(2, 1)
+    assert a <= b and a <= a and not b <= a
+    assert b > a and not a > a and b >= b and not a >= b
+    assert a < 2 < b and 2 > a and Fraction(5, 2) >= b and not 2 >= b
+    assert FormalScalar(2) <= 2 <= FormalScalar(2) and FormalScalar(2) == 2
 
 
 def test_formal_floor_and_ceil():
