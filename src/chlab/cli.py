@@ -42,7 +42,7 @@ import numpy as np
 
 from . import __version__
 from . import czengine, homology, morse, orbits
-from .groups import ParseError, parse_group_spec
+from .groups import AmbiguousLabel, NonClosure, parse_group_spec
 
 #: JSON schema tag stamped on every JSON document this tool emits
 SCHEMA = "chlab/v1"
@@ -385,7 +385,11 @@ _CHECKS = {
 }
 
 #: numeric-tolerance aborts: the computation could not complete as posed
+#: (exit 3, reported as NUMERIC ABORT, by a battery or by ``main``)
 _NUMERIC_ERRORS = (
+    orbits.DegenerateRotation,
+    NonClosure,
+    AmbiguousLabel,
     czengine.DriftExceeded,
     czengine.DegenerateEndpoint,
     czengine.IrregularCrossing,
@@ -502,6 +506,15 @@ def _build_parser():
     return parser
 
 
+def _check_verify_args(args):
+    """Reject verify options no battery can use, before any battery runs."""
+    if args.fourier_modes < 4:
+        raise ValueError(f"--fourier-modes must be >= 4, got {args.fourier_modes}")
+    if not 0.0 < args.tolerance <= czengine.MAX_EPSILON:
+        raise ValueError(
+            f"--tolerance must lie in (0, {czengine.MAX_EPSILON:g}], got {args.tolerance:g}")
+
+
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -515,15 +528,16 @@ def main(argv=None):
                 parser.error("homology requires -g/--group")
             text, status = cmd_homology(args.group, args.levels, args.format)
         else:
+            _check_verify_args(args)
             if args.group:
                 parse_group_spec(args.group)  # surface bad specs as exit 2
             text, status = cmd_verify(args.which, args, args.format)
-    except ParseError as err:
+    except ValueError as err:  # groups.ParseError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    except _NUMERIC_ERRORS as err:
+        print(f"{args.command}: NUMERIC ABORT ({err})")
+        return 3
     print(text)
     return status
 

@@ -178,13 +178,20 @@ class SymmetricPath:
         return self.values.shape[0]
 
     def at(self, t):
-        """Evaluate S(t); exact when an evaluator is attached."""
+        """Evaluate S(t); exact when an evaluator is attached.  A grid node
+        returns its stored sample."""
         if self.func is not None:
             s = np.asarray(self.func(t), dtype=float)
             return 0.5 * (s + s.T)
         m = self.samples
         x = float(t) * (m - 1)
-        i0 = min(max(math.floor(x) - 1, 0), m - 4)
+        i = min(max(math.floor(x), 0), m - 1)
+        # t * (m - 1) can round to just below a node index
+        if i + 1 < m and self.ts[i + 1] <= t:
+            i += 1
+        if abs(float(t) - self.ts[i]) < 1e-15:
+            return self.values[i]
+        i0 = min(max(i - 1, 0), m - 4)
         w = _lagrange_weights(x - i0)
         return np.tensordot(w, self.values[i0 : i0 + 4], axes=(0, 0))
 
@@ -280,14 +287,19 @@ class CrossingRecord:
 
 
 class AsymptoticFamily:
-    """A two-parameter generator S(s, t), s in [-1, 1], t in S^1.
+    """A two-parameter generator S(s, t), s in [-1, 1], t in S^1, affine in s.
 
     ``func(s, t)`` must return a symmetric 2n x 2n matrix, 1-periodic in t
-    exactly on the sample grid.  ``fourier_order`` fixes the truncation used
-    when the family is turned into self-adjoint operators
-    ``A_s = -J0 d/dt - S(s, .)`` acting on loops."""
+    exactly on the sample grid, and must be the straight line between its
+    ends: ``S(s, t) = 1/2 (1 - s) S(-1, t) + 1/2 (1 + s) S(1, t)``.  The
+    constructor spot-checks all three (affinity at s = -1/2, 0, 1/2 to
+    relative 1e-12) and raises ``ValueError`` otherwise.  ``fourier_order``
+    fixes the truncation used when the family is turned into self-adjoint
+    operators ``A_s = -J0 d/dt - S(s, .)`` acting on loops; by affinity
+    ``A_s = 1/2 (1 - s) A_-1 + 1/2 (1 + s) A_1``, so only the two ends are
+    ever assembled (once per truncation order, see ``operator_ends``)."""
 
-    __slots__ = ("func", "n", "fourier_order", "name")
+    __slots__ = ("func", "n", "fourier_order", "name", "_ends")
 
     def __init__(self, func, n, fourier_order=32, name=""):
         if fourier_order < 4:
@@ -296,13 +308,21 @@ class AsymptoticFamily:
         self.n = int(n)
         self.fourier_order = int(fourier_order)
         self.name = name
-        for s in (-1.0, 0.0, 1.0):
-            for t in (0.0, 0.37, 0.74):
-                m = np.asarray(func(s, t), dtype=float)
+        self._ends = {}
+        for t in (0.0, 0.37, 0.74):
+            vals = {s: np.asarray(func(s, t), dtype=float) for s in (-1.0, -0.5, 0.0, 0.5, 1.0)}
+            for m in vals.values():
                 if m.shape != (2 * self.n, 2 * self.n):
                     raise ValueError("family values must be 2n x 2n")
                 if _sym_defect(m[None]) > TOL_SYMMETRY:
                     raise ValueError("family values must be symmetric")
+            lo, hi = vals[-1.0], vals[1.0]
+            scale = max(float(np.max(np.abs(lo))), float(np.max(np.abs(hi))))
+            for s in (-0.5, 0.0, 0.5):
+                line = 0.5 * (1.0 - s) * lo + 0.5 * (1.0 + s) * hi
+                if np.max(np.abs(vals[s] - line)) > 1e-12 * scale:
+                    raise ValueError("family is not affine in s")
+        for s in (-1.0, 0.0, 1.0):
             period = np.max(np.abs(np.asarray(func(s, 0.0)) - np.asarray(func(s, 1.0))))
             if period > TOL_SYMMETRY:
                 raise ValueError(f"family not 1-periodic in t: defect {period:.3e}")
@@ -310,6 +330,13 @@ class AsymptoticFamily:
     def path_at(self, s, samples=DEFAULT_SAMPLES):
         """The generator path t -> S(s, t) as a SymmetricPath."""
         return SymmetricPath.from_callable(lambda t: self.func(s, t), samples=samples)
+
+    def operator_ends(self, order):
+        """The Galerkin operators ``(A_-1, A_1)`` at truncation ``order``,
+        assembled on first use and kept for the family's lifetime."""
+        if order not in self._ends:
+            self._ends[order] = _galerkin_ends(self, order)
+        return self._ends[order]
 
 
 # ---------------------------------------------------------------------------
@@ -795,32 +822,47 @@ def path_direct_sum(p, q):
 # ---------------------------------------------------------------------------
 
 
-def _operator_matrix(family, s, order=None):
-    """Galerkin truncation of A_s = -J0 d/dt - S(s, .) on loops.
+def _galerkin_ends(family, k):
+    """Galerkin truncations of A_s = -J0 d/dt - S(s, .) on loops at s = -1
+    and s = 1.
 
     Real Fourier basis per coordinate: 1, sqrt2 cos(2 pi m t),
-    sqrt2 sin(2 pi m t) for m = 1..K; the result is a symmetric matrix of
-    size 2n(2K+1)."""
-    k = family.fourier_order if order is None else order
+    sqrt2 sin(2 pi m t) for m = 1..K, ordered (mode, coordinate); each
+    result is a symmetric matrix of size 2n(2K+1).  ``S`` is sampled at
+    ``max(256, 8K)`` quadrature points and each coordinate pair (u, v)
+    contributes the Gram block ``(basis * S_uv) @ basis^T`` through BLAS."""
     d = 2 * family.n
     m_quad = max(256, 8 * k)
     ts = np.arange(m_quad) / m_quad
-    svals = np.stack([np.asarray(family.func(s, t), dtype=float) for t in ts])
     basis = np.empty((2 * k + 1, m_quad))
     basis[0] = 1.0
     for m in range(1, k + 1):
         basis[2 * m - 1] = math.sqrt(2.0) * np.cos(2.0 * math.pi * m * ts)
         basis[2 * m] = math.sqrt(2.0) * np.sin(2.0 * math.pi * m * ts)
-    gram = np.einsum("aj,bj,juv->aubv", basis, basis, svals) / m_quad
     dim = d * (2 * k + 1)
-    a = -gram.reshape(dim, dim)
     j0 = standard_j(family.n)
-    for m in range(1, k + 1):
-        c = (2 * m - 1) * d
-        sblk = (2 * m) * d
-        a[sblk : sblk + d, c : c + d] += 2.0 * math.pi * m * j0
-        a[c : c + d, sblk : sblk + d] += -2.0 * math.pi * m * j0
-    return 0.5 * (a + a.T)
+    ends = []
+    for s in (-1.0, 1.0):
+        svals = np.stack([np.asarray(family.func(s, t), dtype=float) for t in ts])
+        a = np.empty((dim, dim))
+        for u in range(d):
+            for v in range(d):
+                a[u::d, v::d] = -((basis * svals[:, u, v]) @ basis.T) / m_quad
+        for m in range(1, k + 1):
+            c = (2 * m - 1) * d
+            sblk = (2 * m) * d
+            a[sblk : sblk + d, c : c + d] += 2.0 * math.pi * m * j0
+            a[c : c + d, sblk : sblk + d] += -2.0 * math.pi * m * j0
+        ends.append(0.5 * (a + a.T))
+    return tuple(ends)
+
+
+def _operator_matrix(family, s, order=None):
+    """The truncated operator A_s, symmetric of size 2n(2K+1), as the
+    affine combination 1/2 (1 - s) A_-1 + 1/2 (1 + s) A_1 of the family's
+    assembled ends."""
+    a_minus, a_plus = family.operator_ends(family.fourier_order if order is None else order)
+    return 0.5 * (1.0 - s) * a_minus + 0.5 * (1.0 + s) * a_plus
 
 
 def _neg_count(eigs):
@@ -833,6 +875,11 @@ def _min_abs(eigs):
 
 def _locate_crossings(family, order):
     """March s over [-1, 1] and localize the eigenvalue crossings.
+
+    The family is affine in s (``AsymptoticFamily``'s contract), so every
+    step costs one ``eigvalsh`` of ``1/2 (1 - s) A_-1 + 1/2 (1 + s) A_1``
+    built from the ends assembled once per ``order``; ``S(s, t)`` is never
+    sampled along the march.
 
     Steps whose negative-eigenvalue counts differ are bisected until the
     crossing is pinned to width 1e-10 (simultaneous multiple crossings are
@@ -958,10 +1005,11 @@ def verify_crossing_sign_lemma(family, solver_samples=DEFAULT_SAMPLES):
     crossing form with the return-map crossing form.
 
     For a kernel element eta of the truncated ``A_{s*}`` the operator form
-    is ``Gamma_A = eta^T (dA/ds) eta``; for ``v = eta(0)`` the return-map
-    form is ``Gamma_Psi = omega0(v, d/ds Psi_s(1) v)`` where ``Psi_s`` solves
-    the path equation for ``S(s, .)``.  The two must have opposite signs and
-    agree in magnitude within relative 1e-4.
+    is ``Gamma_A = eta^T (dA/ds) eta``, with the exact derivative
+    ``dA/ds = 1/2 (A_1 - A_-1)`` of the affine family; for ``v = eta(0)``
+    the return-map form is ``Gamma_Psi = omega0(v, d/ds Psi_s(1) v)`` where
+    ``Psi_s`` solves the path equation for ``S(s, .)``.  The two must have
+    opposite signs and agree in magnitude within relative 1e-4.
 
     A family with no crossings returns an empty report when its endpoint
     negative counts agree (nothing to check); ``NoCrossingFound`` is raised
@@ -981,7 +1029,8 @@ def verify_crossing_sign_lemma(family, solver_samples=DEFAULT_SAMPLES):
             "max_residual": 0.0,
         }
     j0 = standard_j(family.n)
-    h_op = 1e-5
+    a_minus, a_plus = family.operator_ends(order)
+    da = 0.5 * (a_plus - a_minus)
     h_path = 1e-4
     failures = []
     instances = 0
@@ -993,10 +1042,6 @@ def verify_crossing_sign_lemma(family, solver_samples=DEFAULT_SAMPLES):
         kernel_idx = np.where(np.abs(eigvals) < 1e-5)[0]
         if kernel_idx.size == 0:
             kernel_idx = np.array([int(np.argmin(np.abs(eigvals)))])
-        da = (
-            _operator_matrix(family, s_star + h_op, order)
-            - _operator_matrix(family, s_star - h_op, order)
-        ) / (2.0 * h_op)
         psi_plus = solve_path(family.path_at(s_star + h_path, samples=solver_samples))
         psi_minus = solve_path(family.path_at(s_star - h_path, samples=solver_samples))
         psi_star = solve_path(family.path_at(s_star, samples=solver_samples))

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chlab import cli, czengine
+from chlab import cli, czengine, groups, orbits
 
 
 def run_cli(capsys, *argv):
@@ -95,6 +95,22 @@ def test_rejects_unknown_group(capsys):
 def test_rejects_nonpositive_level(capsys):
     code, _, err = run_cli(capsys, "homology", "-g", "C:4", "-N", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "all", "--fourier-modes", "3"),
+    ("verify", "cz-engine", "--tolerance", "0"),
+    ("verify", "cz-engine", "--tolerance", "0.5"),
+])
+def test_verify_rejects_unusable_numeric_options_up_front(capsys, monkeypatch, argv):
+    def no_battery(*args):
+        raise AssertionError("a battery ran before the options were checked")
+
+    monkeypatch.setattr(cli, "cmd_verify", no_battery)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +227,45 @@ def test_verify_sign_lemma_no_crossing_is_numeric_abort(capsys, monkeypatch, fmt
     else:
         assert "verify sign-lemma: NUMERIC ABORT" in out
     assert err == ""  # no traceback
+
+
+LIBRARY_NUMERIC_ERRORS = [orbits.DegenerateRotation, groups.NonClosure, groups.AmbiguousLabel]
+
+
+def _raiser(error):
+    def raise_it(*args, **kwargs):
+        raise error("injected fault")
+    return raise_it
+
+
+@pytest.mark.parametrize("error", LIBRARY_NUMERIC_ERRORS)
+def test_battery_library_error_is_numeric_abort(capsys, monkeypatch, error):
+    monkeypatch.setitem(cli._CHECKS, "mckay", _raiser(error))
+    code, out, err = run_cli(capsys, "verify", "mckay")
+    assert code == 3
+    assert "mckay: ABORT (injected fault)" in out
+    assert "verify mckay: NUMERIC ABORT" in out
+    assert err == ""  # no traceback
+
+
+@pytest.mark.parametrize("error", LIBRARY_NUMERIC_ERRORS)
+def test_verify_all_library_error_is_numeric_abort(capsys, monkeypatch, error):
+    # raised inside the worker threads; future.result() must not re-raise it
+    for name in cli.CHECK_NAMES:
+        monkeypatch.setitem(cli._CHECKS, name, _raiser(error))
+    code, out, err = run_cli(capsys, "verify", "all")
+    assert code == 3
+    assert "verify all: NUMERIC ABORT" in out
+    assert err == ""
+
+
+@pytest.mark.parametrize("error", LIBRARY_NUMERIC_ERRORS)
+def test_orbits_library_error_is_numeric_abort(capsys, monkeypatch, error):
+    monkeypatch.setattr(cli, "cmd_orbits", _raiser(error))
+    code, out, err = run_cli(capsys, "orbits", "-g", "C:3", "-N", "1")
+    assert code == 3
+    assert out.strip() == "orbits: NUMERIC ABORT (injected fault)"
+    assert err == ""
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from chlab import czengine
+from chlab import cli, czengine
 from chlab.czengine import (
     AsymptoticFamily,
     SymmetricPath,
@@ -85,6 +85,20 @@ def test_path_at_grid_node_returns_stored_sample(samples):
     stack = np.array([[2.0, 0.3], [0.3, -1.0]]) + ts * np.array([[1.0, 0.5], [0.5, 4.0]])
     path = solve_path(SymmetricPath(stack))
     assert path.func is None and path.generator.func is None
+    for i, t in enumerate(path.ts):
+        assert np.array_equal(path.at(t), path.values[i]), i
+
+
+@pytest.mark.parametrize("samples", [512, 1024, 4097])
+def test_symmetric_path_at_grid_node_returns_stored_sample(samples):
+    # without an evaluator, at() interpolates; at a node whose t * (m - 1)
+    # rounds off the integer it must still return the stored sample
+    ts = np.linspace(0.0, 1.0, samples)
+    stack = np.empty((samples, 2, 2))
+    stack[:, 0, 0] = 2.0 + np.cos(2.0 * math.pi * ts)
+    stack[:, 0, 1] = stack[:, 1, 0] = 0.3 * np.sin(6.0 * ts)
+    stack[:, 1, 1] = np.exp(ts) - 1.0
+    path = SymmetricPath(stack)
     for i, t in enumerate(path.ts):
         assert np.array_equal(path.at(t), path.values[i]), i
 
@@ -391,6 +405,89 @@ def _linear_family(s0, s1, order=16):
         return (1.0 - w) * a + w * b
 
     return AsymptoticFamily(func, n=1, fourier_order=order)
+
+
+def _reference_operator_matrix(family, s, k):
+    """Galerkin matrix of A_s assembled point by point: S(s, .) sampled at
+    every quadrature point and contracted with the Fourier basis in one
+    einsum."""
+    d = 2 * family.n
+    m_quad = max(256, 8 * k)
+    ts = np.arange(m_quad) / m_quad
+    svals = np.stack([np.asarray(family.func(s, t), dtype=float) for t in ts])
+    basis = np.empty((2 * k + 1, m_quad))
+    basis[0] = 1.0
+    for m in range(1, k + 1):
+        basis[2 * m - 1] = math.sqrt(2.0) * np.cos(2.0 * math.pi * m * ts)
+        basis[2 * m] = math.sqrt(2.0) * np.sin(2.0 * math.pi * m * ts)
+    gram = np.einsum("aj,bj,juv->aubv", basis, basis, svals) / m_quad
+    dim = d * (2 * k + 1)
+    a = -gram.reshape(dim, dim)
+    j0 = standard_j(family.n)
+    for m in range(1, k + 1):
+        c = (2 * m - 1) * d
+        sblk = (2 * m) * d
+        a[sblk : sblk + d, c : c + d] += 2.0 * math.pi * m * j0
+        a[c : c + d, sblk : sblk + d] += -2.0 * math.pi * m * j0
+    return 0.5 * (a + a.T)
+
+
+@pytest.fixture(scope="module")
+def named_families():
+    ((seeded, _cz0, _cz1),) = cli.seeded_flow_families(2026, 1)
+    return {
+        "canonical": cli.canonical_flow_family(),
+        "resonance": cli.resonance_family(),
+        "seeded": seeded,
+    }
+
+
+@pytest.mark.parametrize("name", ["canonical", "resonance", "seeded"])
+@pytest.mark.parametrize("k", [16, 32])
+def test_operator_matrix_matches_pointwise_assembly(named_families, name, k):
+    fam = named_families[name]
+    for s in (-1.0, -0.3, 0.5, 1.0):
+        ref = _reference_operator_matrix(fam, s, k)
+        assert np.max(np.abs(czengine._operator_matrix(fam, s, k) - ref)) < 1e-12, s
+
+
+def test_family_must_be_affine_in_s():
+    def func(s, t):
+        return s * s * np.eye(2) + np.diag([1.0, -1.0])
+
+    with pytest.raises(ValueError, match="family is not affine in s"):
+        AsymptoticFamily(func, n=1)
+
+
+def test_spectral_flow_samples_each_family_end_once():
+    calls = 0
+    lo, hi = np.diag([1.0, -1.0]), 2.0 * np.eye(2)
+
+    def func(s, t):
+        nonlocal calls
+        calls += 1
+        return 0.5 * (1.0 - s) * lo + 0.5 * (1.0 + s) * hi
+
+    fam = AsymptoticFamily(func, n=1, fourier_order=16)
+    spot_checks = calls
+    assert spectral_flow(fam, order=16) == 1
+    # 256 quadrature points at each end; the march itself never samples S
+    assert calls - spot_checks <= 2 * 256
+
+
+def test_sign_lemma_operator_form_uses_exact_derivative(monkeypatch):
+    fam = _linear_family(np.diag([1.0, -1.0]), 2.0 * np.eye(2))
+    # a frozen return map has d/ds Psi = 0, so every crossing is reported as
+    # a failure together with the operator form it computed
+    frozen = solve_path(fam.path_at(0.0))
+    monkeypatch.setattr(czengine, "solve_path", lambda generator: frozen)
+    report = verify_crossing_sign_lemma(fam)
+    assert report["failures"]
+    da = 0.5 * (czengine._operator_matrix(fam, 1.0) - czengine._operator_matrix(fam, -1.0))
+    for failure in report["failures"]:
+        eigvals, eigvecs = np.linalg.eigh(czengine._operator_matrix(fam, failure["s"]))
+        eta = eigvecs[:, int(np.argmin(np.abs(eigvals)))]
+        assert failure["gamma_operator"] == pytest.approx(float(eta @ da @ eta), rel=1e-12)
 
 
 def test_spectral_flow_of_constant_family_is_zero():
