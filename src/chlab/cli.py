@@ -21,10 +21,6 @@ is deterministic: a fixed (command, seed, version) triple yields byte-identical
 bytes.  JSON documents carry a versioned ``schema`` tag.  Rational numbers
 render as ``p/q``, formal one-sided perturbations as ``a + b·eps``, and the
 constant pi is factored out of every action column.
-
-``verify all`` fans the checks out across worker threads (``CHLAB_THREADS``
-overrides the pool size); the report is assembled in a fixed order, so
-threading never changes the output bytes.
 """
 
 from __future__ import annotations
@@ -33,9 +29,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -413,22 +407,10 @@ def _run_check(name, opts):
                            {"check": name, "error": str(err)}, "violation")
 
 
-def _thread_count():
-    raw = os.environ.get("CHLAB_THREADS", "")
-    if raw.strip():
-        return max(1, int(raw))
-    return min(8, os.cpu_count() or 1)
-
-
 def cmd_verify(which, opts, fmt):
     """Run one verification battery (or all) and render the report."""
-    names = list(CHECK_NAMES) if which == "all" else [which]
-    if which == "all" and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-            futures = {name: pool.submit(_run_check, name, opts) for name in names}
-        results = [futures[name].result() for name in names]
-    else:
-        results = [_run_check(name, opts) for name in names]
+    names = CHECK_NAMES if which == "all" else (which,)
+    results = [_run_check(name, opts) for name in names]
 
     ok = all(r.ok for r in results)
     any_violation = any(r.failure_kind == "violation" for r in results)
@@ -538,6 +520,9 @@ def main(argv=None):
     except _NUMERIC_ERRORS as err:
         print(f"{args.command}: NUMERIC ABORT ({err})")
         return 3
+    except AssertionError as err:  # a library check of a statement failed
+        print(f"{args.command}: VIOLATION ({err})")
+        return 1
     print(text)
     return status
 

@@ -141,14 +141,16 @@ def _drift(values, j0):
 class SymmetricPath:
     """A path of symmetric matrices S : [0,1] -> Sym(2n) on a uniform grid.
 
-    Stores at least ``MIN_SAMPLES`` uniform samples (endpoints included) and
-    optionally an exact evaluator; off-grid values come from the evaluator
-    when present and from 4-point Lagrange interpolation otherwise.
+    Stores at least ``MIN_SAMPLES`` uniform samples (endpoints included),
+    optionally the samples ``mids`` at the cell midpoints ``ts[i] + h/2``
+    (which ``solve_path`` reads) and optionally an exact evaluator; off-grid
+    values come from the evaluator when present and from 4-point Lagrange
+    interpolation otherwise.
     """
 
-    __slots__ = ("values", "ts", "func", "dim")
+    __slots__ = ("values", "ts", "func", "dim", "mids")
 
-    def __init__(self, values, func=None):
+    def __init__(self, values, func=None, mids=None):
         values = np.asarray(values, dtype=float)
         if values.ndim != 3 or values.shape[1] != values.shape[2]:
             raise ValueError("generator samples must be an (m, d, d) array")
@@ -158,13 +160,18 @@ class SymmetricPath:
             )
         if values.shape[1] % 2 != 0:
             raise ValueError("generator dimension must be even")
-        defect = _sym_defect(values)
+        if mids is not None:
+            mids = np.asarray(mids, dtype=float)
+            if mids.shape != (values.shape[0] - 1,) + values.shape[1:]:
+                raise ValueError("midpoint samples must be an (m - 1, d, d) array")
+        defect = max(_sym_defect(stack) for stack in (values, mids) if stack is not None)
         if defect > TOL_SYMMETRY:
             raise ValueError(f"generator samples not symmetric: defect {defect:.3e}")
         self.values = values
         self.ts = np.linspace(0.0, 1.0, values.shape[0])
         self.func = func
         self.dim = values.shape[1]
+        self.mids = mids
 
     @classmethod
     def from_callable(cls, func, samples=DEFAULT_SAMPLES):
@@ -195,9 +202,26 @@ class SymmetricPath:
         w = _lagrange_weights(x - i0)
         return np.tensordot(w, self.values[i0 : i0 + 4], axes=(0, 0))
 
+    def midpoints(self):
+        """S at the cell midpoints ``ts[i] + h/2``: the stored stack, else one
+        evaluator call per midpoint, else the 4-point Lagrange stencil."""
+        if self.mids is not None:
+            return self.mids
+        if self.func is not None:
+            return np.stack([self.at(t) for t in _midpoint_times(self.ts)])
+        m = self.samples
+        i0 = np.clip(np.arange(m - 1) - 1, 0, m - 4)
+        weights = np.stack([_lagrange_weights(offset + 0.5) for offset in range(3)])
+        stencils = self.values[i0[:, None] + np.arange(4)]
+        return np.einsum("tk,tkij->tij", weights[np.arange(m - 1) - i0], stencils)
+
 
 def _symmetrized(a):
     return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
+def _midpoint_times(ts):
+    return ts[:-1] + 0.5 * (ts[1] - ts[0])
 
 
 def _lagrange_weights(x):
@@ -263,7 +287,11 @@ class SymplecticPath:
         h = float(t) - t0
         if abs(h) < 1e-15:
             return self.values[i0]
-        return _rk4_step(self.generator, self.values[i0], t0, h)
+        gen, j0 = self.generator, standard_j(self.n)
+        step = _rk4_increment(
+            j0 @ gen.at(t0), j0 @ gen.at(t0 + 0.5 * h), j0 @ gen.at(t0 + h), h
+        )
+        return self.values[i0] + step @ self.values[i0]
 
     def endpoint(self):
         return self.values[-1]
@@ -297,9 +325,11 @@ class AsymptoticFamily:
     fixes the truncation used when the family is turned into self-adjoint
     operators ``A_s = -J0 d/dt - S(s, .)`` acting on loops; by affinity
     ``A_s = 1/2 (1 - s) A_-1 + 1/2 (1 + s) A_1``, so only the two ends are
-    ever assembled (once per truncation order, see ``operator_ends``)."""
+    ever assembled (once per truncation order, see ``operator_ends``), and
+    the generator paths ``S(s, .)`` are combined from ``S(-1, .)`` and
+    ``S(1, .)`` sampled once per grid size (see ``path_at``)."""
 
-    __slots__ = ("func", "n", "fourier_order", "name", "_ends")
+    __slots__ = ("func", "n", "fourier_order", "name", "_ends", "_grid_ends")
 
     def __init__(self, func, n, fourier_order=32, name=""):
         if fourier_order < 4:
@@ -309,6 +339,7 @@ class AsymptoticFamily:
         self.fourier_order = int(fourier_order)
         self.name = name
         self._ends = {}
+        self._grid_ends = {}
         for t in (0.0, 0.37, 0.74):
             vals = {s: np.asarray(func(s, t), dtype=float) for s in (-1.0, -0.5, 0.0, 0.5, 1.0)}
             for m in vals.values():
@@ -328,8 +359,22 @@ class AsymptoticFamily:
                 raise ValueError(f"family not 1-periodic in t: defect {period:.3e}")
 
     def path_at(self, s, samples=DEFAULT_SAMPLES):
-        """The generator path t -> S(s, t) as a SymmetricPath."""
-        return SymmetricPath.from_callable(lambda t: self.func(s, t), samples=samples)
+        """The generator path t -> S(s, t) as a SymmetricPath, its node and
+        midpoint samples the affine combination of those of ``S(-1, .)`` and
+        ``S(1, .)``, which are sampled on first use per grid size."""
+        samples = max(int(samples), MIN_SAMPLES)
+        if samples not in self._grid_ends:
+            ts = np.linspace(0.0, 1.0, samples)
+            times = np.concatenate([ts, _midpoint_times(ts)])
+            self._grid_ends[samples] = tuple(
+                np.stack([np.asarray(self.func(end, t), dtype=float) for t in times])
+                for end in (-1.0, 1.0)
+            )
+        lo, hi = self._grid_ends[samples]
+        stack = _symmetrized(0.5 * (1.0 - s) * lo + 0.5 * (1.0 + s) * hi)
+        return SymmetricPath(
+            stack[:samples], func=lambda t: self.func(s, t), mids=stack[samples:]
+        )
 
     def operator_ends(self, order):
         """The Galerkin operators ``(A_-1, A_1)`` at truncation ``order``,
@@ -344,46 +389,36 @@ class AsymptoticFamily:
 # ---------------------------------------------------------------------------
 
 
-def _rk4_step(gen, phi, t0, h):
-    j0 = standard_j(gen.dim // 2)
-    k1 = j0 @ gen.at(t0) @ phi
-    s_mid = gen.at(t0 + 0.5 * h)
-    k2 = j0 @ s_mid @ (phi + 0.5 * h * k1)
-    k3 = j0 @ s_mid @ (phi + 0.5 * h * k2)
-    k4 = j0 @ gen.at(t0 + h) @ (phi + h * k3)
-    return phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_increment(a0, a_mid, a1, h):
+    """The classical Runge-Kutta step of the linear equation Phi' = A(t) Phi
+    as ``Phi(t0 + h) = Phi(t0) + D Phi(t0)``, with the increment ``D`` built
+    from A at t0, t0 + h/2 and t0 + h alone; one matrix or a stack of them."""
+    eye = np.eye(a0.shape[-1])
+    k1 = a0
+    k2 = a_mid @ (eye + 0.5 * h * k1)
+    k3 = a_mid @ (eye + 0.5 * h * k2)
+    k4 = a1 @ (eye + h * k3)
+    return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def solve_path(generator):
     """Integrate Phi' = J0 S(t) Phi, Phi(0) = Id with one-step Runge-Kutta.
 
-    No re-orthonormalization is applied: the symplecticity drift is kept as
-    an accuracy witness and ``DriftExceeded`` is raised if it passes
+    The increments of all grid cells are built in one batched expression
+    from the node and midpoint samples of S; only chaining them,
+    ``Phi_{i+1} = Phi_i + D_i Phi_i``, runs step by step.  No
+    re-orthonormalization is applied: the symplecticity drift is kept as an
+    accuracy witness and ``DriftExceeded`` is raised if it passes
     ``TOL_DRIFT``.
     """
-    m = generator.samples
-    d = generator.dim
-    j0 = standard_j(d // 2)
-    values = np.empty((m, d, d))
-    values[0] = np.eye(d)
-    ts = generator.ts
-    h = ts[1] - ts[0]
-    have_func = generator.func is not None
-    mid_weights = [_lagrange_weights(offset + 0.5) for offset in range(3)]
-    for i in range(m - 1):
-        phi = values[i]
-        s0 = generator.values[i]
-        s1 = generator.values[i + 1]
-        if have_func:
-            s_mid = generator.at(ts[i] + 0.5 * h)
-        else:
-            i0 = min(max(i - 1, 0), m - 4)
-            s_mid = np.tensordot(mid_weights[i - i0], generator.values[i0 : i0 + 4], axes=(0, 0))
-        k1 = j0 @ s0 @ phi
-        k2 = j0 @ s_mid @ (phi + 0.5 * h * k1)
-        k3 = j0 @ s_mid @ (phi + 0.5 * h * k2)
-        k4 = j0 @ s1 @ (phi + h * k3)
-        values[i + 1] = phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    j0 = standard_j(generator.dim // 2)
+    a = j0 @ generator.values
+    h = generator.ts[1] - generator.ts[0]
+    increments = _rk4_increment(a[:-1], j0 @ generator.midpoints(), a[1:], h)
+    values = np.empty_like(a)
+    values[0] = np.eye(generator.dim)
+    for i, step in enumerate(increments):
+        values[i + 1] = values[i] + step @ values[i]
     return SymplecticPath(values, generator)
 
 
@@ -407,20 +442,82 @@ def _det_minus_id(path, t):
     return float(np.linalg.det(path.at(t) - np.eye(d)))
 
 
-def _bisect_sign_change(path, a, b, fa, fb):
-    while b - a > TOL_BISECTION:
-        m = 0.5 * (a + b)
-        fm = _det_minus_id(path, m)
-        if fm == 0.0:
-            return m
-        if (fa < 0) != (fm < 0):
-            b, fb = m, fm
+def _cofactors(m):
+    """Cofactor matrix of a square matrix: adj(m) is its transpose."""
+    d = m.shape[-1]
+    keep = np.array([[j for j in range(d) if j != i] for i in range(d)])
+    minors = m[keep[:, None, :, None], keep[None, :, None, :]]
+    signs = (-1.0) ** np.add.outer(np.arange(d), np.arange(d))
+    return signs * np.linalg.det(minors)
+
+
+def _det_and_slope(path, t):
+    """``g(t) = det(Phi(t) - Id)`` and its exact derivative by Jacobi's
+    formula, ``g'(t) = tr(adj(Phi(t) - Id) J0 S(t) Phi(t))``."""
+    phi = path.at(t)
+    m = phi - np.eye(2 * path.n)
+    cof = _cofactors(m)
+    phi_dot = standard_j(path.n) @ path.generator.at(t) @ phi
+    return float(m[0] @ cof[0]), float(np.sum(cof * phi_dot))
+
+
+def _refine_sign_change(path, a, b, fa, fb):
+    """Root of g on [a, b], where g(a) = fa and g(b) = fb differ in sign:
+    Newton steps from the secant point, replaced by bisection whenever a
+    step would leave the bracket or fails to halve the previous one."""
+    x = a - fa * (b - a) / (fb - fa)
+    last = b - a
+    while True:
+        gx, dgx = _det_and_slope(path, x)
+        if gx == 0.0:
+            return x
+        if (gx < 0) == (fa < 0):
+            a, fa = x, gx
         else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
+            b = x
+        step = gx / dgx if dgx != 0.0 else math.inf
+        if not (a < x - step < b and abs(step) < 0.5 * last):
+            step = x - 0.5 * (a + b)
+        x -= step
+        last = abs(step)
+        if last < 0.5 * TOL_BISECTION or b - a <= TOL_BISECTION:
+            return x
 
 
 def _refine_touch(path, a, b):
+    """Locate a touch of g = det(Phi(t) - Id) on [a, b] as the root of g'.
+
+    Illinois regula falsi (the value kept at an end that survives two steps
+    in a row is halved), with every step at least ``TOL_BISECTION / 2`` long
+    so that the bracket closes, then one secant step across the final
+    bracket.  Where g' shows no sign change on [a, b], ternary-search the
+    minimum of |g| instead."""
+    slope = lambda t: _det_and_slope(path, t)[1]
+    fa, fb = slope(a), slope(b)
+    if (fa < 0) == (fb < 0):
+        return _ternary_min_abs_det(path, a, b)
+    wa = wb = 1.0
+    x, side = None, 0
+    while b - a > TOL_BISECTION:
+        x_new = (a * wb * fb - b * wa * fa) / (wb * fb - wa * fa)
+        if x is not None and abs(x_new - x) < 0.5 * TOL_BISECTION:
+            x_new = x + math.copysign(0.5 * TOL_BISECTION, x_new - x)
+        x = x_new if a < x_new < b else 0.5 * (a + b)
+        fx = slope(x)
+        if fx == 0.0:
+            return x
+        if (fx < 0) == (fa < 0):
+            a, fa, wa = x, fx, 1.0
+            wb *= 0.5 if side < 0 else 1.0
+            side = -1
+        else:
+            b, fb, wb = x, fx, 1.0
+            wa *= 0.5 if side > 0 else 1.0
+            side = 1
+    return (a * fb - b * fa) / (fb - fa)
+
+
+def _ternary_min_abs_det(path, a, b):
     """Ternary-search the minimum of |det(Phi(t) - Id)| on [a, b]."""
     f = lambda t: abs(_det_minus_id(path, t))
     while b - a > TOL_BISECTION:
@@ -445,9 +542,11 @@ def _kernel_basis(path, t):
 def crossing_records(path):
     """Locate all interior crossings of ``det(Phi(t) - Id) = 0``.
 
-    Sign changes of the determinant are bisected and even-order touches are
-    found as refined local minima; each candidate is confirmed through the
-    singular values of Phi(t*) - Id.  Crossings closer than
+    Sign changes of the determinant on the grid are refined by safeguarded
+    Newton steps and even-order touches (dips of |det| without a sign
+    change) by a root search on the exact derivative, both using Jacobi's
+    formula; each candidate is confirmed through the singular values of
+    Phi(t*) - Id.  Crossings closer than
     ``TOL_ENDPOINT_GAP`` to either endpoint raise ``IrregularCrossing``.
     """
     if not path.endpoint_nondegenerate:
@@ -463,7 +562,7 @@ def crossing_records(path):
     # Sign changes (vectorized scan over interior cells).
     prod = g[1:-1] * g[2:]
     for i in np.nonzero(prod < 0.0)[0] + 1:
-        times.append(_bisect_sign_change(path, path.ts[i], path.ts[i + 1], g[i], g[i + 1]))
+        times.append(_refine_sign_change(path, path.ts[i], path.ts[i + 1], g[i], g[i + 1]))
     for i in np.nonzero(g[1:-1] == 0.0)[0] + 1:
         times.append(float(path.ts[i]))
     # Even-order touches: interior local minima of |g| that dip low enough.
@@ -676,7 +775,7 @@ def local_model_path(f_value, hessian, eps=DEFAULT_EPSILON, k=1, samples=None):
     rots[:, 0, 1] = -sa
     rots[:, 1, 0] = sa
     rots[:, 1, 1] = ca
-    svals = a * np.eye(2) - b * np.einsum("tij,jk,tlk->til", rots, h, rots)
+    svals = a * np.eye(2) - b * (rots @ h @ np.swapaxes(rots, 1, 2))
     delta = float(np.linalg.det(m0))
     if delta > 0.0:
         r = np.sqrt(delta) * ts
@@ -1112,13 +1211,14 @@ def _random_generator(rng, n, scale=1.0):
             s = s + c * cos(2.0 * math.pi * m * t) + dcoef * sin(2.0 * math.pi * m * t)
         return s
 
-    # The grid is summed with array cos/sin; off-grid times (solver
-    # midpoints, bisection) take the scalar route, which is much cheaper
-    # per point than numpy on a single time.
+    # The grid and the solver midpoints are summed with array cos/sin;
+    # off-grid times (crossing refinement) take the scalar route, which is
+    # much cheaper per point than numpy on a single time.
     ts = np.linspace(0.0, 1.0, DEFAULT_SAMPLES)
     return SymmetricPath(
         _symmetrized(series(_times(ts), np.cos, np.sin)),
         func=lambda t: series(t, math.cos, math.sin),
+        mids=_symmetrized(series(_times(_midpoint_times(ts)), np.cos, np.sin)),
     )
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chlab import cli, czengine, groups, orbits
+from chlab import cli, czengine, groups, homology, orbits
 
 
 def run_cli(capsys, *argv):
@@ -250,7 +250,7 @@ def test_battery_library_error_is_numeric_abort(capsys, monkeypatch, error):
 
 @pytest.mark.parametrize("error", LIBRARY_NUMERIC_ERRORS)
 def test_verify_all_library_error_is_numeric_abort(capsys, monkeypatch, error):
-    # raised inside the worker threads; future.result() must not re-raise it
+    # raised by every battery; the report must still be assembled
     for name in cli.CHECK_NAMES:
         monkeypatch.setitem(cli._CHECKS, name, _raiser(error))
     code, out, err = run_cli(capsys, "verify", "all")
@@ -265,6 +265,20 @@ def test_orbits_library_error_is_numeric_abort(capsys, monkeypatch, error):
     code, out, err = run_cli(capsys, "orbits", "-g", "C:3", "-N", "1")
     assert code == 3
     assert out.strip() == "orbits: NUMERIC ABORT (injected fault)"
+    assert err == ""
+
+
+@pytest.mark.parametrize("command", ["orbits", "homology"])
+def test_library_assertion_is_violation(capsys, monkeypatch, command):
+    # a library check of a mathematical statement (an AssertionError
+    # subclass) failing under orbits/homology is a violation: exit 1, one line
+    if command == "orbits":
+        monkeypatch.setattr(cli, "cmd_orbits", _raiser(homology.ParityViolation))
+    else:
+        monkeypatch.setattr(homology, "homology_report", _raiser(homology.ParityViolation))
+    code, out, err = run_cli(capsys, command, "-g", "D:4", "-N", "2")
+    assert code == 1
+    assert out == f"{command}: VIOLATION (injected fault)\n"
     assert err == ""
 
 
@@ -285,11 +299,24 @@ def test_verify_output_is_deterministic(capsys):
     assert first == second
 
 
-def test_verify_thread_count_does_not_change_output(capsys, monkeypatch):
-    _, baseline, _ = run_cli(capsys, "verify", "seifert")
-    monkeypatch.setenv("CHLAB_THREADS", "1")
-    _, serial, _ = run_cli(capsys, "verify", "seifert")
-    assert baseline == serial
+def test_verify_all_prints_the_battery_summaries_in_order(capsys, monkeypatch):
+    # the slow batteries are stubbed; verify all prints each battery's
+    # summary line as the battery alone prints it, in CHECK_NAMES order,
+    # without the details, and then its own verdict
+    def stub(name):
+        return lambda opts: cli.CheckResult(
+            name, True, f"{name}: PASS (stub)", ("  stub detail",), {"check": name})
+
+    for name in ("cz-engine", "spectral-flow", "axioms", "sign-lemma", "morse"):
+        monkeypatch.setitem(cli._CHECKS, name, stub(name))
+    summaries = []
+    for name in cli.CHECK_NAMES:
+        code, out, _ = run_cli(capsys, "verify", name, "-g", "C:3")
+        assert code == 0
+        summaries.append(out.splitlines()[-2])
+    code, out, err = run_cli(capsys, "verify", "all", "-g", "C:3")
+    assert code == 0 and err == ""
+    assert out.splitlines() == summaries + ["verify all: OK (seed 2026)"]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from chlab.czengine import (
     AsymptoticFamily,
     SymmetricPath,
     building_index,
+    crossing_records,
     cz_axiom_suite,
     cz_crossing_form,
     local_model_path,
@@ -103,6 +104,85 @@ def test_symmetric_path_at_grid_node_returns_stored_sample(samples):
         assert np.array_equal(path.at(t), path.values[i]), i
 
 
+def _solve_path_reference(generator):
+    """Phi' = J0 S Phi by one Runge-Kutta step per grid cell, applied to Phi
+    itself step by step, with S at each midpoint from the generator's at()."""
+    j0 = standard_j(generator.dim // 2)
+    ts = generator.ts
+    h = ts[1] - ts[0]
+    values = [np.eye(generator.dim)]
+    for i in range(generator.samples - 1):
+        phi = values[-1]
+        s_mid = generator.at(ts[i] + 0.5 * h)
+        k1 = j0 @ generator.values[i] @ phi
+        k2 = j0 @ s_mid @ (phi + 0.5 * h * k1)
+        k3 = j0 @ s_mid @ (phi + 0.5 * h * k2)
+        k4 = j0 @ generator.values[i + 1] @ (phi + h * k3)
+        values.append(phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    return np.stack(values)
+
+
+def _seeded_family():
+    ((fam, _cz0, _cz1),) = cli.seeded_flow_families(2026, 1)
+    return fam
+
+
+def _generator(kind, samples):
+    if kind == "random":
+        gen = czengine._random_generator(np.random.default_rng(17), 2, scale=2.0)
+        if samples == gen.samples:
+            return gen  # the suite's own generator, with its midpoint stack
+        return SymmetricPath.from_callable(gen.func, samples=samples)
+    if kind == "constant":
+        s = np.array([[1.5, 0.4], [0.4, -2.0]])
+        return SymmetricPath.from_callable(lambda t: s, samples=samples)
+    return _seeded_family().path_at(0.3, samples=samples)
+
+
+@pytest.mark.parametrize("kind", ["random", "constant", "family"])
+@pytest.mark.parametrize("samples", [512, 1024, 4097])
+def test_batched_solve_matches_step_by_step_reference(kind, samples):
+    gen = _generator(kind, samples)
+    path = solve_path(gen)
+    assert np.max(np.abs(path.values - _solve_path_reference(gen))) < 1e-12
+    assert path.drift < czengine.TOL_DRIFT
+
+
+@pytest.mark.parametrize("s", [-1.0, -0.7, 0.2, 1.0])
+def test_family_path_stacks_equal_pointwise_samples(s):
+    # the CLI's interpolation families are combined from S(-1, .) and S(1, .)
+    # bit for bit as their own func computes S(s, .) point by point
+    for fam in (_seeded_family(), cli.canonical_flow_family(), cli.resonance_family()):
+        gen = fam.path_at(s)
+        h = gen.ts[1] - gen.ts[0]
+        mids = np.stack([gen.at(t) for t in gen.ts[:-1] + 0.5 * h])
+        assert np.array_equal(gen.mids, mids)
+        pointwise = SymmetricPath.from_callable(lambda t: fam.func(s, t), samples=gen.samples)
+        assert np.array_equal(gen.values, pointwise.values)
+
+
+def test_midpoints_without_evaluator_use_the_lagrange_stencil():
+    ts = np.linspace(0.0, 1.0, 512)
+    stack = np.empty((512, 2, 2))
+    stack[:, 0, 0] = np.cos(3.0 * ts)
+    stack[:, 0, 1] = stack[:, 1, 0] = ts**3
+    stack[:, 1, 1] = np.exp(ts)
+    gen = SymmetricPath(stack)
+    h = ts[1] - ts[0]
+    expected = np.stack([gen.at(t) for t in ts[:-1] + 0.5 * h])
+    assert np.max(np.abs(gen.midpoints() - expected)) < 1e-14
+
+
+def test_midpoint_stack_is_validated():
+    values = np.zeros((512, 2, 2))
+    with pytest.raises(ValueError, match="midpoint samples must be"):
+        SymmetricPath(values, mids=np.zeros((512, 2, 2)))
+    skew = np.zeros((511, 2, 2))
+    skew[:, 0, 1] = 1.0
+    with pytest.raises(ValueError, match="not symmetric"):
+        SymmetricPath(values, mids=skew)
+
+
 # ---------------------------------------------------------------------------
 # crossing-form index
 # ---------------------------------------------------------------------------
@@ -127,6 +207,114 @@ def test_loop_prepend_shifts_by_two(k):
     base = _constant_path(np.diag([1.0, -1.0]))
     loop = czengine._rotation_loop(k)
     assert cz_crossing_form(path_product(loop, base)) == 2 * k + cz_crossing_form(base)
+
+
+def _bisect_sign_change(path, a, b, fa, fb):
+    while b - a > czengine.TOL_BISECTION:
+        m = 0.5 * (a + b)
+        fm = czengine._det_minus_id(path, m)
+        if fm == 0.0:
+            return m
+        if (fa < 0) != (fm < 0):
+            b, fb = m, fm
+        else:
+            a, fa = m, fm
+    return 0.5 * (a + b)
+
+
+def _ternary_touch(path, a, b):
+    f = lambda t: abs(czengine._det_minus_id(path, t))
+    while b - a > czengine.TOL_BISECTION:
+        m1 = a + (b - a) / 3.0
+        m2 = b - (b - a) / 3.0
+        if f(m1) <= f(m2):
+            b = m2
+        else:
+            a = m1
+    return 0.5 * (a + b)
+
+
+@pytest.fixture(scope="module")
+def crossing_paths():
+    """Local models of every orbit of C:5, D:4 and T below the level-3
+    threshold, and one direct sum in Sp(4)."""
+    paths = {f"{label}/{o.name}": local_model_for(o)
+             for label in ("C:5", "D:4", "T") for o in enumerate_orbits(label, 3)}
+    paths["sum"] = path_direct_sum(
+        local_model_path(-1.0, np.eye(2), k=Fraction(5, 4)),
+        local_model_path(0.0, np.diag([1.0, -1.0]), k=Fraction(7, 4)),
+    )
+    return paths
+
+
+def test_refined_crossings_match_bisection_and_ternary_reference(crossing_paths, monkeypatch):
+    refined = {name: crossing_records(p) for name, p in crossing_paths.items()}
+    monkeypatch.setattr(czengine, "_refine_sign_change", _bisect_sign_change)
+    monkeypatch.setattr(czengine, "_refine_touch", _ternary_touch)
+    total = 0
+    for name, path in crossing_paths.items():
+        reference = crossing_records(path)
+        assert len(refined[name]) == len(reference), name
+        for got, ref in zip(refined[name], reference):
+            assert (got.kernel_dimension, got.signature) == (ref.kernel_dimension, ref.signature)
+            assert abs(got.time - ref.time) < czengine.TOL_BISECTION, name
+        total += len(reference)
+    assert refined["sum"] and total > 300
+
+
+def test_touch_refinement_makes_few_determinant_evaluations(crossing_paths, monkeypatch):
+    # an evaluation is one det(Phi(t) - Id), with or without its slope; the
+    # ternary search alone would make about 80 per touch
+    counts = []
+    calls = 0
+
+    def counted(evaluate):
+        def wrapper(path, t):
+            nonlocal calls
+            calls += 1
+            return evaluate(path, t)
+        return wrapper
+
+    def counted_touch(path, a, b, refine=czengine._refine_touch):
+        start = calls
+        t = refine(path, a, b)
+        counts.append(calls - start)
+        return t
+
+    for name in ("_det_and_slope", "_det_minus_id"):
+        monkeypatch.setattr(czengine, name, counted(getattr(czengine, name)))
+    monkeypatch.setattr(czengine, "_refine_touch", counted_touch)
+    for path in crossing_paths.values():
+        crossing_records(path)
+    assert len(counts) > 200
+    assert max(counts) <= 15
+
+
+def _slope_paths():
+    rng = np.random.default_rng(23)
+    return [
+        local_model_path(-1.0, np.eye(2), k=2),
+        czengine._random_nondegenerate_path(rng, 1),
+        czengine._random_nondegenerate_path(rng, 2),
+    ]
+
+
+def test_jacobi_slope_matches_central_difference():
+    delta = 1e-6
+    for path in _slope_paths():
+        g = np.abs(np.linalg.det(path.values - np.eye(2 * path.n)))
+        checked = 0
+        for i in range(40, path.samples - 40, 97):
+            t = 0.5 * (path.ts[i] + path.ts[i + 1])
+            if min(g[i], g[i + 1]) < 1e-2 * max(1.0, float(np.max(g))):
+                continue  # near a crossing
+            value, slope = czengine._det_and_slope(path, t)
+            assert value == pytest.approx(czengine._det_minus_id(path, t), rel=1e-10)
+            diff = (czengine._det_minus_id(path, t + delta)
+                    - czengine._det_minus_id(path, t - delta)) / (2.0 * delta)
+            assert slope == pytest.approx(diff, rel=1e-6), (path.n, t)
+            checked += 1
+        assert checked >= 5
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +578,13 @@ def test_axiom_suite_clean():
     assert report["failures"] == []
     assert report["instances"] >= 12
     assert report["max_residual"] < 1e-8
+
+
+@pytest.mark.xfail(raises=czengine.AxiomViolation, strict=True,
+                   reason="ROADMAP item 1: first-cell crossing miss")
+@pytest.mark.parametrize("seed", [484553450, 348387268, 4002431733])
+def test_axiom_suite_known_first_cell_misses(seed):
+    cz_axiom_suite(seed, instances=10)
 
 
 # ---------------------------------------------------------------------------
