@@ -714,7 +714,7 @@ def _rot2(angle):
 
 def _expm2_traceless(m):
     """exp(M) for a traceless 2x2 matrix in closed form."""
-    delta = float(np.linalg.det(m))
+    delta = float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
     if delta > 1e-300:
         r = math.sqrt(delta)
         return math.cos(r) * np.eye(2) + (math.sin(r) / r) * m

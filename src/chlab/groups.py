@@ -5,6 +5,11 @@ groups by closing hard-coded generator sets under multiplication, computes
 their conjugacy classes with stable labels, the 2-to-1 projection to
 rotations, the fiber projection S^3 -> S^2, the fixed-point orbits of the
 rotation image on S^2, and the ADE type attached to each group.
+
+Each group carries its multiplication table, and inverses, element orders,
+powers and conjugacy classes are read off it with array operations.  One
+group is built per spec per process (``build_group`` is memoized), and its
+classes, rotation image and fixed orbits are cached on it.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import cmath
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -221,34 +227,69 @@ def _generators(spec):
     return [omega, t]
 
 
-class _ElementTable:
-    """Element list with tolerance-aware membership lookup.
+#: rounding grid of the multiplication-table keys; distinct elements of the
+#: supported groups differ by more than 3e-2 in some coordinate, far above it
+_KEY_SCALE = 2 ** 13
+#: products per block of table rows, which bounds the table's temporaries
+_TABLE_BLOCK = 4096
 
-    Distinct elements of the groups handled here are separated by at least
-    ~1e-2 per component scale, so a rounded-key dict is a safe fast path;
-    a linear scan backs it up for boundary-straddling floats.
+
+def _match(coords, x):
+    """Index of the row of coords within TOL_EQ of x in every component, or None."""
+    dist = np.max(np.abs(coords - x), axis=-1)
+    i = int(np.argmin(dist))
+    return i if dist[i] <= TOL_EQ else None
+
+
+def _keys(comps):
+    """Components (a, b, c, d) along the first axis, rounded to 1/_KEY_SCALE
+    and packed 15 bits each into one int64."""
+    q = np.rint(comps * _KEY_SCALE).astype(np.int64) + _KEY_SCALE
+    return (q[0] << 45) | (q[1] << 30) | (q[2] << 15) | q[3]
+
+
+def _multiplication_table(coords, label):
+    """mul[i, j] = index of elements[i] * elements[j].
+
+    Products are formed a block of rows at a time and looked up by rounded
+    key; every hit is confirmed within TOL_EQ, and a product whose key
+    straddles a rounding boundary falls back to an exact scan.
     """
+    n = len(coords)
+    al, be = coords.view(np.complex128).T
+    keys = _keys(coords.T)
+    by_key = np.argsort(keys)
+    sorted_keys = keys[by_key]
+    mul = np.empty((n, n), dtype=np.int16)  # group orders stay far below 2**15
+    rows = max(1, _TABLE_BLOCK // n)
+    for lo in range(0, n, rows):
+        a1, b1 = al[lo:lo + rows, None], be[lo:lo + rows, None]
+        alpha = a1 * al - b1.conj() * be
+        beta = b1 * al + a1.conj() * be
+        prod = np.stack([alpha.real, alpha.imag, beta.real, beta.imag])
+        block = by_key[np.minimum(np.searchsorted(sorted_keys, _keys(prod)), n - 1)]
+        missed = np.max(np.abs(coords.T[:, block] - prod), axis=0) > TOL_EQ
+        for i, j in zip(*np.nonzero(missed)):
+            hit = _match(coords, prod[:, i, j])
+            if hit is None:
+                raise NonClosure(f"product of elements {lo + i} and {j} is not in the group {label}")
+            block[i, j] = hit
+        mul[lo:lo + rows] = block
+    return mul
 
-    def __init__(self):
-        self.elements = []
-        self._bykey = {}
 
-    @staticmethod
-    def _key(q):
-        return (round(q.a, 6), round(q.b, 6), round(q.c, 6), round(q.d, 6))
-
-    def find(self, q):
-        idx = self._bykey.get(self._key(q))
-        if idx is not None and self.elements[idx].close_to(q):
-            return idx
-        for i, e in enumerate(self.elements):
-            if e.close_to(q):
-                return i
-        return None
-
-    def add(self, q):
-        self._bykey.setdefault(self._key(q), len(self.elements))
-        self.elements.append(q)
+def _element_orders(mul, identity, label):
+    """Order of every element, by walking all powers through the table at once."""
+    n = len(mul)
+    orders = np.zeros(n, dtype=np.int64)
+    power = np.arange(n)
+    for k in range(1, n + 1):
+        orders[(power == identity) & (orders == 0)] = k
+        if orders.all():
+            return orders
+        power = mul[power, np.arange(n)]
+    raise NonClosure(f"{label}: elements {np.flatnonzero(orders == 0).tolist()} "
+                     f"have no finite order within {n} steps")
 
 
 @dataclass(frozen=True)
@@ -293,47 +334,65 @@ class FixedOrbit:
 
 
 class FiniteSubgroup:
-    """A finite subgroup of the unit quaternions with its class data."""
+    """A finite subgroup of the unit quaternions with its class data.
 
-    def __init__(self, spec, elements, table):
+    ``coords[i]`` holds the components of ``elements[i]`` and ``mul[i, j]``
+    the index of ``elements[i] * elements[j]``; ``inverses`` and ``orders``
+    are read off the table.
+    """
+
+    def __init__(self, spec, elements):
         self.spec = spec
         self.elements = elements
-        self._table = table
+        self.coords = np.array([q.components() for q in elements])
+        self.mul = _multiplication_table(self.coords, spec.label)
+        self.identity = self.index_of(Quaternion.identity())
+        self.inverses = np.argmax(self.mul == self.identity, axis=1)
+        self.orders = _element_orders(self.mul, self.identity, spec.label)
         self._classes = None
         self._class_of = None
+        self._rotations = None
+        self._fixed = None
 
     @property
     def order(self):
         return len(self.elements)
 
     def index_of(self, q):
-        idx = self._table.find(q)
+        idx = _match(self.coords, q.components())
         if idx is None:
             raise NonClosure(f"element {q!r} not in the group {self.spec}")
         return idx
 
     def element_order(self, idx):
-        q = self.elements[idx]
-        p = q
-        for k in range(1, self.order + 1):
-            if p.is_identity():
-                return k
-            p = p * q
-        raise NonClosure(f"element {q!r} has no finite order within {self.order} steps")
+        return int(self.orders[idx])
 
     def power_index(self, idx, k):
         """Index of elements[idx] raised to the k-th power (k >= 0)."""
-        out = Quaternion.identity()
-        base = self.elements[idx]
-        for _ in range(k % (2 * self.order)):
-            out = out * base
-        return self.index_of(out)
+        out = self.identity
+        for _ in range(k % self.element_order(idx)):
+            out = self.mul[out, idx]
+        return int(out)
 
     @property
     def classes(self):
         if self._classes is None:
             self._classes = conjugacy_classes(self)
         return self._classes
+
+    @property
+    def rotations(self):
+        """The rotation image as an (m, 3, 3) stack (see ``_rotation_image``)."""
+        if self._rotations is None:
+            self._rotations = _rotation_image(self)
+        return self._rotations
+
+    @property
+    def fixed_orbits(self):
+        """``fixed_points(self)``, computed once."""
+        if self._fixed is None:
+            self._fixed = tuple(fixed_points(self))
+        return self._fixed
 
     def class_of(self, idx):
         """The ConjugacyClass containing element index idx."""
@@ -350,14 +409,21 @@ class FiniteSubgroup:
 
 
 def build_group(spec):
-    """Close the hard-coded generators under multiplication."""
+    """The group of `spec`, built once per process (see ``_closed_group``)."""
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
+    return _closed_group(spec)
+
+
+@lru_cache(maxsize=None)
+def _closed_group(spec):
+    """Close the hard-coded generators under multiplication."""
     gens = _generators(spec)
-    table = _ElementTable()
-    table.add(Quaternion.identity())
-    frontier = [Quaternion.identity()]
     expected = spec.order
+    elements = [Quaternion.identity()]
+    coords = np.zeros((expected + 1, 4))  # one spare row for an overflowing element
+    coords[0, 0] = 1.0
+    frontier = [Quaternion.identity()]
     while frontier:
         fresh = []
         for x in frontier:
@@ -365,31 +431,47 @@ def build_group(spec):
                 y = (g * x).normalized()
                 if abs(y.norm() - 1.0) > TOL_NORM:
                     raise NonClosure(f"norm drift beyond {TOL_NORM} while closing {spec.label}")
-                if table.find(y) is None:
-                    table.add(y)
+                if _match(coords[:len(elements)], y.components()) is None:
+                    coords[len(elements)] = y.components()
+                    elements.append(y)
                     fresh.append(y)
-                    if len(table.elements) > expected:
+                    if len(elements) > expected:
                         raise NonClosure(
                             f"closure of {spec.label} exceeded expected order {expected}; "
                             "generator set or tolerance is wrong")
         frontier = fresh
-    if len(table.elements) != expected:
+    if len(elements) != expected:
         raise NonClosure(
-            f"closure of {spec.label} stopped at {len(table.elements)}, expected {expected}")
-    return FiniteSubgroup(spec, table.elements, table)
+            f"closure of {spec.label} stopped at {len(elements)}, expected {expected}")
+    return FiniteSubgroup(spec, elements)
+
+
+def _so3_stack(coords):
+    """P(g) for every row (a, b, c, d) of coords, as an (n, 3, 3) stack.
+
+    With alpha = a + ib and beta = c + id,
+    P = [[|alpha|^2 - |beta|^2, 2 Im(alpha beta), 2 Re(alpha beta)],
+         [-2 Im(conj(alpha) beta), Re(alpha^2 + beta^2), -Im(alpha^2 + beta^2)],
+         [-2 Re(conj(alpha) beta), Im(alpha^2 - beta^2), Re(alpha^2 - beta^2)]],
+    each complex product written out in real arithmetic.
+    """
+    a, b, c, d = np.asarray(coords, dtype=float).T
+    ab_re, ab_im = a * c - b * d, a * d + b * c         # alpha * beta
+    cab_re, cab_im = a * c + b * d, a * d - b * c       # conj(alpha) * beta
+    aa_re, aa_im = a * a - b * b, a * b + b * a         # alpha^2
+    bb_re, bb_im = c * c - d * d, c * d + d * c         # beta^2
+    r = np.empty((len(a), 3, 3))
+    r[:, 0] = np.stack([np.hypot(a, b) ** 2 - np.hypot(c, d) ** 2, 2 * ab_im, 2 * ab_re], axis=1)
+    r[:, 1] = np.stack([-2 * cab_im, aa_re + bb_re, -(aa_im + bb_im)], axis=1)
+    r[:, 2] = np.stack([-2 * cab_re, aa_im - bb_im, aa_re - bb_re], axis=1)
+    if np.any(np.abs(np.linalg.det(r) - 1.0) > 1e-10):
+        raise AssertionError("projection left SO(3)")
+    return r
 
 
 def project_so3(q):
     """The 2-to-1 projection to SO(3); P(-g) = P(g)."""
-    al, be = q.alpha, q.beta
-    r = np.array([
-        [abs(al) ** 2 - abs(be) ** 2, 2 * (al * be).imag, 2 * (al * be).real],
-        [-2 * (al.conjugate() * be).imag, (al * al + be * be).real, -(al * al + be * be).imag],
-        [-2 * (al.conjugate() * be).real, (al * al - be * be).imag, (al * al - be * be).real],
-    ])
-    if abs(np.linalg.det(r) - 1.0) > 1e-10:
-        raise AssertionError("projection left SO(3)")
-    return r
+    return _so3_stack([q.components()])[0]
 
 
 def hopf(z1, z2=None):
@@ -416,7 +498,7 @@ def fiber_phase(g, z):
     w1, w2 = g.apply(*z)
     inner = w1 * z[0].conjugate() + w2 * z[1].conjugate()
     if abs(abs(inner) - 1.0) > 1e-8:
-        raise AssertionError("element does not preserve the fiber")
+        raise AmbiguousLabel("element does not preserve the fiber")
     return cmath.phase(inner) % (2.0 * math.pi)
 
 
@@ -427,41 +509,56 @@ def fiber_isotropy_generator(group, p):
     returned index generates it.
     """
     z = fiber_point(p)
+    al, be = group.coords.view(np.complex128).T
+    w1 = al * z[0] - be.conj() * z[1]
+    w2 = be * z[0] + al.conj() * z[1]
+    w = w1.conj() * w2
+    img = np.stack([np.abs(w1) ** 2 - np.abs(w2) ** 2, -2.0 * w.imag, -2.0 * w.real], axis=1)
     best = None
-    for i, g in enumerate(group.elements):
-        img = hopf(*g.apply(*z))
-        if np.max(np.abs(img - np.asarray(p, dtype=float))) > TOL_POINT:
-            continue
-        theta = fiber_phase(g, z)
+    for i in np.flatnonzero(np.max(np.abs(img - np.asarray(p, dtype=float)), axis=1) <= TOL_POINT):
+        theta = fiber_phase(group.elements[i], z)
         if theta > 1e-9 and (best is None or theta < best[0]):
-            best = (theta, i)
+            best = (theta, int(i))
     if best is None:
         raise AmbiguousLabel(f"no nontrivial fiber isotropy over {p}")
     return best[1], best[0]
 
 
 def _rotation_image(group):
-    """Unique rotations P(g), each tagged with one preimage index."""
-    rots = []
-    seen = {}
-    for i, g in enumerate(group.elements):
-        r = project_so3(g)
-        key = tuple(np.round(r, 6).ravel())
-        if key not in seen:
-            seen[key] = True
-            rots.append(r)
-    return rots
+    """Unique rotations P(g) as an (m, 3, 3) stack, in the order of their first preimage."""
+    rots = _so3_stack(group.coords)
+    keys = np.rint(rots.reshape(len(rots), 9) * 1e6).astype(np.int64)
+    first = np.unique(keys, axis=0, return_index=True)[1]
+    return rots[np.sort(first)]
 
 
-def _rotation_axis(r):
-    v = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]]) / 2.0
-    s = np.linalg.norm(v)
-    if s > 1e-6:
-        return v / s
-    # angle-pi rotation: any column of R + I spans the axis
-    m = r + np.eye(3)
-    col = m[:, int(np.argmax(np.linalg.norm(m, axis=0)))]
-    return col / np.linalg.norm(col)
+def _row_norms(v):
+    """Euclidean norm of each row, through the dot kernel np.linalg.norm uses
+    for a single vector (a row sum of squares can differ in the last bit)."""
+    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
+
+
+def _rotation_axes(rots):
+    """Unit axis of every rotation in an (m, 3, 3) stack (none the identity)."""
+    v = np.stack([rots[:, 2, 1] - rots[:, 1, 2], rots[:, 0, 2] - rots[:, 2, 0],
+                  rots[:, 1, 0] - rots[:, 0, 1]], axis=1) / 2.0
+    # angle-pi rotation: the longest column of R + I spans the axis
+    m = rots + np.eye(3)
+    col = m[np.arange(len(m)), :, np.argmax(np.linalg.norm(m, axis=1), axis=1)]
+    half_turn = _row_norms(v) <= 1e-6
+    v[half_turn] = col[half_turn]
+    return v / _row_norms(v)[:, None]
+
+
+def _within(points, x):
+    """Rows of points within TOL_POINT of x in every coordinate (x may broadcast).
+
+    One coordinate at a time, so no broadcast (..., 3) difference is formed.
+    """
+    out = np.abs(points[..., 0] - x[..., 0]) < TOL_POINT
+    for k in (1, 2):
+        out &= np.abs(points[..., k] - x[..., k]) < TOL_POINT
+    return out
 
 
 def fixed_points(group):
@@ -470,10 +567,10 @@ def fixed_points(group):
     Returns FixedOrbit entries sorted by their named kind.
     """
     spec = group.spec
-    rots = _rotation_image(group)
+    rots = group.rotations
 
     def _isotropy(p):
-        return sum(1 for r in rots if np.max(np.abs(r @ p - p)) < TOL_POINT)
+        return int(np.count_nonzero(_within(rots @ p, p)))
 
     if spec.kind == CYCLIC:
         # the rotation image fixes the first axis; for n = 2 it is trivial
@@ -486,36 +583,26 @@ def fixed_points(group):
             FixedOrbit(OrbifoldPointKind("NorthPole", iso), tuple(north), 1, (tuple(north),)),
         ]
 
-    nontrivial = [r for r in rots if np.max(np.abs(r - np.eye(3))) > 1e-8]
+    # both ends of every nontrivial axis, in the order ax_0, -ax_0, ax_1, ...;
+    # a point is registered unless an earlier one lies within TOL_POINT
+    axes = _rotation_axes(rots[np.max(np.abs(rots - np.eye(3)), axis=(1, 2)) > 1e-8])
+    cand = np.stack([axes, -axes], axis=1).reshape(-1, 3)
+    close = _within(cand[:, None, :], cand[None, :, :])
+    registered = []
+    for i in range(len(cand)):
+        if not close[i, registered].any():
+            registered.append(i)
+    pts = cand[registered]
 
-    pts = []
-
-    def _register(p):
-        for q in pts:
-            if np.max(np.abs(q - p)) < TOL_POINT:
-                return
-        pts.append(p)
-
-    for r in nontrivial:
-        ax = _rotation_axis(r)
-        _register(ax)
-        _register(-ax)
-
-    # partition into rotation orbits
+    # partition into rotation orbits, each seeded by its first point
     orbits = []
-    remaining = list(range(len(pts)))
-    while remaining:
-        i0 = remaining[0]
-        orbit = []
-        for r in rots:
-            img = r @ pts[i0]
-            for j in list(remaining):
-                if np.max(np.abs(pts[j] - img)) < TOL_POINT:
-                    if j not in orbit:
-                        orbit.append(j)
-        orbit = sorted(set(orbit) | {i0})
-        remaining = [j for j in remaining if j not in orbit]
-        orbits.append(orbit)
+    remaining = np.ones(len(pts), dtype=bool)
+    while remaining.any():
+        i0 = int(np.argmax(remaining))
+        members = remaining & np.any(_within(pts[None, :, :], (rots @ pts[i0])[:, None, :]), axis=0)
+        members[i0] = True
+        remaining &= ~members
+        orbits.append(np.flatnonzero(members).tolist())
 
     def _orbit_entry(name, members):
         iso = _isotropy(pts[members[0]])
@@ -525,10 +612,9 @@ def fixed_points(group):
 
     def _orbit_containing(point):
         for members in orbits:
-            for j in members:
-                if np.max(np.abs(pts[j] - point)) < TOL_POINT:
-                    return members
-        raise AssertionError(f"expected fixed point {point} not found")
+            if np.any(_within(pts[members], point)):
+                return members
+        raise AmbiguousLabel(f"expected fixed point {point} not found")
 
     out = []
     if spec.kind == BINARY_DIHEDRAL:
@@ -543,15 +629,15 @@ def fixed_points(group):
         by_iso = {}
         for members in orbits:
             by_iso.setdefault(_isotropy(pts[members[0]]), []).append(members)
-        edge = by_iso[2]
+        edge = by_iso.get(2, [])
         if len(edge) != 1:
-            raise AssertionError("expected a single order-2 orbit")
+            raise AmbiguousLabel("expected a single order-2 orbit")
         if iv == 3:
             # tetrahedral: two order-3 orbits, Vertex is the one holding the
             # lexicographically largest point (a labeling convention)
-            pair = by_iso[3]
+            pair = by_iso.get(3, [])
             if len(pair) != 2:
-                raise AssertionError("expected two order-3 orbits")
+                raise AmbiguousLabel("expected two order-3 orbits")
             keyed = sorted(pair, key=lambda mem: max(tuple(pts[j]) for j in mem), reverse=True)
             vertex, face = keyed[0], keyed[1]
         else:
@@ -564,22 +650,11 @@ def fixed_points(group):
 
 
 def _raw_classes(group):
-    """Conjugation orbits as sorted index tuples."""
-    order = group.order
-    assigned = [False] * order
-    classes = []
-    for i in range(order):
-        if assigned[i]:
-            continue
-        orbit = set()
-        gi = group.elements[i]
-        for x in group.elements:
-            j = group.index_of(x * gi * x.inverse())
-            orbit.add(j)
-        for j in orbit:
-            assigned[j] = True
-        classes.append(tuple(sorted(orbit)))
-    return classes
+    """Conjugation orbits as sorted index tuples, ordered by their smallest member."""
+    mul = group.mul
+    conj = mul[mul, group.inverses[:, None]]   # conj[x, g] = x g x^-1
+    smallest = conj.min(axis=0)
+    return [tuple(np.flatnonzero(smallest == m).tolist()) for m in np.unique(smallest)]
 
 
 def _validate_class(group, members):
@@ -594,19 +669,12 @@ def _validate_class(group, members):
 
 def _power_tower(group, gen_idx, raw):
     """Map conjugacy class -> first power of the generator hitting it."""
+    class_of = {m: members for members in raw for m in members}
     tower = {}
     idx = gen_idx
-    k = 1
-    while True:
-        cls = next(c for c in raw if idx in c)
-        if cls not in tower:
-            tower[cls] = k
-        if group.elements[idx].is_identity():
-            break
-        idx = group.index_of(group.elements[idx] * group.elements[gen_idx])
-        k += 1
-        if k > 2 * group.order + 1:
-            raise AmbiguousLabel("generator power tower did not close")
+    for k in range(1, group.element_order(gen_idx) + 1):
+        tower.setdefault(class_of[idx], k)
+        idx = int(group.mul[idx, gen_idx])
     return tower
 
 
@@ -623,7 +691,7 @@ def conjugacy_classes(group):
     meta = {members: _validate_class(group, members) for members in raw}
 
     labels = {}
-    ident = next(m for m in raw if group.elements[m[0]].is_identity())
+    ident = (group.identity,)
     labels[ident] = "Id"
 
     def _neg_class():
@@ -643,7 +711,7 @@ def conjugacy_classes(group):
         labels[_neg_class()] = "-Id"
         a, b = _generators(spec)
         ia, ib = group.index_of(a), group.index_of(b)
-        iab = group.index_of(a * b)
+        iab = int(group.mul[ia, ib])
         tower = _power_tower(group, ia, raw)
         for members, first in tower.items():
             if members not in labels:
@@ -662,8 +730,7 @@ def conjugacy_classes(group):
         prefix = spec.label
         labels[ident] = f"{prefix}_Id"
         labels[_neg_class()] = f"{prefix}_-Id"
-        orbits = fixed_points(group)
-        vertex = next(o for o in orbits if o.kind.name == "Vertex")
+        vertex = next(o for o in group.fixed_orbits if o.kind.name == "Vertex")
         gv, _ = fiber_isotropy_generator(group, vertex.representative)
         tower = _power_tower(group, gv, raw)
         by_order = {}

@@ -57,9 +57,7 @@ import numpy as np
 from .groups import (
     OrbifoldPointKind,
     build_group,
-    fixed_points,
     parse_group_spec,
-    _rotation_image,
 )
 from .orbits import base_table, covering_multiplicity, make_orbit
 
@@ -397,8 +395,8 @@ def build_invariant_morse(spec):
     """
     spec = _spec(spec)
     group = build_group(spec)
-    rotations = _rotation_image(group)
-    fixed = fixed_points(group)
+    rotations = group.rotations
+    fixed = group.fixed_orbits
     expected = _expected_index_map(spec)
 
     def _finish(func):
@@ -553,7 +551,7 @@ def _critical_permutations(func, crits):
         dist = np.linalg.norm(imgs[:, None, :] - pts[None, :, :], axis=-1)
         perm = np.argmin(dist, axis=1)
         if float(np.max(dist[np.arange(len(pts)), perm])) > TOL_CRITICAL_MATCH:
-            raise AssertionError("rotation failed to permute the critical points")
+            raise SpuriousCriticalPoint("rotation failed to permute the critical points")
         perms.append(perm)
     return perms
 

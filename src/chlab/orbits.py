@@ -26,7 +26,6 @@ from .groups import (
     OrbifoldPointKind,
     build_group,
     fiber_isotropy_generator,
-    fixed_points,
     parse_group_spec,
 )
 
@@ -318,7 +317,7 @@ def _validate_class_tables(kind, n):
     spec = GroupSpec(kind, n)
     group = build_group(spec)
     bases = base_table(spec)
-    fixed = fixed_points(group)
+    fixed = group.fixed_orbits
     checked = 0
     for fx, base in zip(fixed, bases):
         if fx.kind.name != base.name or fx.kind.isotropy != base.isotropy:

@@ -268,6 +268,37 @@ def test_orbits_library_error_is_numeric_abort(capsys, monkeypatch, error):
     assert err == ""
 
 
+@pytest.fixture
+def fresh_groups():
+    """Rebuild groups and their lift checks for the test, and drop them after."""
+    def clear():
+        groups._closed_group.cache_clear()
+        orbits._validate_class_tables.cache_clear()
+    clear()
+    yield
+    clear()
+
+
+def test_fixed_point_clustering_failure_is_numeric_abort(capsys, monkeypatch, fresh_groups):
+    # with a zero clustering tolerance no rotation is seen to fix any
+    # point, so the tetrahedral edge orbit cannot be found
+    monkeypatch.setattr(groups, "TOL_POINT", 0.0)
+    code, out, err = run_cli(capsys, "orbits", "-g", "T")
+    assert code == 3
+    assert out == "orbits: NUMERIC ABORT (expected a single order-2 orbit)\n"
+    assert err == ""
+
+
+def test_verify_morse_unpermuted_critical_points_is_numeric_abort(capsys):
+    # D:27's bump-sum critical points are not permuted by its rotations
+    code, out, err = run_cli(capsys, "verify", "morse", "-g", "D:27")
+    assert code == 3
+    aborts = [line for line in out.splitlines() if line.startswith("morse: ABORT (")]
+    assert len(aborts) == 1 and "failed to permute the critical points" in aborts[0]
+    assert "verify morse: NUMERIC ABORT" in out
+    assert err == ""
+
+
 @pytest.mark.parametrize("command", ["orbits", "homology"])
 def test_library_assertion_is_violation(capsys, monkeypatch, command):
     # a library check of a mathematical statement (an AssertionError

@@ -7,7 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from chlab import groups
 from chlab.groups import (
+    N_MAX,
+    N_MIN,
+    TOL_POINT,
+    NonClosure,
     ParseError,
     Quaternion,
     build_group,
@@ -21,6 +26,7 @@ from chlab.groups import (
     parse_group_spec,
     project_so3,
 )
+from chlab.orbits import _validate_class_tables, base_table
 
 BATTERY = tuple(f"C:{n}" for n in range(2, 13)) + tuple(
     f"D:{n}" for n in range(2, 9)
@@ -293,3 +299,228 @@ def test_dynkin_families():
 def test_dynkin_vertices_equal_class_count_minus_one(label):
     spec = parse_group_spec(label)
     assert dynkin_type(spec).vertices == spec.class_count - 1
+
+
+def test_table_lookup_falls_back_to_an_exact_scan(monkeypatch):
+    # with every key equal, almost every product misses its rounded-key hit
+    group = build_group("D:5")
+    monkeypatch.setattr(groups, "_keys", lambda comps: np.zeros(np.shape(comps)[1:], dtype=np.int64))
+    assert np.array_equal(groups._multiplication_table(group.coords, "D:5"), group.mul)
+
+
+def test_table_of_a_set_that_is_not_closed_is_non_closure():
+    with pytest.raises(NonClosure, match="not in the group"):
+        groups._multiplication_table(build_group("C:5").coords[:4], "C:5")
+
+
+# ---------------------------------------------------------------------------
+# every supported group
+# ---------------------------------------------------------------------------
+
+SUPPORTED = ("T", "O", "I") + tuple(
+    f"{letter}:{n}" for letter in "CD" for n in range(N_MIN, N_MAX + 1))
+
+
+@pytest.mark.parametrize("label", SUPPORTED)
+def test_every_supported_group_has_its_classes_lifts_and_fixed_orbits(label):
+    spec = parse_group_spec(label)
+    group = build_group(spec)
+    assert len(group.classes) == spec.class_count
+    assert _validate_class_tables(spec.kind, spec.n) > 0
+    orbits = fixed_points(group)
+    assert [o.kind.name for o in orbits] == [b.name for b in base_table(spec)]
+    # every non-identity rotation fixes exactly two points of the sphere
+    image_order = group.order // 2 if group.order % 2 == 0 else group.order
+    assert sum(o.size * (o.kind.isotropy - 1) for o in orbits) == 2 * (image_order - 1)
+    for o in orbits:
+        assert o.size == len(o.points) == len(set(o.points))
+        assert o.size * o.kind.isotropy == image_order
+
+
+# ---------------------------------------------------------------------------
+# table-derived group data against a per-element reference
+# ---------------------------------------------------------------------------
+
+
+class _ReferenceLookup:
+    """Element lookup by rounded key, with a linear scan for keys that
+    straddle a rounding boundary: the membership test the table replaced."""
+
+    def __init__(self, elements):
+        self.elements = elements
+        self.by_key = {}
+        for i, q in enumerate(elements):
+            self.by_key.setdefault(self._key(q), i)
+
+    @staticmethod
+    def _key(q):
+        return tuple(round(x, 6) for x in q.components())
+
+    def index(self, q):
+        i = self.by_key.get(self._key(q))
+        if i is not None and self.elements[i].close_to(q):
+            return i
+        return next(i for i, e in enumerate(self.elements) if e.close_to(q))
+
+
+def _reference_order(q):
+    p, k = q, 1
+    while not p.is_identity():
+        p, k = p * q, k + 1
+    return k
+
+
+def _reference_classes(elements, find):
+    assigned, classes = set(), []
+    for i, g in enumerate(elements):
+        if i not in assigned:
+            orbit = tuple(sorted({find.index(x * g * x.inverse()) for x in elements}))
+            assigned.update(orbit)
+            classes.append(orbit)
+    return classes
+
+
+def _reference_fixed_orbits(group):
+    """Fixed orbits by pairwise loops over per-element rotations."""
+    rots, seen = [], set()
+    for q in group.elements:
+        r = project_so3(q)
+        key = tuple(np.round(r, 6).ravel())
+        if key not in seen:
+            seen.add(key)
+            rots.append(r)
+
+    def isotropy(p):
+        return sum(1 for r in rots if np.max(np.abs(r @ p - p)) < TOL_POINT)
+
+    if group.spec.kind == "cyclic":
+        return [("SouthPole", isotropy(np.array([1.0, 0.0, 0.0])), ((-1.0, -0.0, -0.0),)),
+                ("NorthPole", isotropy(np.array([1.0, 0.0, 0.0])), ((1.0, 0.0, 0.0),))]
+    pts = []
+    for r in rots:
+        if np.max(np.abs(r - np.eye(3))) <= 1e-8:
+            continue
+        v = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]]) / 2.0
+        if np.linalg.norm(v) > 1e-6:
+            ax = v / np.linalg.norm(v)
+        else:
+            m = r + np.eye(3)
+            col = m[:, int(np.argmax(np.linalg.norm(m, axis=0)))]
+            ax = col / np.linalg.norm(col)
+        for p in (ax, -ax):
+            if all(np.max(np.abs(q - p)) >= TOL_POINT for q in pts):
+                pts.append(p)
+    orbits, remaining = [], list(range(len(pts)))
+    while remaining:
+        i0 = remaining[0]
+        orbit = sorted({j for r in rots for j in remaining
+                        if np.max(np.abs(pts[j] - r @ pts[i0])) < TOL_POINT} | {i0})
+        remaining = [j for j in remaining if j not in orbit]
+        orbits.append(orbit)
+
+    def containing(point):
+        return next(o for o in orbits
+                    if any(np.max(np.abs(pts[j] - point)) < TOL_POINT for j in o))
+
+    if group.spec.kind == "binary_dihedral":
+        plus = containing(np.array([1.0, 0.0, 0.0]))
+        saddle = containing(np.array([0.0, 1.0, 0.0]))
+        minus = next(o for o in orbits if o not in (plus, saddle))
+        named = [("Minus", minus), ("Saddle", saddle), ("Plus", plus)]
+    else:
+        by_iso = {}
+        for o in orbits:
+            by_iso.setdefault(isotropy(pts[o[0]]), []).append(o)
+        iv = group.spec.vertex_isotropy
+        if iv == 3:
+            vertex, face = sorted(by_iso[3], key=lambda o: max(tuple(pts[j]) for j in o),
+                                  reverse=True)
+        else:
+            vertex, face = by_iso[iv][0], by_iso[3][0]
+        named = [("Vertex", vertex), ("Edge", by_iso[2][0]), ("Face", face)]
+    return [(name, isotropy(pts[o[0]]), tuple(tuple(pts[j]) for j in o)) for name, o in named]
+
+
+def _reference_labels(group, classes, orders):
+    """Class labels from generator powers taken by quaternion multiplication."""
+    spec, find = group.spec, _ReferenceLookup(group.elements)
+    class_of = {m: c for c in classes for m in c}
+
+    def powers(q):
+        p, out = q, []
+        for _ in range(_reference_order(q)):
+            out.append(class_of[find.index(p)])
+            p = p * q
+        return out
+
+    ident = class_of[find.index(Quaternion.identity())]
+    if spec.kind == "cyclic":
+        gen = Quaternion(math.cos(2 * math.pi / spec.n), math.sin(2 * math.pi / spec.n), 0, 0)
+        labels = {}
+        for k, c in enumerate(powers(gen), start=1):
+            labels.setdefault(c, "Id" if c == ident else f"g^{k}")
+        return labels
+    neg = class_of[find.index(Quaternion(-1.0, 0.0, 0.0, 0.0))]
+    if spec.kind == "binary_dihedral":
+        a = Quaternion(math.cos(math.pi / spec.n), math.sin(math.pi / spec.n), 0, 0)
+        b = Quaternion(0.0, 0.0, 1.0, 0.0)
+        labels = {ident: "Id", neg: "-Id",
+                  class_of[find.index(b)]: "B", class_of[find.index(a * b)]: "AB"}
+        for k, c in enumerate(powers(a), start=1):
+            labels.setdefault(c, f"A^{min(k, 2 * spec.n - k)}")
+        return labels
+    prefix = spec.label
+    labels = {ident: f"{prefix}_Id", neg: f"{prefix}_-Id"}
+    vertex = max(_reference_fixed_orbits(group)[0][2])
+    z, best = fiber_point(vertex), None
+    for q in group.elements:
+        if np.max(np.abs(hopf(*q.apply(*z)) - np.asarray(vertex))) <= TOL_POINT:
+            theta = fiber_phase(q, z)
+            if theta > 1e-9 and (best is None or theta < best[0]):
+                best = (theta, q)
+    reached = {}
+    for k, c in enumerate(powers(best[1]), start=1):
+        reached.setdefault(c, k)
+    by_order = {}
+    for c in classes:
+        if c not in labels:
+            by_order.setdefault(orders[c[0]], []).append(c)
+    for order, shared in by_order.items():
+        if len(shared) == 1:
+            labels[shared[0]] = f"{prefix}_{order}"
+        else:
+            first, second = sorted(shared, key=lambda c: reached.get(c, math.inf))
+            labels[first], labels[second] = f"{prefix}_{{{order},A}}", f"{prefix}_{{{order},B}}"
+    return labels
+
+
+@pytest.mark.parametrize("label", ["C:64", "D:64", "T", "O", "I"])
+def test_table_derived_data_matches_per_element_reference(label):
+    group = build_group(label)
+    elements = group.elements
+    find = _ReferenceLookup(elements)
+
+    assert group.inverses.tolist() == [find.index(q.inverse()) for q in elements]
+    orders = [_reference_order(q) for q in elements]
+    assert [group.element_order(i) for i in range(group.order)] == orders
+    rng = np.random.default_rng(0)
+    for i, k in zip(rng.integers(group.order, size=20), rng.integers(0, 300, size=20)):
+        p = Quaternion.identity()
+        for _ in range(k):
+            p = p * elements[i]
+        assert group.power_index(int(i), int(k)) == find.index(p)
+
+    classes = _reference_classes(elements, find)
+    table_classes = conjugacy_classes(group)
+    assert [c.members for c in table_classes] == classes
+    assert [c.element_order for c in table_classes] == [orders[c[0]] for c in classes]
+    labels = _reference_labels(group, classes, orders)
+    assert {c.members: c.label for c in table_classes} == labels
+
+    reference = _reference_fixed_orbits(group)
+    table_orbits = fixed_points(group)
+    assert len(table_orbits) == len(reference)
+    for orbit, (name, isotropy, points) in zip(table_orbits, reference):
+        assert (orbit.kind.name, orbit.kind.isotropy, orbit.size) == (name, isotropy, len(points))
+        assert orbit.points.index(orbit.representative) == points.index(max(points))
+        assert np.max(np.abs(np.array(orbit.points) - np.array(points))) <= 1e-15
