@@ -13,22 +13,37 @@ Construction of the invariant function
 --------------------------------------
 For a cyclic image (a rotation group about one axis, possibly trivial) the
 height along that axis is used: it is invariant and has exactly two critical
-points, the poles.  Otherwise the function is a difference of smooth bump
-sums
+points, the poles.
+
+For a dihedral image of order 2n the function is the closed form
+
+    f(x) = <x, a>^2 - Re(z^n)/n,    z = <x, e1> + i <x, e2>,
+
+where a is the first Plus point (the n-fold axis), e1 the first Minus point
+and e2 = a x e1.  The rotations about a act by z -> exp(2 pi i k/n) z and the
+half-turns by z -> exp(2 pi i k/n) conj(z), <x, a> -> -<x, a>, so f is exactly
+H-invariant.  With x3 = <x, a> and z = r exp(i phi), d f/d phi = r^n sin(n phi),
+and on the meridians where sin(n phi) = 0, d f/d x3 = x3 (2 +- r^(n-2))
+vanishes only on the equator; so the critical set is exactly Fix(H), with
+maxima at the Plus points, minima at the Minus points and saddles at the
+Saddle points.  Its gradient 2<x, a> a - Re(z^(n-1) w) and Hessian
+2 a a^T - (n-1) Re(z^(n-2) w w^T), with w = e1 + i e2, are closed-form too.
+
+For a polyhedral image the function is a difference of smooth bump sums
 
     f(x) = sum_{p in Max} ((1 + <x, p>)/2)^m  -  sum_{q in Min} ((1 + <x, q>)/2)^m
 
 where Max and Min are the full H-orbits of maximum- and minimum-type fixed
-points and m is an integer sharpness.  Because each sum ranges over a whole
-orbit, f is exactly H-invariant, so group-averaging it is a no-op.  The
-constructor verifies this numerically rather than assuming it: the
-maximum of |f(R x) - f(x)| over the rotations and a sphere sample must
-stay below TOL_INVARIANCE, and it also bounds |avg_R f(R x) - f(x)|.
-Saddle points then appear at the remaining fixed points, forced by
-symmetry.  The sharpness is escalated through a small ladder until a
-quasi-uniform scan certifies that the critical set is exactly Fix(H) and
-every Hessian index matches the expected assignment (minima on
-minimum-type points, and so on).
+points and m is a fixed integer sharpness per type: 4 for T and O, 6 for I.
+Because each sum ranges over a whole orbit, f is exactly H-invariant, and
+saddle points appear at the remaining fixed points, forced by symmetry.
+
+Every function is certified rather than assumed.  The maximum of
+|f(R x) - f(x)| over the rotations and a sphere sample must stay below
+TOL_INVARIANCE; a quasi-uniform scan must show that the critical set is
+exactly Fix(H); and every Hessian index must match the expected assignment
+(minima on minimum-type points, and so on).  Any failure raises
+SpuriousCriticalPoint.
 
 Flow lines and the weighted complex
 -----------------------------------
@@ -51,6 +66,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -63,6 +79,7 @@ from .orbits import base_table, covering_multiplicity, make_orbit
 
 __all__ = [
     "InvariantMorseFunction",
+    "DihedralMorseFunction",
     "CriticalPoint",
     "Trajectory",
     "FlowLines",
@@ -146,13 +163,11 @@ def _fibonacci_sphere(count):
     )
 
 
-def _tangent_frame(x):
-    """An orthonormal basis (u, v) of the tangent plane at a unit vector x."""
-    axis = int(np.argmin(np.abs(x)))
-    u = np.cross(np.eye(3)[axis], x)
-    u /= np.linalg.norm(u)
-    v = np.cross(x, u)
-    return u, v
+def _tangent_frames(x):
+    """Orthonormal bases (u, v) of the tangent planes at unit vectors x, shape (k, 3)."""
+    u = np.cross(np.eye(3)[np.argmin(np.abs(x), axis=-1)], x)
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    return u, np.cross(x, u)
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +180,8 @@ class InvariantMorseFunction:
     ``centers_max``/``centers_min`` hold the bump centers (full H-orbits of
     maximum- and minimum-type fixed points); both are ``None`` for the cyclic
     height function, which is ``f(x) = x[0]`` along the symmetry axis.
-    Evaluation, ambient gradient, and the spherical (tangential) gradient all
-    accept batched inputs of shape ``(..., 3)``.
+    Evaluation, the ambient gradient and Hessian, and the spherical
+    (tangential) gradient all accept batched inputs of shape ``(..., 3)``.
     """
 
     def __init__(self, spec, group, rotations, fixed_orbits, centers_max, centers_min, sharpness):
@@ -214,38 +229,71 @@ class InvariantMorseFunction:
     def hessian_ambient(self, x):
         x = np.asarray(x, dtype=float)
         if self.centers_max is None:
-            return np.zeros((3, 3))
+            return np.zeros(x.shape + (3,))
         m = self.sharpness
-        out = np.zeros((3, 3))
+        out = 0.0
         for centers, sgn in ((self.centers_max, 1.0), (self.centers_min, -1.0)):
-            w = (m * (m - 1) / 4.0) * ((1.0 + centers @ x) / 2.0) ** (m - 2)
-            out += sgn * (centers.T * w) @ centers
+            w = (m * (m - 1) / 4.0) * ((1.0 + x @ centers.T) / 2.0) ** (m - 2)
+            out = out + sgn * np.swapaxes(w[..., None] * centers, -1, -2) @ centers
         return out
 
-    def sphere_hessian(self, x, frame=None):
-        """The 2x2 Hessian of f|_{S^2} in an orthonormal tangent frame at x.
+    def sphere_hessian(self, x, frame):
+        """The 2x2 Hessians of f|_{S^2} in orthonormal tangent frames (u, v) at x.
 
         With P the tangent projection this is P (Hess F) P - (x . grad F) I
         restricted to the frame; at a critical point it is frame-covariant,
         so eigenvalue signs (the Morse index) do not depend on the frame.
+        Batched over the leading axes of x, u and v.
         """
         x = np.asarray(x, dtype=float)
-        u, v = frame if frame is not None else _tangent_frame(x)
-        amb = self.hessian_ambient(x)
-        radial = float(self.gradient_ambient(x) @ x)
-        basis = np.stack([u, v], axis=1)
-        return basis.T @ amb @ basis - radial * np.eye(2)
+        basis = np.stack(frame, axis=-1)
+        radial = np.sum(self.gradient_ambient(x) * x, axis=-1)
+        return (np.swapaxes(basis, -1, -2) @ self.hessian_ambient(x) @ basis
+                - radial[..., None, None] * np.eye(2))
 
     # -- invariance ---------------------------------------------------------
 
     def invariance_residual(self, samples=2048):
         """max |f(R x) - f(x)| over the rotation image and a sphere sample."""
         pts = _fibonacci_sphere(samples)
-        base = self.value(pts)
-        worst = 0.0
-        for rot in self.rotations:
-            worst = max(worst, float(np.max(np.abs(self.value(pts @ rot.T) - base))))
-        return worst
+        images = pts @ np.swapaxes(self.rotations, -1, -2)
+        return float(np.max(np.abs(self.value(images) - self.value(pts))))
+
+
+class DihedralMorseFunction(InvariantMorseFunction):
+    """The closed form ``f(x) = <x,a>^2 - Re(z^n)/n`` for a dihedral image.
+
+    ``a = centers_max[0]`` (the first Plus point), ``e1 = centers_min[0]``
+    (the first Minus point), ``e2 = a x e1``, ``z = <x, w>`` with
+    ``w = e1 + i e2``, and n is the group parameter.
+    """
+
+    kind = "dihedral"
+
+    @cached_property
+    def _axes(self):
+        a = self.centers_max[0]
+        e1 = self.centers_min[0]
+        return a, e1 + 1j * np.cross(a, e1)
+
+    def value(self, x):
+        x = np.asarray(x, dtype=float)
+        a, w = self._axes
+        n = self.spec.n
+        return (x @ a) ** 2 - ((x @ w) ** n).real / n
+
+    def gradient_ambient(self, x):
+        x = np.asarray(x, dtype=float)
+        a, w = self._axes
+        power = (x @ w) ** (self.spec.n - 1)
+        return 2.0 * (x @ a)[..., None] * a - (power[..., None] * w).real
+
+    def hessian_ambient(self, x):
+        x = np.asarray(x, dtype=float)
+        a, w = self._axes
+        n = self.spec.n
+        power = (n - 1) * (x @ w) ** (n - 2)
+        return 2.0 * np.outer(a, a) - (power[..., None, None] * np.outer(w, w)).real
 
 
 # ---------------------------------------------------------------------------
@@ -278,29 +326,42 @@ class CriticalPoint:
         return w / np.linalg.norm(w)
 
 
-def _newton_refine(func, start, iters=60):
-    """Newton iteration on the spherical gradient field from `start`.
+def _newton_refine(func, starts, iters=60):
+    """Newton iteration on the spherical gradient field from each row of `starts`.
 
-    Returns (point, converged).  Divergence (a step longer than 0.5) or a
-    singular Hessian aborts with converged=False.
+    Returns (points, converged) for the (k, 3) stack.  A row aborts with
+    converged=False on a singular Hessian or a step longer than 0.5; it stops
+    once a step is below 1e-14 and its gradient norm below 1e-12, and it has
+    converged when its final gradient norm is below 1e-10.
     """
-    x = _normalize(np.asarray(start, dtype=float))
+    x = _normalize(np.asarray(starts, dtype=float))
+    running = np.ones(len(x), dtype=bool)
+    failed = np.zeros(len(x), dtype=bool)
     for _ in range(iters):
-        g = func.gradient(x)
-        gnorm = float(np.linalg.norm(g))
-        u, v = _tangent_frame(x)
-        hess = func.sphere_hessian(x, (u, v))
-        try:
-            sol = np.linalg.solve(hess, np.array([g @ u, g @ v]))
-        except np.linalg.LinAlgError:
-            return x, False
-        step = sol[0] * u + sol[1] * v
-        if float(np.linalg.norm(step)) > 0.5:
-            return x, False
-        x = _normalize(x - step)
-        if float(np.linalg.norm(step)) < 1e-14 and gnorm < 1e-12:
+        idx = np.nonzero(running)[0]
+        if idx.size == 0:
             break
-    return x, float(np.linalg.norm(func.gradient(x))) < 1e-10
+        cur = x[idx]
+        g = func.gradient(cur)
+        u, v = _tangent_frames(cur)
+        h = func.sphere_hessian(cur, (u, v))
+        gu = np.sum(g * u, axis=-1)
+        gv = np.sum(g * v, axis=-1)
+        det = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]
+        singular = ~(np.abs(det) > 0.0)
+        det[singular] = 1.0
+        su = (h[:, 1, 1] * gu - h[:, 0, 1] * gv) / det
+        sv = (h[:, 0, 0] * gv - h[:, 1, 0] * gu) / det
+        step = su[:, None] * u + sv[:, None] * v
+        size = np.linalg.norm(step, axis=-1)
+        abort = singular | (size > 0.5)
+        failed[idx[abort]] = True
+        moved = ~abort
+        x[idx[moved]] = _normalize(cur[moved] - step[moved])
+        done = moved & (size < 1e-14) & (np.linalg.norm(g, axis=-1) < 1e-12)
+        running[idx[abort | done]] = False
+    converged = ~failed & (np.linalg.norm(func.gradient(x), axis=-1) < 1e-10)
+    return x, converged
 
 
 def _all_fixed_point_array(fixed_orbits):
@@ -326,13 +387,16 @@ def _scan_critical_set(func):
     floor = float(np.min(norms[outside]))
     if floor <= GRADIENT_FLOOR:
         return f"gradient floor {floor:.3e} at distance {np.min(nearest[outside]):.3e}"
-    for idx in np.nonzero(outside & (norms < CANDIDATE_THRESHOLD))[0]:
-        refined, converged = _newton_refine(func, pts[idx])
-        if not converged:
-            continue  # wandered off: no critical point certified here
-        gap = float(np.min(np.linalg.norm(fixed - refined, axis=1)))
-        if gap > CANDIDATE_THRESHOLD:
-            return f"refined critical point at {tuple(np.round(refined, 6))} off Fix(H) by {gap:.3e}"
+    candidates = np.nonzero(outside & (norms < CANDIDATE_THRESHOLD))[0]
+    if candidates.size == 0:
+        return None
+    refined, converged = _newton_refine(func, pts[candidates])
+    # a row that wandered off certifies no critical point
+    gaps = np.min(np.linalg.norm(refined[:, None, :] - fixed, axis=-1), axis=1)
+    off = np.nonzero(converged & (gaps > CANDIDATE_THRESHOLD))[0]
+    if off.size:
+        i = off[0]
+        return f"refined critical point at {tuple(np.round(refined[i], 6))} off Fix(H) by {gaps[i]:.3e}"
     return None
 
 
@@ -341,38 +405,39 @@ def _classify_critical_points(func, expected_indices):
     out = []
     for fo in func.fixed_orbits:
         want = expected_indices[fo.kind.name]
-        for p in fo.points:
-            refined, converged = _newton_refine(func, np.array(p))
-            if not converged:
+        starts = np.array(fo.points, dtype=float)
+        refined, converged = _newton_refine(func, starts)
+        frames = _tangent_frames(refined)
+        eigvals, eigvecs = np.linalg.eigh(func.sphere_hessian(refined, frames))
+        values = func.value(refined)
+        for i, p in enumerate(fo.points):
+            if not converged[i]:
                 raise SpuriousCriticalPoint(
                     f"{func.spec.label}/{fo.kind.name}: refinement from {p} did not converge")
-            drift = float(np.linalg.norm(refined - np.array(p)))
+            drift = float(np.linalg.norm(refined[i] - starts[i]))
             if drift > TOL_CRITICAL_MATCH:
                 raise SpuriousCriticalPoint(
                     f"{func.spec.label}/{fo.kind.name}: critical point drifted {drift:.3e} "
                     f"from the fixed point {p}")
-            frame = _tangent_frame(refined)
-            hess = func.sphere_hessian(refined, frame)
-            eigvals, eigvecs = np.linalg.eigh(hess)
-            if float(np.min(np.abs(eigvals))) < 1e-8:
+            if float(np.min(np.abs(eigvals[i]))) < 1e-8:
                 raise SpuriousCriticalPoint(
-                    f"{func.spec.label}/{fo.kind.name}: degenerate Hessian {tuple(eigvals)}")
-            index = int(np.sum(eigvals < 0.0))
+                    f"{func.spec.label}/{fo.kind.name}: degenerate Hessian {tuple(eigvals[i])}")
+            index = int(np.sum(eigvals[i] < 0.0))
             if index != want:
                 raise IndexMismatch(
                     f"{func.spec.label}/{fo.kind.name}: Hessian index {index}, expected {want} "
-                    f"(eigenvalues {tuple(np.round(eigvals, 6))})")
+                    f"(eigenvalues {tuple(np.round(eigvals[i], 6))})")
             orientable = not (index == 1 and fo.kind.isotropy == 2)
             out.append(CriticalPoint(
-                point=tuple(refined),
+                point=tuple(refined[i]),
                 kind=fo.kind,
                 index=index,
                 isotropy=fo.kind.isotropy,
                 orientable=orientable,
-                value=float(func.value(refined)),
-                hessian_eigenvalues=tuple(float(e) for e in eigvals),
-                frame=tuple(tuple(b) for b in frame),
-                eigenvectors=tuple(tuple(col) for col in eigvecs.T),
+                value=float(values[i]),
+                hessian_eigenvalues=tuple(float(e) for e in eigvals[i]),
+                frame=(tuple(frames[0][i]), tuple(frames[1][i])),
+                eigenvectors=tuple(tuple(col) for col in eigvecs[i].T),
             ))
     return tuple(out)
 
@@ -381,17 +446,18 @@ def _expected_index_map(spec):
     return {entry.name: entry.morse_index for entry in base_table(spec)}
 
 
-#: sharpness ladder tried in order when building a bump-sum function
-_SHARPNESS_LADDER = (4, 6, 8, 12, 16, 24, 32, 48)
+#: bump-sum sharpness per polyhedral image (the scan certifies each)
+_POLYHEDRAL_SHARPNESS = {"T": 4, "O": 4, "I": 6}
 
 
 def build_invariant_morse(spec):
-    """Build the invariant Morse function for the rotation image of `spec`.
+    """Build and certify the invariant Morse function for the rotation image of `spec`.
 
-    Cyclic images get the axis height function.  Dihedral and polyhedral
-    images get the bump-sum construction, escalating the sharpness until the
-    critical-set scan and the index classification both pass; if no ladder
-    entry passes, SpuriousCriticalPoint reports the last failure.
+    Cyclic images get the axis height function, dihedral images the closed
+    form of ``DihedralMorseFunction``, polyhedral images the bump sums at
+    their fixed sharpness.  The invariance check, the critical-set scan and
+    the index classification must all pass; any failure raises
+    SpuriousCriticalPoint.
     """
     spec = _spec(spec)
     group = build_group(spec)
@@ -399,37 +465,33 @@ def build_invariant_morse(spec):
     fixed = group.fixed_orbits
     expected = _expected_index_map(spec)
 
-    def _finish(func):
-        residual = func.invariance_residual()
-        if residual > TOL_INVARIANCE:
-            raise SpuriousCriticalPoint(
-                f"{spec.label}: invariance residual {residual:.3e} exceeds {TOL_INVARIANCE}")
-        reason = _scan_critical_set(func)
-        if reason is not None:
-            raise SpuriousCriticalPoint(f"{spec.label}: {reason}")
-        func._critical_cache = _classify_critical_points(func, expected)
-        return func
-
     if spec.kind == "cyclic":
-        return _finish(InvariantMorseFunction(spec, group, rotations, fixed, None, None, None))
+        func = InvariantMorseFunction(spec, group, rotations, fixed, None, None, None)
+    else:
+        by_name = {fo.kind.name: fo for fo in fixed}
+        max_name = next(e.name for e in base_table(spec) if e.morse_index == 2)
+        min_name = next(e.name for e in base_table(spec) if e.morse_index == 0)
+        centers_max = np.array(by_name[max_name].points, dtype=float)
+        centers_min = np.array(by_name[min_name].points, dtype=float)
+        if spec.kind == "binary_dihedral":
+            func = DihedralMorseFunction(
+                spec, group, rotations, fixed, centers_max, centers_min, None)
+        else:
+            func = InvariantMorseFunction(spec, group, rotations, fixed, centers_max,
+                                          centers_min, _POLYHEDRAL_SHARPNESS[spec.label])
 
-    by_name = {fo.kind.name: fo for fo in fixed}
-    max_name = next(e.name for e in base_table(spec) if e.morse_index == 2)
-    min_name = next(e.name for e in base_table(spec) if e.morse_index == 0)
-    centers_max = np.array(by_name[max_name].points, dtype=float)
-    centers_min = np.array(by_name[min_name].points, dtype=float)
-
-    last_error = None
-    for sharpness in _SHARPNESS_LADDER:
-        func = InvariantMorseFunction(
-            spec, group, rotations, fixed, centers_max, centers_min, sharpness)
-        try:
-            return _finish(func)
-        except (SpuriousCriticalPoint, IndexMismatch) as err:
-            last_error = err
-    raise SpuriousCriticalPoint(
-        f"{spec.label}: no sharpness in {_SHARPNESS_LADDER} produced a clean critical set "
-        f"(last failure: {last_error})")
+    residual = func.invariance_residual()
+    if residual > TOL_INVARIANCE:
+        raise SpuriousCriticalPoint(
+            f"{spec.label}: invariance residual {residual:.3e} exceeds {TOL_INVARIANCE}")
+    reason = _scan_critical_set(func)
+    if reason is not None:
+        raise SpuriousCriticalPoint(f"{spec.label}: {reason}")
+    try:
+        func._critical_cache = _classify_critical_points(func, expected)
+    except IndexMismatch as err:
+        raise SpuriousCriticalPoint(str(err)) from err
+    return func
 
 
 def find_critical_points(func):
@@ -527,32 +589,29 @@ def _integrate_batch(func, seeds, sign, target_points):
         x[idx] = cur
         steps += 1
         dist = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * cur @ targets.T))
-        near = np.min(dist, axis=1)
         which = np.argmin(dist, axis=1)
-        for row in np.nonzero(near < SNAP_RADIUS)[0]:
-            i = idx[row]
-            tgt = targets[which[row]]
-            refined, converged = _newton_refine(func, cur[row], iters=30)
-            if not converged or float(np.linalg.norm(refined - tgt)) > TOL_CONVERGENCE:
-                raise NonConvergentTrajectory(
-                    f"{func.spec.label}: endpoint snap near {tuple(np.round(tgt, 6))} "
-                    f"failed to converge")
-            endpoints[i] = int(which[row])
-            active[i] = False
+        snap = np.nonzero(np.min(dist, axis=1) < SNAP_RADIUS)[0]
+        if snap.size == 0:
+            continue
+        refined, converged = _newton_refine(func, cur[snap], iters=30)
+        tgt = targets[which[snap]]
+        missed = ~converged | (np.linalg.norm(refined - tgt, axis=-1) > TOL_CONVERGENCE)
+        if np.any(missed):
+            raise NonConvergentTrajectory(
+                f"{func.spec.label}: endpoint snap near {tuple(np.round(tgt[np.argmax(missed)], 6))} "
+                f"failed to converge")
+        endpoints[idx[snap]] = which[snap]
+        active[idx[snap]] = False
     return endpoints
 
 
 def _critical_permutations(func, crits):
-    """For each rotation R, the permutation R induces on the critical points."""
+    """The permutation each rotation R induces on the critical points, shape (m, c)."""
     pts = np.array([c.point for c in crits])
-    perms = []
-    for rot in func.rotations:
-        imgs = pts @ rot.T
-        dist = np.linalg.norm(imgs[:, None, :] - pts[None, :, :], axis=-1)
-        perm = np.argmin(dist, axis=1)
-        if float(np.max(dist[np.arange(len(pts)), perm])) > TOL_CRITICAL_MATCH:
-            raise SpuriousCriticalPoint("rotation failed to permute the critical points")
-        perms.append(perm)
+    images = pts @ np.swapaxes(func.rotations, -1, -2)
+    perms = np.argmax(images @ pts.T, axis=-1)  # the nearest critical point
+    if float(np.max(np.linalg.norm(images - pts[perms], axis=-1))) > TOL_CRITICAL_MATCH:
+        raise SpuriousCriticalPoint("rotation failed to permute the critical points")
     return perms
 
 
@@ -579,71 +638,42 @@ def count_flow_lines(func, source, target):
     far_targets = [c for c in crits if c.kind.name == far_kind.name]
     target_points = np.array([c.point for c in far_targets])
 
-    seeds = []
-    seed_info = []  # (saddle critical index, signed eigen-direction)
     eig_slot = 0 if descending else 1  # unstable (negative) vs stable eigenvalue
-    for ci, crit in enumerate(crits):
-        if crit.kind.name != saddle_kind.name:
-            continue
-        w = crit.eigendirection(eig_slot)
-        for s in (+1.0, -1.0):
-            seeds.append(_normalize(crit.location + SEED_DISPLACEMENT * s * w))
-            seed_info.append((ci, s * w))
-    if not seeds:
+    saddles = [ci for ci, crit in enumerate(crits) if crit.kind.name == saddle_kind.name]
+    if not saddles:
         return FlowLines(src.name, tgt.name, 0, 0, (), ())
+    # two seeds per saddle, along +w and -w, in saddle order
+    seed_crit = np.repeat(saddles, 2)
+    dirs = np.array([crits[ci].eigendirection(eig_slot) for ci in saddles])
+    dirs = np.stack([dirs, -dirs], axis=1).reshape(-1, 3)
+    origins = np.array([crits[ci].point for ci in seed_crit])
+    seeds = _normalize(origins + SEED_DISPLACEMENT * dirs)
 
     sign = -1.0 if descending else +1.0
     endpoints = _integrate_batch(func, seeds, sign, target_points)
-    for endpoint in endpoints:
-        if far_targets[endpoint].kind.name != far_kind.name:
-            raise NonConvergentTrajectory(
-                f"{spec.label}: trajectory terminated on "
-                f"{far_targets[endpoint].kind.name}, expected {far_kind.name}")
 
     # quotient the trajectory set by the H-action: R maps the trajectory
-    # seeded at (saddle, w) to the one seeded at (R.saddle, R.w)
+    # seeded at (saddle, w) to the one seeded at (R.saddle, R.w), one of the
+    # two seeds at R.saddle
     perms = _critical_permutations(func, crits)
-    parent = list(range(len(seeds)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-
-    lookup = {}
-    for ti, (ci, w) in enumerate(seed_info):
-        lookup.setdefault(ci, []).append((ti, w))
-    for rot, perm in zip(func.rotations, perms):
-        for ti, (ci, w) in enumerate(seed_info):
-            cj = int(perm[ci])
-            img = rot @ w
-            match = None
-            for tj, wj in lookup[cj]:
-                if float(np.linalg.norm(img - wj)) < TOL_CRITICAL_MATCH:
-                    match = tj
-                    break
-            if match is None:
-                raise AssertionError(
-                    f"{spec.label}: rotation did not permute the trajectory seeds")
-            union(ti, match)
+    first_seed = np.zeros(len(crits), dtype=int)
+    first_seed[saddles] = 2 * np.arange(len(saddles))
+    first = first_seed[perms[:, seed_crit]]
+    images = dirs @ np.swapaxes(func.rotations, -1, -2)
+    hits = [np.linalg.norm(images - dirs[first + j], axis=-1) < TOL_CRITICAL_MATCH
+            for j in (0, 1)]
+    if not np.all(hits[0] | hits[1]):
+        raise NonConvergentTrajectory(
+            f"{spec.label}: rotation did not permute the trajectory seeds")
+    # the rotations form a group, so the images of a seed are its orbit;
+    # label each orbit by its smallest seed
+    orbit_min = np.where(hits[0], first, first + 1).min(axis=0)
+    _, class_of, class_sizes = np.unique(orbit_min, return_inverse=True, return_counts=True)
 
     order = len(func.rotations)
-    class_ids = {}
-    class_sizes = {}
-    for ti in range(len(seeds)):
-        root = find(ti)
-        class_ids.setdefault(root, len(class_ids))
-        class_sizes[root] = class_sizes.get(root, 0) + 1
-
     weights = []
-    for root, cid in sorted(class_ids.items(), key=lambda kv: kv[1]):
-        size = class_sizes[root]
+    for size in class_sizes:
+        size = int(size)
         if order % size != 0:
             raise AssertionError(f"{spec.label}: trajectory class size {size} "
                                  f"does not divide the group order {order}")
@@ -655,17 +685,17 @@ def count_flow_lines(func, source, target):
         weights.append(src.isotropy // stabilizer)
 
     trajectories = []
-    for ti, (ci, _w) in enumerate(seed_info):
+    for ti, ci in enumerate(seed_crit):
         saddle_pt = crits[ci].point
         far_pt = far_targets[endpoints[ti]].point
         start, end = (saddle_pt, far_pt) if descending else (far_pt, saddle_pt)
-        trajectories.append(Trajectory(start=start, end=end, orbit_class=class_ids[find(ti)]))
+        trajectories.append(Trajectory(start=start, end=end, orbit_class=int(class_of[ti])))
 
     return FlowLines(
         source=src.name,
         target=tgt.name,
         upstairs=len(seeds),
-        downstairs=len(class_ids),
+        downstairs=len(class_sizes),
         weights=tuple(weights),
         trajectories=tuple(trajectories),
     )

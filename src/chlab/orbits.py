@@ -351,6 +351,12 @@ def make_orbit(spec, base, k):
     if k < 1:
         raise ValueError(f"multiplicity must be >= 1, got {k}")
     _validate_class_tables(spec.kind, spec.n)
+    return _orbit_record(spec, base, k)
+
+
+@lru_cache(maxsize=None)
+def _orbit_record(spec, base, k):
+    """The exact arithmetic of ``make_orbit``, computed once per (spec, base, k)."""
     rotation = _rotation_of(base, k)
     cz = formal_floor(rotation) + formal_ceil(rotation)
     closed = _cz_closed(base, k)

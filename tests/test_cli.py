@@ -3,6 +3,7 @@ formats, error handling and exit codes, the verification subcommands, and
 byte-for-byte determinism."""
 
 import csv
+import dataclasses
 import io
 import json
 import shutil
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chlab import cli, czengine, groups, homology, orbits
+from chlab import cli, czengine, groups, homology, morse, orbits
 
 
 def run_cli(capsys, *argv):
@@ -289,12 +290,48 @@ def test_fixed_point_clustering_failure_is_numeric_abort(capsys, monkeypatch, fr
     assert err == ""
 
 
-def test_verify_morse_unpermuted_critical_points_is_numeric_abort(capsys):
-    # D:27's bump-sum critical points are not permuted by its rotations
-    code, out, err = run_cli(capsys, "verify", "morse", "-g", "D:27")
+def test_verify_morse_largest_dihedral(capsys):
+    code, out, err = run_cli(capsys, "verify", "morse", "-g", "D:64")
+    assert code == 0 and err == ""
+    assert ("  D:64: ranks (1, 0, 1), flows {'Plus->Saddle': (1, [64]), "
+            "'Saddle->Minus': (1, [2])}") in out.splitlines()
+
+
+def _patch_critical_points(monkeypatch, kind, change):
+    """Make find_critical_points apply `change` to the first point of `kind`."""
+    real = morse.find_critical_points
+
+    def patched(func):
+        crits = list(real(func))
+        i = next(i for i, c in enumerate(crits) if c.kind.name == kind)
+        crits[i] = change(crits[i])
+        return tuple(crits)
+
+    monkeypatch.setattr(morse, "find_critical_points", patched)
+
+
+def test_verify_morse_unpermuted_critical_points_is_numeric_abort(capsys, monkeypatch):
+    # a Minus point moved off its fixed point is no longer permuted by the rotations
+    _patch_critical_points(monkeypatch, "Minus", lambda c: dataclasses.replace(
+        c, point=tuple(np.asarray(c.point) + np.array([0.0, 0.0, 1e-5]))))
+    code, out, err = run_cli(capsys, "verify", "morse", "-g", "D:3")
     assert code == 3
     aborts = [line for line in out.splitlines() if line.startswith("morse: ABORT (")]
     assert len(aborts) == 1 and "failed to permute the critical points" in aborts[0]
+    assert "verify morse: NUMERIC ABORT" in out
+    assert err == ""
+
+
+def test_verify_morse_unpermuted_trajectory_seeds_is_numeric_abort(capsys, monkeypatch):
+    # a saddle's eigen-directions turned by 1e-3 rad no longer match the
+    # rotated seeds of the other saddles: a tolerance miss, not a violation
+    turn = np.array([[np.cos(1e-3), -np.sin(1e-3)], [np.sin(1e-3), np.cos(1e-3)]])
+    _patch_critical_points(monkeypatch, "Saddle", lambda c: dataclasses.replace(
+        c, eigenvectors=tuple(tuple(turn @ np.asarray(vec)) for vec in c.eigenvectors)))
+    code, out, err = run_cli(capsys, "verify", "morse", "-g", "D:3")
+    assert code == 3
+    assert out.splitlines()[0] == (
+        "morse: ABORT (D:3: rotation did not permute the trajectory seeds)")
     assert "verify morse: NUMERIC ABORT" in out
     assert err == ""
 

@@ -5,6 +5,7 @@ orbifold complex, and the index-gap correspondence with orbit indices."""
 import numpy as np
 import pytest
 
+from chlab import morse
 from chlab.morse import (
     build_invariant_morse,
     count_flow_lines,
@@ -39,8 +40,73 @@ def test_cyclic_function_is_a_height():
 
 def test_dihedral_critical_census():
     func = build_invariant_morse("D:3")
-    assert func.kind == "bump-sum"
+    assert func.kind == "dihedral"
     assert _index_census("D:3") == {0: 3, 1: 3, 2: 2}
+
+
+@pytest.mark.parametrize("label", ["D:2", "D:3", "D:7", "D:64"])
+def test_dihedral_derivatives_match_central_differences(label):
+    func = build_invariant_morse(label)
+    x = morse._normalize(np.random.default_rng(3).standard_normal((50, 3)))
+    h = 1e-6
+    grad = np.stack([(func.value(x + h * e) - func.value(x - h * e)) / (2 * h)
+                     for e in np.eye(3)], axis=-1)
+    hess = np.stack([(func.gradient_ambient(x + h * e) - func.gradient_ambient(x - h * e)) / (2 * h)
+                     for e in np.eye(3)], axis=-1)
+    exact = func.hessian_ambient(x)
+    scale = max(1.0, float(np.max(np.abs(exact))))
+    assert np.max(np.abs(func.gradient_ambient(x) - grad)) < 1e-8
+    assert np.max(np.abs(exact - hess)) < 1e-7 * scale
+    # one point gives the values of a row of the batch
+    assert np.max(np.abs(func.hessian_ambient(x[0]) - exact[0])) < 1e-14 * scale
+
+
+def _tangent_frame_reference(x):
+    axis = int(np.argmin(np.abs(x)))
+    u = np.cross(np.eye(3)[axis], x)
+    u /= np.linalg.norm(u)
+    return u, np.cross(x, u)
+
+
+def _newton_refine_reference(func, start, iters=60):
+    """One row of the batched Newton refinement, with a general 2x2 solve."""
+    x = start / np.linalg.norm(start)
+    for _ in range(iters):
+        g = func.gradient(x)
+        gnorm = float(np.linalg.norm(g))
+        u, v = _tangent_frame_reference(x)
+        hess = func.sphere_hessian(x, (u, v))
+        try:
+            sol = np.linalg.solve(hess, np.array([g @ u, g @ v]))
+        except np.linalg.LinAlgError:
+            return x, False
+        step = sol[0] * u + sol[1] * v
+        if float(np.linalg.norm(step)) > 0.5:
+            return x, False
+        x = x - step
+        x = x / np.linalg.norm(x)
+        if float(np.linalg.norm(step)) < 1e-14 and gnorm < 1e-12:
+            break
+    return x, float(np.linalg.norm(func.gradient(x))) < 1e-10
+
+
+@pytest.mark.parametrize("label", ["D:8", "T", "O", "I"])
+def test_batched_newton_matches_per_point_reference(label):
+    func = build_invariant_morse(label)
+    fixed = morse._all_fixed_point_array(func.fixed_orbits)
+    rng = np.random.default_rng(5)
+    starts = np.concatenate([fixed] + [fixed + eps * rng.standard_normal(fixed.shape)
+                                       for eps in (1e-3, 1e-1, 0.3)])
+    points, converged = morse._newton_refine(func, starts)
+    reference = [_newton_refine_reference(func, start) for start in starts]
+    assert converged.tolist() == [ok for _, ok in reference]
+    gap = np.max(np.abs(points - np.array([x for x, _ in reference])), axis=1)
+    assert np.max(gap[converged]) < 1e-12
+    # a row that aborts has wandered for some steps, which magnifies the
+    # last-bit differences between the two 2x2 solves
+    assert np.max(gap[~converged]) < 1e-9
+    # the far starts exercise both outcomes
+    assert converged[: len(fixed)].all() and not converged.all()
 
 
 def test_polyhedral_critical_census():
@@ -130,6 +196,17 @@ def test_trajectories_cover_every_seed():
 def test_orbifold_complex_ranks(label):
     cx = orbifold_complex(label)
     assert cx.homology_ranks() == (1, 0, 1)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("label", ["D:27", "D:33", "D:34", "D:64"])
+def test_large_dihedral_orbifold_complex(label):
+    n = int(label[2:])
+    cx = orbifold_complex(label)
+    assert cx.ranks == (1, 0, 1)
+    flows = {pair: (fl.downstairs, fl.weights) for pair, fl in cx.flow_counts.items()}
+    assert flows == {("Plus", "Saddle"): (1, (n,)), ("Saddle", "Minus"): (1, (2,))}
+    assert seifert_index_check(label)["failures"] == ()
 
 
 def test_orbifold_complex_excludes_saddles():
