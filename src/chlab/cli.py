@@ -16,6 +16,11 @@ Three subcommands:
     a violation or mismatch was found, 2 a parse/usage error, and 3 a
     numeric-tolerance abort (a check could not complete to its tolerance).
 
+The base class of an exception decides its exit code, for every command:
+``ArithmeticError`` is a numeric abort (3), ``AssertionError`` a violation
+(1) and ``ValueError`` unusable arguments (2).  Every library exception
+derives from one of the three.
+
 Output formats are ``markdown`` (default), ``json``, and ``csv``.  All output
 is deterministic: a fixed (command, seed, version) triple yields byte-identical
 bytes.  JSON documents carry a versioned ``schema`` tag.  Rational numbers
@@ -36,7 +41,7 @@ import numpy as np
 
 from . import __version__
 from . import czengine, homology, morse, orbits
-from .groups import AmbiguousLabel, NonClosure, parse_group_spec
+from .groups import parse_group_spec
 
 #: JSON schema tag stamped on every JSON document this tool emits
 SCHEMA = "chlab/v1"
@@ -46,18 +51,6 @@ BATTERY = tuple(
     [f"C:{n}" for n in range(2, 13)]
     + [f"D:{n}" for n in range(2, 9)]
     + ["T", "O", "I"]
-)
-
-#: canonical order of the verification checks
-CHECK_NAMES = (
-    "monotonicity",
-    "cz-engine",
-    "spectral-flow",
-    "axioms",
-    "sign-lemma",
-    "morse",
-    "seifert",
-    "mckay",
 )
 
 DEFAULT_SEED = 2026
@@ -95,7 +88,9 @@ def _csv_text(headers, rows):
     return buf.getvalue().rstrip("\n")
 
 
-def _json_text(document):
+def _json_text(command, **fields):
+    """One JSON document: the schema envelope, then ``fields`` in order."""
+    document = {"schema": SCHEMA, "version": __version__, "command": command, **fields}
     return json.dumps(document, indent=2)
 
 
@@ -103,25 +98,12 @@ def _json_text(document):
 # orbits command
 
 
-_BASE_ORDER_CACHE = {}
-
-
-def _base_position(spec, name):
-    key = spec.label
-    if key not in _BASE_ORDER_CACHE:
-        _BASE_ORDER_CACHE[key] = {e.name: i for i, e in enumerate(orbits.base_table(spec))}
-    return _BASE_ORDER_CACHE[key][name]
-
-
-def _sorted_orbits(spec, levels):
-    rows = orbits.enumerate_orbits(spec, levels)
-    return sorted(rows, key=lambda o: (o.grading, _base_position(spec, o.base.name), o.k))
-
-
 def cmd_orbits(group, levels, fmt):
     """Render the orbit table for one group below the level-N threshold."""
     spec = parse_group_spec(group)
-    rows = _sorted_orbits(spec, levels)
+    # enumerate_orbits lists base by base, then by multiplicity, so a stable
+    # sort by grading orders the rows by (grading, base, k)
+    rows = sorted(orbits.enumerate_orbits(spec, levels), key=lambda o: o.grading)
     headers = ("grading", "name", "base", "k", "type", "good",
                "action/pi", "rotation", "cz", "class", "contractible")
     table = [
@@ -132,16 +114,8 @@ def cmd_orbits(group, levels, fmt):
         for o in rows
     ]
     if fmt == "json":
-        document = {
-            "schema": SCHEMA,
-            "version": __version__,
-            "command": "orbits",
-            "group": spec.label,
-            "levels": levels,
-            "count": len(rows),
-            "rows": [orbits.orbit_row(o) for o in rows],
-        }
-        return _json_text(document), 0
+        return _json_text("orbits", group=spec.label, levels=levels, count=len(rows),
+                          rows=[orbits.orbit_row(o) for o in rows]), 0
     if fmt == "csv":
         return _csv_text(headers, table), 0
     title = f"Closed orbits of {spec.label} below the level-{levels} threshold ({len(rows)} rows)"
@@ -162,17 +136,8 @@ def cmd_homology(group, levels, fmt):
     headers = ("degree", "rank", "closed_form")
     table = [(d, report["ranks"][str(d)], report["closed_form"][str(d)]) for d in degrees]
     if fmt == "json":
-        document = {
-            "schema": SCHEMA,
-            "version": __version__,
-            "command": "homology",
-            "group": spec.label,
-            "levels": levels,
-            "ranks": report["ranks"],
-            "closed_form": report["closed_form"],
-            "match": match,
-        }
-        return _json_text(document), status
+        return _json_text("homology", group=spec.label, levels=levels, ranks=report["ranks"],
+                          closed_form=report["closed_form"], match=match), status
     if fmt == "csv":
         return _csv_text(headers, table), status
     title = (f"Filtered homology of {spec.label} at level {levels} — "
@@ -203,12 +168,14 @@ def _family_from_paths(gen0, gen1):
     return family
 
 
+def _constant_family(lo, hi, name):
+    return czengine.AsymptoticFamily(
+        _family_from_paths(lambda t: lo, lambda t: hi), n=1, name=name)
+
+
 def canonical_flow_family():
     """The reference family: diag(1, -1) flowing to 2·Id, flow +1."""
-    lo = np.diag([1.0, -1.0])
-    hi = 2.0 * np.eye(2)
-    return czengine.AsymptoticFamily(
-        _family_from_paths(lambda t: lo, lambda t: hi), n=1, name="canonical")
+    return _constant_family(np.diag([1.0, -1.0]), 2.0 * np.eye(2), "canonical")
 
 
 def seeded_flow_families(seed, count):
@@ -226,57 +193,58 @@ def seeded_flow_families(seed, count):
 
 def resonance_family():
     """Family c(s)·Id sweeping c across 2π: one kernel-dimension-2 crossing."""
-    lo = 5.0 * np.eye(2)
-    hi = 7.0 * np.eye(2)
-
-    def family(s, t):
-        return 0.5 * (1.0 - s) * lo + 0.5 * (1.0 + s) * hi
-
-    return czengine.AsymptoticFamily(family, n=1, name="resonance")
+    return _constant_family(5.0 * np.eye(2), 7.0 * np.eye(2), "resonance")
 
 
-def _battery(group):
-    return (group,) if group else BATTERY
+def _per_spec(opts, run, describe):
+    """Run ``run(label)`` for every spec of the battery, in order.
+
+    Returns the specs, their reports and one detail line per spec, worded
+    by ``describe(report)``."""
+    specs = (opts.group,) if opts.group else BATTERY
+    reports = [run(label) for label in specs]
+    details = tuple(f"  {label}: {describe(r)}" for label, r in zip(specs, reports))
+    return specs, reports, details
 
 
 def check_monotonicity(opts):
-    details = []
-    total_pairs = 0
-    specs = _battery(opts.group)
-    for label in specs:
-        report = orbits.verify_monotonicity(label, opts.nmax)
-        total_pairs += report["pairs"]
-        details.append(f"  {label}: {report['orbits']} orbits, {report['pairs']} pairs, ok")
+    specs, reports, details = _per_spec(
+        opts, lambda label: orbits.verify_monotonicity(label, opts.nmax),
+        lambda r: f"{r['orbits']} orbits, {r['pairs']} pairs, ok")
+    total_pairs = sum(r["pairs"] for r in reports)
     summary = (f"monotonicity: PASS ({len(specs)} specs, {total_pairs} same-class pairs, "
                f"N_max={opts.nmax}, 0 violations)")
     report = {"check": "monotonicity", "specs": len(specs),
               "pairs": total_pairs, "n_max": opts.nmax, "violations": 0}
-    return CheckResult("monotonicity", True, summary, tuple(details), report)
+    return CheckResult("monotonicity", True, summary, details, report)
+
+
+def _cz_routes_agree(label, eps):
+    """Crossing form == rotation index == closed form for every orbit of one
+    group below the level-3 threshold; returns the orbit count."""
+    found = orbits.enumerate_orbits(label, 3)
+    for orbit in found:
+        path = czengine.local_model_for(orbit, eps=eps)
+        crossing = czengine.cz_crossing_form(path)
+        _theta, rotation = czengine.rotation_cz_sp2(path)
+        if crossing != orbit.cz or rotation != orbit.cz:
+            raise czengine.AxiomViolation(
+                f"{label}/{orbit.name}: crossing {crossing}, rotation {rotation}, "
+                f"closed form {orbit.cz}")
+    return len(found)
 
 
 def check_cz_engine(opts):
-    details = []
-    total = 0
-    specs = _battery(opts.group)
     eps = opts.tolerance
-    for label in specs:
-        count = 0
-        for orbit in orbits.enumerate_orbits(label, 3):
-            path = czengine.local_model_for(orbit, eps=eps)
-            crossing = czengine.cz_crossing_form(path)
-            _theta, rotation = czengine.rotation_cz_sp2(path)
-            if crossing != orbit.cz or rotation != orbit.cz:
-                raise czengine.AxiomViolation(
-                    f"{label}/{orbit.name}: crossing {crossing}, rotation {rotation}, "
-                    f"closed form {orbit.cz}")
-            count += 1
-        total += count
-        details.append(f"  {label}: {count} orbits, three routes agree")
+    specs, counts, details = _per_spec(
+        opts, lambda label: _cz_routes_agree(label, eps),
+        lambda count: f"{count} orbits, three routes agree")
+    total = sum(counts)
     summary = (f"cz-engine: PASS ({total} orbits below the level-3 threshold, "
                f"crossing form == closed formula == rotation index, eps={eps:g})")
     report = {"check": "cz_engine", "specs": len(specs), "orbits": total,
               "epsilon": eps, "violations": 0}
-    return CheckResult("cz-engine", True, summary, tuple(details), report)
+    return CheckResult("cz-engine", True, summary, details, report)
 
 
 def check_spectral_flow(opts):
@@ -328,43 +296,37 @@ def check_sign_lemma(opts):
     return CheckResult("sign-lemma", True, summary, tuple(details), report)
 
 
+def _describe_complex(complex_):
+    flows = {f"{a}->{b}": (fl.downstairs, list(fl.weights))
+             for (a, b), fl in complex_.flow_counts.items()}
+    return f"ranks {complex_.ranks}, flows {flows}"
+
+
 def check_morse(opts):
-    details = []
-    specs = _battery(opts.group)
-    for label in specs:
-        complex_ = morse.orbifold_complex(label)
-        flows = {f"{a}->{b}": (fl.downstairs, list(fl.weights))
-                 for (a, b), fl in complex_.flow_counts.items()}
-        details.append(f"  {label}: ranks {complex_.ranks}, flows {flows}")
+    specs, _complexes, details = _per_spec(opts, morse.orbifold_complex, _describe_complex)
     summary = f"morse: PASS ({len(specs)} specs, orbifold homology ranks (1, 0, 1))"
     report = {"check": "orbifold_morse", "specs": len(specs),
               "ranks": [1, 0, 1], "violations": 0}
-    return CheckResult("morse", True, summary, tuple(details), report)
+    return CheckResult("morse", True, summary, details, report)
 
 
 def check_seifert(opts):
-    details = []
-    pairs = 0
-    specs = _battery(opts.group)
-    for label in specs:
-        report = morse.seifert_index_check(label)
-        pairs += report["instances"]
-        details.append(f"  {label}: {report['instances']} ordered pairs, ok")
+    specs, reports, details = _per_spec(
+        opts, morse.seifert_index_check, lambda r: f"{r['instances']} ordered pairs, ok")
+    pairs = sum(r["instances"] for r in reports)
     summary = f"seifert: PASS ({len(specs)} specs, {pairs} ordered pairs, index gaps agree)"
     report = {"check": "seifert_index", "specs": len(specs),
               "pairs": pairs, "violations": 0}
-    return CheckResult("seifert", True, summary, tuple(details), report)
+    return CheckResult("seifert", True, summary, details, report)
 
 
 def check_mckay(opts):
-    details = []
-    specs = _battery(opts.group)
-    for label in specs:
-        report = homology.mckay_check(label)
-        details.append(f"  {label}: vertices == classes - 1 == rank {report['triple'][2]}")
+    specs, _reports, details = _per_spec(
+        opts, homology.mckay_check,
+        lambda r: f"vertices == classes - 1 == rank {r['triple'][2]}")
     summary = f"mckay: PASS ({len(specs)} specs, Dynkin vertices == class count - 1 == degree-0 rank)"
     report = {"check": "mckay", "specs": len(specs), "violations": 0}
-    return CheckResult("mckay", True, summary, tuple(details), report)
+    return CheckResult("mckay", True, summary, details, report)
 
 
 _CHECKS = {
@@ -378,31 +340,17 @@ _CHECKS = {
     "mckay": check_mckay,
 }
 
-#: numeric-tolerance aborts: the computation could not complete as posed
-#: (exit 3, reported as NUMERIC ABORT, by a battery or by ``main``)
-_NUMERIC_ERRORS = (
-    orbits.DegenerateRotation,
-    NonClosure,
-    AmbiguousLabel,
-    czengine.DriftExceeded,
-    czengine.DegenerateEndpoint,
-    czengine.IrregularCrossing,
-    czengine.UnwrapFailure,
-    czengine.EndpointDegenerate,
-    czengine.TrackingAmbiguity,
-    czengine.NoCrossingFound,
-    morse.SpuriousCriticalPoint,
-    morse.NonConvergentTrajectory,
-)
+#: canonical order of the verification checks
+CHECK_NAMES = tuple(_CHECKS)
 
 
 def _run_check(name, opts):
     try:
         return _CHECKS[name](opts)
-    except _NUMERIC_ERRORS as err:
+    except ArithmeticError as err:  # a numeric guard tripped: exit 3
         return CheckResult(name, False, f"{name}: ABORT ({err})", (),
                            {"check": name, "error": str(err)}, "numeric")
-    except AssertionError as err:
+    except AssertionError as err:  # a checked statement failed: exit 1
         return CheckResult(name, False, f"{name}: FAIL ({err})", (),
                            {"check": name, "error": str(err)}, "violation")
 
@@ -417,28 +365,16 @@ def cmd_verify(which, opts, fmt):
     status = 0 if ok else (1 if any_violation else 3)
 
     if fmt == "json":
-        document = {
-            "schema": SCHEMA,
-            "version": __version__,
-            "command": "verify",
-            "which": which,
-            "seed": opts.seed,
-            "ok": ok,
-            "checks": [
-                {"name": r.name, "ok": r.ok, "summary": r.summary, "report": r.report}
-                for r in results
-            ],
-        }
-        return _json_text(document), status
+        checks = [{"name": r.name, "ok": r.ok, "summary": r.summary, "report": r.report}
+                  for r in results]
+        return _json_text("verify", which=which, seed=opts.seed, ok=ok, checks=checks), status
     if fmt == "csv":
         headers = ("check", "status", "summary")
         table = [(r.name, "pass" if r.ok else "fail", r.summary) for r in results]
         return _csv_text(headers, table), status
     lines = []
     for r in results:
-        if which != "all" and r.ok:
-            lines.extend(r.details)
-        if not r.ok:
+        if which != "all" or not r.ok:
             lines.extend(r.details)
         lines.append(r.summary)
     verdict = "OK" if ok else ("VIOLATION" if any_violation else "NUMERIC ABORT")
@@ -517,7 +453,7 @@ def main(argv=None):
     except ValueError as err:  # groups.ParseError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except _NUMERIC_ERRORS as err:
+    except ArithmeticError as err:
         print(f"{args.command}: NUMERIC ABORT ({err})")
         return 3
     except AssertionError as err:  # a library check of a statement failed

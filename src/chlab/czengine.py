@@ -982,11 +982,12 @@ def _locate_crossings(family, order):
 
     Steps whose negative-eigenvalue counts differ are bisected until the
     crossing is pinned to width 1e-10 (simultaneous multiple crossings are
-    recorded with their net direction and kernel size).  Steps with equal
-    counts are swept for interior dips of the smallest |eigenvalue|; a dip
-    that reveals a sign change is refined like a crossing, while a dip that
-    bottoms out below ``TOL_TRACKING`` without one is an unresolvable touch
-    and raises ``TrackingAmbiguity``.  An even number of crossings hiding in
+    recorded with their net direction).  Steps with equal counts are swept
+    for interior dips of the smallest |eigenvalue|; a midpoint whose count
+    differs from the ends splits the step into two halves, each refined once
+    like a crossing, while a dip that bottoms out below ``TOL_TRACKING``
+    without a sign change is an unresolvable touch and raises
+    ``TrackingAmbiguity``.  An even number of crossings hiding in
     one grid cell without an interior dip at its midpoint is outside this
     heuristic; the families used in practice have well-separated crossings.
     """
@@ -1005,24 +1006,12 @@ def _locate_crossings(family, order):
             )
     crossings = []
 
-    def record(a, b):
-        mid = 0.5 * (a + b)
-        na, nb = _neg_count(eigs(a)), _neg_count(eigs(b))
-        kernel_dim = int(np.sum(np.abs(eigs(mid)) < 1e-5))
-        crossings.append(
-            {
-                "s": mid,
-                "direction": nb - na,
-                "kernel_dimension": max(kernel_dim, abs(nb - na)),
-            }
-        )
-
     def refine(a, b, depth):
         na, nb = _neg_count(eigs(a)), _neg_count(eigs(b))
         if na == nb:
             return
         if b - a <= 1e-10 or depth >= 60:
-            record(a, b)
+            crossings.append({"s": 0.5 * (a + b), "direction": nb - na})
             return
         m = 0.5 * (a + b)
         refine(a, m, depth + 1)
@@ -1035,8 +1024,6 @@ def _locate_crossings(family, order):
         if _neg_count(eigs(m)) != na:
             refine(a, m, depth + 1)
             refine(m, b, depth + 1)
-            sweep(a, m, depth + 1)
-            sweep(m, b, depth + 1)
             return
         dip = _min_abs(eigs(m))
         if dip >= 1e-7 or dip >= min(_min_abs(eigs(a)), _min_abs(eigs(b))):
@@ -1062,11 +1049,7 @@ def _locate_crossings(family, order):
     merged = []
     for c in crossings:
         if merged and c["s"] - merged[-1]["s"] < 1e-8:
-            prev = merged[-1]
-            prev["direction"] += c["direction"]
-            prev["kernel_dimension"] = max(
-                prev["kernel_dimension"], c["kernel_dimension"], abs(prev["direction"])
-            )
+            merged[-1]["direction"] += c["direction"]
         else:
             merged.append(dict(c))
     flow = _neg_count(eigs(1.0)) - _neg_count(eigs(-1.0))
@@ -1099,7 +1082,7 @@ def _eval_loop_at_zero(coeffs, n, order):
     return v
 
 
-def verify_crossing_sign_lemma(family, solver_samples=DEFAULT_SAMPLES):
+def verify_crossing_sign_lemma(family):
     """At each crossing of the operator family, compare the operator
     crossing form with the return-map crossing form.
 
@@ -1141,9 +1124,9 @@ def verify_crossing_sign_lemma(family, solver_samples=DEFAULT_SAMPLES):
         kernel_idx = np.where(np.abs(eigvals) < 1e-5)[0]
         if kernel_idx.size == 0:
             kernel_idx = np.array([int(np.argmin(np.abs(eigvals)))])
-        psi_plus = solve_path(family.path_at(s_star + h_path, samples=solver_samples))
-        psi_minus = solve_path(family.path_at(s_star - h_path, samples=solver_samples))
-        psi_star = solve_path(family.path_at(s_star, samples=solver_samples))
+        psi_plus = solve_path(family.path_at(s_star + h_path))
+        psi_minus = solve_path(family.path_at(s_star - h_path))
+        psi_star = solve_path(family.path_at(s_star))
         dpsi = (psi_plus.endpoint() - psi_minus.endpoint()) / (2.0 * h_path)
         for idx in kernel_idx:
             eta = eigvecs[:, idx]

@@ -46,11 +46,11 @@ class ParseError(ValueError):
         super().__init__(f"{message} in {text!r} at position {position}")
 
 
-class NonClosure(RuntimeError):
+class NonClosure(ArithmeticError):
     """Generator closure did not produce the expected group order."""
 
 
-class AmbiguousLabel(RuntimeError):
+class AmbiguousLabel(ArithmeticError):
     """Conjugacy classes could not be separated into stable labels."""
 
 

@@ -379,8 +379,12 @@ def _scan_critical_set(func):
     pts = _fibonacci_sphere(SCAN_POINTS)
     norms = np.linalg.norm(func.gradient(pts), axis=-1)
     fixed = _all_fixed_point_array(func.fixed_orbits)
-    # chordal distance to the nearest fixed point
-    nearest = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * np.max(pts @ fixed.T, axis=1)))
+    # chordal distance to the nearest fixed point, from a running maximum of
+    # the cosines so no scan-points x fixed-points matrix is formed
+    cosine = np.full(len(pts), -np.inf)
+    for p in fixed:
+        np.maximum(cosine, pts @ p, out=cosine)
+    nearest = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * cosine))
     outside = nearest > MASK_RADIUS
     if not np.any(outside):
         return "mask covered the whole scan lattice"

@@ -398,14 +398,14 @@ def enumerate_orbits(spec, N):
     limit = action_threshold(spec, N)
     out = []
     for base in base_table(spec):
-        k = 1
-        while _action_of(base, k) < limit:
-            out.append(make_orbit(spec, base, k))
-            k += 1
-        if k - 1 != _max_multiplicity(spec, base, N):
+        k_max = _max_multiplicity(spec, base, N)
+        # actions grow with k, so the threshold need only be checked at the
+        # closed-form boundary: action(k_max) < L_N <= action(k_max + 1)
+        if not _action_of(base, k_max) < limit or _action_of(base, k_max + 1) < limit:
             raise AssertionError(
-                f"{spec.label}/{base.name}: enumerated up to k={k - 1}, "
-                f"closed range says {_max_multiplicity(spec, base, N)}")
+                f"{spec.label}/{base.name}: the threshold does not fall between "
+                f"k={k_max} and k={k_max + 1}, the closed range's end")
+        out.extend(make_orbit(spec, base, k) for k in range(1, k_max + 1))
     return out
 
 

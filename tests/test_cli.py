@@ -4,8 +4,10 @@ byte-for-byte determinism."""
 
 import csv
 import dataclasses
+import importlib
 import io
 import json
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -14,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import chlab
 from chlab import cli, czengine, groups, homology, morse, orbits
 
 
@@ -230,7 +233,29 @@ def test_verify_sign_lemma_no_crossing_is_numeric_abort(capsys, monkeypatch, fmt
     assert err == ""  # no traceback
 
 
-LIBRARY_NUMERIC_ERRORS = [orbits.DegenerateRotation, groups.NonClosure, groups.AmbiguousLabel]
+def _library_errors(base):
+    """Every subclass of ``base`` defined in a chlab module, by name."""
+    found = set()
+    for info in pkgutil.iter_modules(chlab.__path__, "chlab."):
+        module = importlib.import_module(info.name)
+        found.update(obj for obj in vars(module).values()
+                     if isinstance(obj, type) and issubclass(obj, base)
+                     and obj.__module__ == module.__name__)
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+# the base class decides the exit code: ArithmeticError is a numeric abort
+# (3), AssertionError a violation (1), whatever chlab module raises it
+LIBRARY_NUMERIC_ERRORS = _library_errors(ArithmeticError) + [ZeroDivisionError]
+LIBRARY_ASSERTIONS = _library_errors(AssertionError) + [AssertionError]
+
+
+def test_library_error_lists_are_complete():
+    names = {cls.__name__ for cls in LIBRARY_NUMERIC_ERRORS}
+    assert {"DegenerateRotation", "NonClosure", "AmbiguousLabel", "DriftExceeded",
+            "SpuriousCriticalPoint", "NonConvergentTrajectory"} <= names
+    names = {cls.__name__ for cls in LIBRARY_ASSERTIONS}
+    assert {"AxiomViolation", "ParityViolation", "IndexMismatch", "LiftMismatch"} <= names
 
 
 def _raiser(error):
@@ -266,6 +291,35 @@ def test_orbits_library_error_is_numeric_abort(capsys, monkeypatch, error):
     code, out, err = run_cli(capsys, "orbits", "-g", "C:3", "-N", "1")
     assert code == 3
     assert out.strip() == "orbits: NUMERIC ABORT (injected fault)"
+    assert err == ""
+
+
+@pytest.mark.parametrize("error", LIBRARY_ASSERTIONS)
+def test_battery_library_assertion_is_violation(capsys, monkeypatch, error):
+    monkeypatch.setitem(cli._CHECKS, "mckay", _raiser(error))
+    code, out, err = run_cli(capsys, "verify", "mckay")
+    assert code == 1
+    assert "mckay: FAIL (injected fault)" in out
+    assert "verify mckay: VIOLATION" in out
+    assert err == ""
+
+
+@pytest.mark.parametrize("error", LIBRARY_ASSERTIONS)
+def test_verify_all_library_assertion_is_violation(capsys, monkeypatch, error):
+    for name in cli.CHECK_NAMES:
+        monkeypatch.setitem(cli._CHECKS, name, _raiser(error))
+    code, out, err = run_cli(capsys, "verify", "all")
+    assert code == 1
+    assert "verify all: VIOLATION" in out
+    assert err == ""
+
+
+@pytest.mark.parametrize("error", LIBRARY_ASSERTIONS)
+def test_orbits_library_assertion_is_violation(capsys, monkeypatch, error):
+    monkeypatch.setattr(cli, "cmd_orbits", _raiser(error))
+    code, out, err = run_cli(capsys, "orbits", "-g", "C:3", "-N", "1")
+    assert code == 1
+    assert out == "orbits: VIOLATION (injected fault)\n"
     assert err == ""
 
 
@@ -385,6 +439,18 @@ def test_verify_all_prints_the_battery_summaries_in_order(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify", "all", "-g", "C:3")
     assert code == 0 and err == ""
     assert out.splitlines() == summaries + ["verify all: OK (seed 2026)"]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_lists_every_battery_in_order():
+    # the first column of the "Verification batteries" table
+    text = README.read_text(encoding="utf-8")
+    section = text.split("### Verification batteries", 1)[1].split("\n#", 1)[0]
+    names = [line.split("|")[1].strip().strip("`") for line in section.splitlines()
+             if line.startswith("| `")]
+    assert names == list(cli.CHECK_NAMES) + ["all"]
 
 
 # ---------------------------------------------------------------------------

@@ -703,6 +703,28 @@ def test_spectral_flow_stable_under_refinement():
     assert spectral_flow(fam, order=16) == spectral_flow(fam, order=32)
 
 
+@pytest.mark.parametrize("c, sep", [(0.06, 0.01), (0.3, 0.04), (0.05, 0.03)])
+def test_two_crossings_in_one_grid_cell_are_recorded_once(c, sep):
+    # diag(2pi + d + 10u, 2pi + d - 10u), u = s - c, has a two-dimensional
+    # kernel at u = -sep and at u = +sep, both inside one cell of the s-grid
+    # whose ends have equal negative counts; each must be recorded once
+    d = math.sqrt(4.0 * math.pi**2 + (10.0 * sep) ** 2) - 2.0 * math.pi
+
+    def func(s, t):
+        u = 10.0 * (s - c)
+        return np.diag([2.0 * math.pi + d + u, 2.0 * math.pi + d - u])
+
+    fam = AsymptoticFamily(func, n=1, fourier_order=8)
+    crossings, flow = czengine._locate_crossings(fam, 8)
+    assert flow == spectral_flow(fam) == 0
+    inside = [cr for cr in crossings if abs(cr["s"] - c) < 2.0 * sep]
+    assert [cr["direction"] for cr in inside] == [2, -2]
+    assert [cr["s"] for cr in inside] == pytest.approx([c - sep, c + sep], abs=1e-8)
+    report = verify_crossing_sign_lemma(fam)
+    assert report["failures"] == []
+    assert report["instances"] == 6  # two simple crossings and two double ones
+
+
 # ---------------------------------------------------------------------------
 # crossing-sign relation
 # ---------------------------------------------------------------------------
