@@ -75,7 +75,7 @@ TOL_KERNEL_REL = 1e-7       # relative singular-value threshold for kernels
 TOL_DEAD_ZONE = 1e-9        # crossing-form eigenvalues below this are irregular
 TOL_ENDPOINT_GAP = 1e-6     # crossings may not sit this close to an endpoint
 TOL_SPECTRAL_END = 1e-6     # smallest |eigenvalue| required at family ends
-TOL_TRACKING = 1e-8         # eigenvalue gap below which tracking is ambiguous
+TOL_TRACKING = 1e-8         # pencil roots this close in s (or to real s) coincide
 MIN_SAMPLES = 512
 DEFAULT_SAMPLES = 1024
 DEFAULT_EPSILON = 1e-3
@@ -427,11 +427,11 @@ def solve_path(generator):
 # ---------------------------------------------------------------------------
 
 
-def _signature(sym, dead_zone=TOL_DEAD_ZONE, context=""):
+def _signature(sym, dead_zone=TOL_DEAD_ZONE, context="", error=IrregularCrossing):
     eigs = np.linalg.eigvalsh(0.5 * (sym + sym.T))
     scale = max(1.0, float(np.max(np.abs(eigs))))
     if np.any(np.abs(eigs) < dead_zone * scale):
-        raise IrregularCrossing(
+        raise error(
             f"crossing form eigenvalue inside dead zone {dead_zone:.1e}{context}"
         )
     return int(np.sum(eigs > 0) - np.sum(eigs < 0))
@@ -968,92 +968,54 @@ def _neg_count(eigs):
     return int(np.sum(eigs < 0.0))
 
 
-def _min_abs(eigs):
-    return float(np.min(np.abs(eigs)))
-
-
 def _locate_crossings(family, order):
-    """March s over [-1, 1] and localize the eigenvalue crossings.
+    """The crossings of the operator family as the real roots of one pencil.
 
-    The family is affine in s (``AsymptoticFamily``'s contract), so every
-    step costs one ``eigvalsh`` of ``1/2 (1 - s) A_-1 + 1/2 (1 + s) A_1``
-    built from the ends assembled once per ``order``; ``S(s, t)`` is never
-    sampled along the march.
+    The family is affine in s (``AsymptoticFamily``'s contract), so
+    ``A_s = A_-1 + (1 + s) D`` with ``D = 1/2 (A_1 - A_-1)``, and ``A_s`` has
+    a kernel exactly when ``mu = -1/(1 + s)`` is an eigenvalue of
+    ``A_-1^{-1} D`` (``A_-1`` is invertible past the endpoint guard).  One
+    ``eigvals`` gives every crossing time: the roots ``s`` in (-1, 1) within
+    ``TOL_TRACKING`` of the real axis (a double crossing may come out as a
+    complex pair a rounding error off it), roots closer than ``TOL_TRACKING``
+    merged.  At each time one ``eigh`` of ``A_{s*}`` gives the kernel
+    (eigenvalues below 1e-5 in modulus); the direction is minus the
+    signature of the crossing form ``eta^T D eta`` on it (Robbin-Salamon).
+    A kernel whose dimension is not the number of merged roots, or a
+    crossing form inside ``TOL_DEAD_ZONE``, is an eigenvalue touching zero
+    without a resolvable crossing and raises ``TrackingAmbiguity``.
 
-    Steps whose negative-eigenvalue counts differ are bisected until the
-    crossing is pinned to width 1e-10 (simultaneous multiple crossings are
-    recorded with their net direction).  Steps with equal counts are swept
-    for interior dips of the smallest |eigenvalue|; a midpoint whose count
-    differs from the ends splits the step into two halves, each refined once
-    like a crossing, while a dip that bottoms out below ``TOL_TRACKING``
-    without a sign change is an unresolvable touch and raises
-    ``TrackingAmbiguity``.  An even number of crossings hiding in
-    one grid cell without an interior dip at its midpoint is outside this
-    heuristic; the families used in practice have well-separated crossings.
+    Returns the crossings in order of s as dicts with the time ``s``, the
+    ``direction`` (change of the negative count) and the ``kernel`` basis as
+    columns, and the flow ``neg(A_1) - neg(A_-1)``.
     """
-    evals = {}
-
-    def eigs(s):
-        if s not in evals:
-            evals[s] = np.linalg.eigvalsh(_operator_matrix(family, s, order))
-        return evals[s]
-
-    for s_end in (-1.0, 1.0):
-        if _min_abs(eigs(s_end)) <= TOL_SPECTRAL_END:
+    a_minus, a_plus = family.operator_ends(order)
+    end_eigs = [np.linalg.eigvalsh(a) for a in (a_minus, a_plus)]
+    for s_end, eigs in zip((-1.0, 1.0), end_eigs):
+        if np.min(np.abs(eigs)) <= TOL_SPECTRAL_END:
             raise EndpointDegenerate(
                 f"family endpoint s = {s_end:+.0f} has an eigenvalue within"
                 f" {TOL_SPECTRAL_END:.0e} of zero"
             )
+    da = 0.5 * (a_plus - a_minus)
+    mu = np.linalg.eigvals(np.linalg.solve(a_minus, da))
+    times = -1.0 / mu[mu.real < -0.5] - 1.0
+    times = np.sort(times[np.abs(times.imag) < TOL_TRACKING].real)
+    clusters = np.split(times, np.flatnonzero(np.diff(times) >= TOL_TRACKING) + 1)
     crossings = []
-
-    def refine(a, b, depth):
-        na, nb = _neg_count(eigs(a)), _neg_count(eigs(b))
-        if na == nb:
-            return
-        if b - a <= 1e-10 or depth >= 60:
-            crossings.append({"s": 0.5 * (a + b), "direction": nb - na})
-            return
-        m = 0.5 * (a + b)
-        refine(a, m, depth + 1)
-        refine(m, b, depth + 1)
-
-    def sweep(a, b, depth):
-        """Look for even crossings inside a step with equal end counts."""
-        na, nb = _neg_count(eigs(a)), _neg_count(eigs(b))
-        m = 0.5 * (a + b)
-        if _neg_count(eigs(m)) != na:
-            refine(a, m, depth + 1)
-            refine(m, b, depth + 1)
-            return
-        dip = _min_abs(eigs(m))
-        if dip >= 1e-7 or dip >= min(_min_abs(eigs(a)), _min_abs(eigs(b))):
-            return
-        if dip < TOL_TRACKING or depth >= 40:
+    for cluster in clusters if times.size else ():
+        s_star = float(np.mean(cluster))
+        eigvals, eigvecs = np.linalg.eigh(_operator_matrix(family, s_star, order))
+        kernel = eigvecs[:, np.abs(eigvals) < 1e-5]
+        where = f" near s = {s_star:.6f}"
+        if kernel.shape[1] != cluster.size:
             raise TrackingAmbiguity(
-                f"eigenvalue touches zero near s = {m:.6f} without a resolvable"
-                " sign change; refine the s-grid"
+                f"eigenvalue touches zero{where} without a resolvable crossing"
+                f" ({cluster.size} pencil roots, kernel dimension {kernel.shape[1]})"
             )
-        sweep(a, m, depth + 1)
-        sweep(m, b, depth + 1)
-
-    base = np.linspace(-1.0, 1.0, 17)
-    for i in range(len(base) - 1):
-        a, b = float(base[i]), float(base[i + 1])
-        if _neg_count(eigs(a)) != _neg_count(eigs(b)):
-            refine(a, b, 0)
-        else:
-            sweep(a, b, 0)
-    crossings.sort(key=lambda c: c["s"])
-    # Merge records that refined to numerically identical parameter values
-    # (simultaneous crossings of a degenerate eigenvalue pair).
-    merged = []
-    for c in crossings:
-        if merged and c["s"] - merged[-1]["s"] < 1e-8:
-            merged[-1]["direction"] += c["direction"]
-        else:
-            merged.append(dict(c))
-    flow = _neg_count(eigs(1.0)) - _neg_count(eigs(-1.0))
-    return merged, flow
+        direction = -_signature(kernel.T @ da @ kernel, context=where, error=TrackingAmbiguity)
+        crossings.append({"s": s_star, "direction": direction, "kernel": kernel})
+    return crossings, _neg_count(end_eigs[1]) - _neg_count(end_eigs[0])
 
 
 def spectral_flow(family, order=None):
@@ -1086,12 +1048,14 @@ def verify_crossing_sign_lemma(family):
     """At each crossing of the operator family, compare the operator
     crossing form with the return-map crossing form.
 
-    For a kernel element eta of the truncated ``A_{s*}`` the operator form
-    is ``Gamma_A = eta^T (dA/ds) eta``, with the exact derivative
-    ``dA/ds = 1/2 (A_1 - A_-1)`` of the affine family; for ``v = eta(0)``
-    the return-map form is ``Gamma_Psi = omega0(v, d/ds Psi_s(1) v)`` where
-    ``Psi_s`` solves the path equation for ``S(s, .)``.  The two must have
-    opposite signs and agree in magnitude within relative 1e-4.
+    Every crossing of ``_locate_crossings`` brings an orthonormal basis of
+    the kernel of the truncated ``A_{s*}`` at its exact time ``s*``.  For
+    each basis vector eta the operator form is ``Gamma_A = eta^T (dA/ds)
+    eta``, with the exact derivative ``dA/ds = 1/2 (A_1 - A_-1)`` of the
+    affine family; for ``v = eta(0)`` the return-map form is ``Gamma_Psi =
+    omega0(v, d/ds Psi_s(1) v)`` where ``Psi_s`` solves the path equation
+    for ``S(s, .)``.  The two must have opposite signs and agree in
+    magnitude within relative 1e-4.
 
     A family with no crossings returns an empty report when its endpoint
     negative counts agree (nothing to check); ``NoCrossingFound`` is raised
@@ -1119,17 +1083,11 @@ def verify_crossing_sign_lemma(family):
     max_residual = 0.0
     for crossing in crossings:
         s_star = crossing["s"]
-        a_star = _operator_matrix(family, s_star, order)
-        eigvals, eigvecs = np.linalg.eigh(a_star)
-        kernel_idx = np.where(np.abs(eigvals) < 1e-5)[0]
-        if kernel_idx.size == 0:
-            kernel_idx = np.array([int(np.argmin(np.abs(eigvals)))])
         psi_plus = solve_path(family.path_at(s_star + h_path))
         psi_minus = solve_path(family.path_at(s_star - h_path))
         psi_star = solve_path(family.path_at(s_star))
         dpsi = (psi_plus.endpoint() - psi_minus.endpoint()) / (2.0 * h_path)
-        for idx in kernel_idx:
-            eta = eigvecs[:, idx]
+        for eta in crossing["kernel"].T:
             gamma_a = float(eta @ da @ eta)
             v = _eval_loop_at_zero(eta, family.n, order)
             kernel_residual = float(

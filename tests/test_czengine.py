@@ -666,7 +666,7 @@ def test_spectral_flow_samples_each_family_end_once():
     fam = AsymptoticFamily(func, n=1, fourier_order=16)
     spot_checks = calls
     assert spectral_flow(fam, order=16) == 1
-    # 256 quadrature points at each end; the march itself never samples S
+    # 256 quadrature points at each end; the crossing search never samples S
     assert calls - spot_checks <= 2 * 256
 
 
@@ -703,11 +703,11 @@ def test_spectral_flow_stable_under_refinement():
     assert spectral_flow(fam, order=16) == spectral_flow(fam, order=32)
 
 
-@pytest.mark.parametrize("c, sep", [(0.06, 0.01), (0.3, 0.04), (0.05, 0.03)])
+@pytest.mark.parametrize("c, sep", [(0.06, 0.01), (0.3, 0.04), (0.05, 0.03), (0.03, 0.02)])
 def test_two_crossings_in_one_grid_cell_are_recorded_once(c, sep):
     # diag(2pi + d + 10u, 2pi + d - 10u), u = s - c, has a two-dimensional
-    # kernel at u = -sep and at u = +sep, both inside one cell of the s-grid
-    # whose ends have equal negative counts; each must be recorded once
+    # kernel at u = -sep and at u = +sep, a pair of double crossings that
+    # cancel in the negative count; each must be recorded once
     d = math.sqrt(4.0 * math.pi**2 + (10.0 * sep) ** 2) - 2.0 * math.pi
 
     def func(s, t):
@@ -723,6 +723,73 @@ def test_two_crossings_in_one_grid_cell_are_recorded_once(c, sep):
     report = verify_crossing_sign_lemma(fam)
     assert report["failures"] == []
     assert report["instances"] == 6  # two simple crossings and two double ones
+
+
+def _near_touch_family(eps):
+    # det S(s, .) = eps - (s - 0.1)^2: two simple crossings 2 sqrt(eps) apart
+    # around s = 0.1, or an eigenvalue touching zero there when eps = 0
+    def func(s, t):
+        return np.array([[eps, s - 0.1], [s - 0.1, 1.0]])
+
+    return AsymptoticFamily(func, n=1, fourier_order=8)
+
+
+def test_close_crossing_pair_is_found():
+    crossings, flow = czengine._locate_crossings(_near_touch_family(1e-6), 8)
+    assert [cr["direction"] for cr in crossings] == [1, -1]
+    assert [cr["s"] for cr in crossings] == pytest.approx([0.099, 0.101], abs=1e-9)
+    assert flow == 0
+
+
+def test_touch_without_crossing_is_tracking_ambiguity():
+    with pytest.raises(czengine.TrackingAmbiguity, match="near s = 0.100000"):
+        czengine._locate_crossings(_near_touch_family(0.0), 8)
+
+
+def _crossing_direction_families():
+    families = [("canonical", cli.canonical_flow_family()), ("resonance", cli.resonance_family())]
+    for seed in (2026, 2027):
+        families += [(f"{seed}-{i}", fam)
+                     for i, (fam, _c0, _c1) in enumerate(cli.seeded_flow_families(seed, 8))]
+    return families
+
+
+@pytest.mark.parametrize("k", [16, 32])
+def test_crossing_direction_is_the_change_of_negative_count(k):
+    delta = 1e-7
+    checked = 0
+    for name, fam in _crossing_direction_families():
+        crossings, flow = czengine._locate_crossings(fam, k)
+        assert sum(cr["direction"] for cr in crossings) == flow, name
+        for cr in crossings:
+            below, above = (
+                czengine._neg_count(np.linalg.eigvalsh(czengine._operator_matrix(fam, s, k)))
+                for s in (cr["s"] - delta, cr["s"] + delta)
+            )
+            assert cr["direction"] == above - below, (name, cr["s"])
+            assert cr["kernel"].shape[1] >= abs(cr["direction"]), (name, cr["s"])
+            checked += 1
+    assert checked >= 10
+
+
+def _seed_285():
+    ((fam, cz0, cz1),) = cli.seeded_flow_families(285, 1)
+    return fam, cz0, cz1
+
+
+@pytest.mark.parametrize("k", [16, 32])
+def test_seed_285_flow_equals_rotation_index_difference(k):
+    fam, _cz0, _cz1 = _seed_285()
+    rot0, rot1 = (rotation_cz_sp2(solve_path(fam.path_at(s)))[1] for s in (-1.0, 1.0))
+    assert (rot0, rot1) == (0, 0)
+    assert spectral_flow(fam, order=k) == rot1 - rot0
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="ROADMAP item 1: first-cell crossing miss at s = -1")
+def test_seed_285_crossing_form_reference_matches_rotation_index():
+    _fam, cz0, cz1 = _seed_285()
+    assert (cz0, cz1) == (0, 0)
 
 
 # ---------------------------------------------------------------------------
