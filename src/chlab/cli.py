@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -386,7 +387,9 @@ def cmd_verify(which, opts, fmt):
 # argument parsing
 
 
+@functools.cache
 def _build_parser():
+    """The argparse tree, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="chlab",
         description="Filtered contact homology of spherical space forms: "

@@ -49,11 +49,14 @@ Flow lines and the weighted complex
 -----------------------------------
 Trajectories between consecutive-index critical points are found by
 displacing 1e-4 along the saddle's Hessian eigen-directions and integrating
-the (plus or minus) gradient with a fourth-order tangent-space stepper and
-re-projection to the sphere, declaring convergence within 1e-6 of a critical
-point.  The H-action permutes trajectories; quotient classes give the
-downstairs counts, and each class carries the integer weight
-|H_p| / |H_x| (source isotropy over trajectory stabilizer).
+the (plus or minus) unit-speed gradient flow with an error-controlled
+Dormand-Prince 5(4) pair, every stage re-projected to the sphere, declaring
+convergence within 1e-6 of a critical point.  The H-action permutes
+trajectories, and the endpoints are certified to follow: the trajectory from
+the image of a seed under a rotation R must end at R's image of the seed's
+endpoint.  Quotient classes give the downstairs counts, and each class
+carries the integer weight |H_p| / |H_x| (source isotropy over trajectory
+stabilizer).
 
 Index-1 critical points with order-2 isotropy are non-orientable downstairs
 (the isotropy involution acts on the unstable direction by -1), so the
@@ -118,9 +121,13 @@ SEED_DISPLACEMENT = 1e-4
 TOL_CONVERGENCE = 1e-6
 #: chordal distance at which an endpoint Newton snap is attempted
 SNAP_RADIUS = 5e-4
-#: hard cap on integrator steps per batch before giving up
+#: largest accepted local error of one flow step (embedded 5(4) estimate), far
+#: below SNAP_RADIUS so no step can carry a trajectory into a wrong basin
+TOL_STEP = 1e-7
+#: hard cap on attempted (accepted or rejected) flow steps per batch
 STEP_LIMIT = 20_000
-#: arc-length step of the unit-speed integrator (shrunk near the targets)
+#: initial arc-length step of the unit-speed flow; the error control adapts
+#: it per trajectory, and 1e-2 STEP_BASE floors the near-target cap
 STEP_BASE = 2e-3
 
 
@@ -549,55 +556,83 @@ def _resolve_kind_name(spec, kind):
     raise KeyError(f"{spec.label}: no orbifold point named {name!r}")
 
 
+# Dormand-Prince 5(4) tableau (J. Comput. Appl. Math. 6, 1980): the stage
+# rows, the last of which is the fifth-order solution, so its stage is the
+# first of the next step; and the fifth-minus-fourth-order error weights
+_DP_A = tuple(np.array(row) for row in (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+))
+_DP_E = np.array(
+    (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40))
+
+
 def _integrate_batch(func, seeds, sign, target_points):
-    """March every seed along the unit gradient flow until it hits a target.
+    """Follow every seed along the unit gradient flow until it reaches a target.
 
     The normalized field sign*grad/|grad| traces the same flow lines at unit
-    speed, so progress never stalls where the gradient is weak; the
-    arc-length step shrinks near the targets so a trajectory cannot hop over
-    its destination.  Once a seed comes within SNAP_RADIUS of a target it is
+    speed, so progress never stalls where the gradient is weak.  Each row
+    takes Dormand-Prince 5(4) steps on the sphere (every stage re-projected,
+    the last stage reused as the next step's first) with its own step size:
+    a step is accepted when its embedded error estimate is at most TOL_STEP,
+    and it never exceeds a quarter of the remaining distance to the nearest
+    target (floored at 1e-2 STEP_BASE), so a trajectory cannot hop over its
+    destination.  Once a seed comes within SNAP_RADIUS of a target it is
     finished by Newton iteration (the linear basin), which must land within
     TOL_CONVERGENCE of that target.  Returns the endpoint indices.  Raises
-    NonConvergentTrajectory when the step budget runs out or a snap lands
-    elsewhere.
+    NonConvergentTrajectory when STEP_LIMIT attempted steps run out or a
+    snap lands elsewhere.
     """
     x = np.array(seeds, dtype=float)
-    n = len(x)
-    endpoints = np.full(n, -1, dtype=int)
-    active = np.ones(n, dtype=bool)
     targets = np.asarray(target_points, dtype=float)
+    endpoints = np.full(len(x), -1, dtype=int)
 
     def field_at(pts):
         g = func.gradient(pts)
         speed = np.linalg.norm(g, axis=-1, keepdims=True)
         return sign * g / np.maximum(speed, 1e-15)
 
-    steps = 0
-    while np.any(active):
-        if steps >= STEP_LIMIT:
-            stuck = [tuple(np.round(row, 6)) for row in x[active]][:3]
-            raise NonConvergentTrajectory(
-                f"{func.spec.label}: {int(active.sum())} trajectories unresolved after "
-                f"{STEP_LIMIT} steps (sample positions {stuck})")
-        idx = np.nonzero(active)[0]
-        cur = x[idx]
-        dist = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * cur @ targets.T))
-        near = np.min(dist, axis=1)
-        # step at most a quarter of the remaining distance once close
-        h = STEP_BASE * np.clip(near[:, None] / (4.0 * STEP_BASE), 1e-2, 1.0)
-        k1 = field_at(cur)
-        k2 = field_at(_normalize(cur + 0.5 * h * k1))
-        k3 = field_at(_normalize(cur + 0.5 * h * k2))
-        k4 = field_at(_normalize(cur + h * k3))
-        cur = _normalize(cur + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        x[idx] = cur
-        steps += 1
-        dist = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * cur @ targets.T))
+    def nearest(pts):
+        dist = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * pts @ targets.T))
         which = np.argmin(dist, axis=1)
-        snap = np.nonzero(np.min(dist, axis=1) < SNAP_RADIUS)[0]
-        if snap.size == 0:
+        return which, dist[np.arange(len(pts)), which]
+
+    # the rows still moving: their seed index, position, first stage, next
+    # step size and distance to the nearest target
+    idx = np.arange(len(x))
+    k_first = field_at(x)
+    h = np.full(len(x), STEP_BASE)
+    _, near = nearest(x)
+    steps = 0
+    while idx.size:
+        if steps >= STEP_LIMIT:
+            stuck = [tuple(np.round(row, 6)) for row in x][:3]
+            raise NonConvergentTrajectory(
+                f"{func.spec.label}: {idx.size} trajectories unresolved after "
+                f"{STEP_LIMIT} steps (sample positions {stuck})")
+        step = np.minimum(h, np.maximum(0.25 * near, 1e-2 * STEP_BASE))
+        stages = np.empty((7, idx.size, 3))
+        stages[0] = k_first
+        flat = stages.reshape(7, -1)
+        for j, row in enumerate(_DP_A, start=1):
+            moved = _normalize(x + step[:, None] * (row @ flat[:j]).reshape(-1, 3))
+            stages[j] = field_at(moved)
+        # `moved` is now the fifth-order point and stages[6] the field there
+        error = step * np.linalg.norm((_DP_E @ flat).reshape(-1, 3), axis=-1)
+        h = step * np.clip(0.9 * (TOL_STEP / np.maximum(error, 1e-300)) ** 0.2, 0.2, 5.0)
+        accepted = error <= TOL_STEP
+        x[accepted] = moved[accepted]
+        k_first[accepted] = stages[6, accepted]
+        steps += 1
+        which, near = nearest(x)
+        snap = near < SNAP_RADIUS
+        if not np.any(snap):
             continue
-        refined, converged = _newton_refine(func, cur[snap], iters=30)
+        refined, converged = _newton_refine(func, x[snap], iters=30)
         tgt = targets[which[snap]]
         missed = ~converged | (np.linalg.norm(refined - tgt, axis=-1) > TOL_CONVERGENCE)
         if np.any(missed):
@@ -605,7 +640,8 @@ def _integrate_batch(func, seeds, sign, target_points):
                 f"{func.spec.label}: endpoint snap near {tuple(np.round(tgt[np.argmax(missed)], 6))} "
                 f"failed to converge")
         endpoints[idx[snap]] = which[snap]
-        active[idx[snap]] = False
+        keep = ~snap
+        idx, x, k_first, h, near = idx[keep], x[keep], k_first[keep], h[keep], near[keep]
     return endpoints
 
 
@@ -626,7 +662,8 @@ def count_flow_lines(func, source, target):
     Morse index does not drop by exactly one the count is empty.  Otherwise
     each saddle is seeded 1e-4 along its unstable (descending pairs) or
     stable (ascending pairs) eigen-directions; trajectories are integrated
-    to convergence and then grouped into H-orbit classes with their
+    to convergence, their endpoints certified to be permuted with the seeds
+    by every rotation, and then grouped into H-orbit classes with their
     isotropy weights.
     """
     spec = func.spec
@@ -639,8 +676,8 @@ def count_flow_lines(func, source, target):
     saddle_kind = src if src.morse_index == 1 else tgt
     far_kind = tgt if src.morse_index == 1 else src
     descending = src.morse_index == 1  # saddle -> minimum, following -grad
-    far_targets = [c for c in crits if c.kind.name == far_kind.name]
-    target_points = np.array([c.point for c in far_targets])
+    far_crit = np.array([ci for ci, crit in enumerate(crits) if crit.kind.name == far_kind.name])
+    target_points = np.array([crits[ci].point for ci in far_crit])
 
     eig_slot = 0 if descending else 1  # unstable (negative) vs stable eigenvalue
     saddles = [ci for ci, crit in enumerate(crits) if crit.kind.name == saddle_kind.name]
@@ -669,9 +706,16 @@ def count_flow_lines(func, source, target):
     if not np.all(hits[0] | hits[1]):
         raise NonConvergentTrajectory(
             f"{spec.label}: rotation did not permute the trajectory seeds")
+    image_seed = np.where(hits[0], first, first + 1)
+    # R maps the trajectory from a seed to the one from its image seed, so
+    # that one must end at R's image of the first one's endpoint
+    end_crit = far_crit[endpoints]
+    if not np.array_equal(end_crit[image_seed], perms[:, end_crit]):
+        raise NonConvergentTrajectory(
+            f"{spec.label}: rotation did not permute the trajectory endpoints")
     # the rotations form a group, so the images of a seed are its orbit;
     # label each orbit by its smallest seed
-    orbit_min = np.where(hits[0], first, first + 1).min(axis=0)
+    orbit_min = image_seed.min(axis=0)
     _, class_of, class_sizes = np.unique(orbit_min, return_inverse=True, return_counts=True)
 
     order = len(func.rotations)
@@ -691,7 +735,7 @@ def count_flow_lines(func, source, target):
     trajectories = []
     for ti, ci in enumerate(seed_crit):
         saddle_pt = crits[ci].point
-        far_pt = far_targets[endpoints[ti]].point
+        far_pt = crits[end_crit[ti]].point
         start, end = (saddle_pt, far_pt) if descending else (far_pt, saddle_pt)
         trajectories.append(Trajectory(start=start, end=end, orbit_class=int(class_of[ti])))
 

@@ -390,6 +390,26 @@ def test_verify_morse_unpermuted_trajectory_seeds_is_numeric_abort(capsys, monke
     assert err == ""
 
 
+def test_verify_morse_unpermuted_trajectory_endpoints_is_numeric_abort(capsys, monkeypatch):
+    # swapping the endpoints of one saddle's two seeds breaks the symmetry:
+    # the rotated seeds of the other saddles still end where they did
+    real = morse._integrate_batch
+
+    def swapped(*args):
+        endpoints = real(*args)
+        assert endpoints[0] != endpoints[1]
+        endpoints[[0, 1]] = endpoints[[1, 0]]
+        return endpoints
+
+    monkeypatch.setattr(morse, "_integrate_batch", swapped)
+    code, out, err = run_cli(capsys, "verify", "morse", "-g", "D:3")
+    assert code == 3
+    aborts = [line for line in out.splitlines() if line.startswith("morse: ABORT (")]
+    assert aborts == ["morse: ABORT (D:3: rotation did not permute the trajectory endpoints)"]
+    assert "verify morse: NUMERIC ABORT" in out
+    assert err == ""
+
+
 @pytest.mark.parametrize("command", ["orbits", "homology"])
 def test_library_assertion_is_violation(capsys, monkeypatch, command):
     # a library check of a mathematical statement (an AssertionError

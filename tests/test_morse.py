@@ -13,7 +13,7 @@ from chlab.morse import (
     orbifold_complex,
     seifert_index_check,
 )
-from chlab.orbits import make_orbit
+from chlab.orbits import base_table, make_orbit
 
 BATTERY = tuple(f"C:{n}" for n in range(2, 13)) + tuple(
     f"D:{n}" for n in range(2, 9)
@@ -177,14 +177,27 @@ def test_hypothetical_composite_weight():
     assert w21 * w10 == 6
 
 
-def test_trajectories_cover_every_seed():
-    func = build_invariant_morse("T")
-    flows = count_flow_lines(func, "Face", "Edge")
-    assert len(flows.trajectories) == flows.upstairs > 0
-    for traj in flows.trajectories:
-        for endpoint in (traj.start, traj.end):
-            assert abs(np.linalg.norm(np.asarray(endpoint)) - 1.0) < 1e-6
-        assert 0 <= traj.orbit_class < flows.downstairs
+# D:64 is where the error control rejects steps
+@pytest.mark.parametrize("label", ["T", "I", "D:64"])
+def test_trajectories_cover_every_seed(label):
+    func = build_invariant_morse(label)
+    crits = {cp.point: cp for cp in find_critical_points(func)}
+    names = {e.morse_index: e.name for e in base_table(func.spec)}
+    for hi, lo in ((2, 1), (1, 0)):
+        flows = count_flow_lines(func, names[hi], names[lo])
+        assert len(flows.trajectories) == flows.upstairs > 0
+        for traj in flows.trajectories:
+            for endpoint in (traj.start, traj.end):
+                assert abs(np.linalg.norm(np.asarray(endpoint)) - 1.0) < 1e-6
+            assert (crits[traj.start].index, crits[traj.end].index) == (hi, lo)
+            assert 0 <= traj.orbit_class < flows.downstairs
+
+
+def test_step_budget_exhaustion_is_nonconvergent(monkeypatch):
+    func = build_invariant_morse("D:3")
+    monkeypatch.setattr(morse, "STEP_LIMIT", 1)
+    with pytest.raises(morse.NonConvergentTrajectory, match="unresolved after 1 steps"):
+        count_flow_lines(func, "Saddle", "Minus")
 
 
 # ---------------------------------------------------------------------------
