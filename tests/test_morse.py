@@ -177,20 +177,20 @@ def test_hypothetical_composite_weight():
     assert w21 * w10 == 6
 
 
-# D:64 is where the error control rejects steps
-@pytest.mark.parametrize("label", ["T", "I", "D:64"])
-def test_trajectories_cover_every_seed(label):
-    func = build_invariant_morse(label)
-    crits = {cp.point: cp for cp in find_critical_points(func)}
-    names = {e.morse_index: e.name for e in base_table(func.spec)}
-    for hi, lo in ((2, 1), (1, 0)):
-        flows = count_flow_lines(func, names[hi], names[lo])
-        assert len(flows.trajectories) == flows.upstairs > 0
-        for traj in flows.trajectories:
-            for endpoint in (traj.start, traj.end):
-                assert abs(np.linalg.norm(np.asarray(endpoint)) - 1.0) < 1e-6
-            assert (crits[traj.start].index, crits[traj.end].index) == (hi, lo)
-            assert 0 <= traj.orbit_class < flows.downstairs
+def test_trajectories_cover_every_seed():
+    # D:64 is where the error control rejects steps
+    for label in ("T", "I", "D:64"):
+        func = build_invariant_morse(label)
+        crits = {cp.point: cp for cp in find_critical_points(func)}
+        names = {e.morse_index: e.name for e in base_table(func.spec)}
+        for hi, lo in ((2, 1), (1, 0)):
+            flows = count_flow_lines(func, names[hi], names[lo])
+            assert len(flows.trajectories) == flows.upstairs > 0
+            for traj in flows.trajectories:
+                for endpoint in (traj.start, traj.end):
+                    assert abs(np.linalg.norm(np.asarray(endpoint)) - 1.0) < 1e-6
+                assert (crits[traj.start].index, crits[traj.end].index) == (hi, lo)
+                assert 0 <= traj.orbit_class < flows.downstairs
 
 
 def test_step_budget_exhaustion_is_nonconvergent(monkeypatch):
