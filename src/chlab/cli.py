@@ -66,10 +66,13 @@ DEFAULT_TOLERANCE = 1e-3
 
 def format_formal(x):
     """Render a formal scalar as 'a', 'a + b·eps', or 'a - b·eps'."""
-    if x.b == 0:
+    # str(abs(b)) built from b's integer parts: this runs twice per table row
+    num, den = x.b.numerator, x.b.denominator
+    if num == 0:
         return str(x.a)
-    sign = "+" if x.b > 0 else "-"
-    return f"{x.a} {sign} {abs(x.b)}·eps"
+    sign, num = ("+", num) if num > 0 else ("-", -num)
+    mag = num if den == 1 else f"{num}/{den}"
+    return f"{x.a} {sign} {mag}·eps"
 
 
 def _markdown_table(headers, rows):
@@ -105,6 +108,9 @@ def cmd_orbits(group, levels, fmt):
     # enumerate_orbits lists base by base, then by multiplicity, so a stable
     # sort by grading orders the rows by (grading, base, k)
     rows = sorted(orbits.enumerate_orbits(spec, levels), key=lambda o: o.grading)
+    if fmt == "json":
+        return _json_text("orbits", group=spec.label, levels=levels, count=len(rows),
+                          rows=[orbits.orbit_row(o) for o in rows]), 0
     headers = ("grading", "name", "base", "k", "type", "good",
                "action/pi", "rotation", "cz", "class", "contractible")
     table = [
@@ -114,9 +120,6 @@ def cmd_orbits(group, levels, fmt):
          "yes" if o.contractible else "no")
         for o in rows
     ]
-    if fmt == "json":
-        return _json_text("orbits", group=spec.label, levels=levels, count=len(rows),
-                          rows=[orbits.orbit_row(o) for o in rows]), 0
     if fmt == "csv":
         return _csv_text(headers, table), 0
     title = f"Closed orbits of {spec.label} below the level-{levels} threshold ({len(rows)} rows)"

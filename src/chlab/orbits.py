@@ -58,8 +58,9 @@ class FormalScalar:
     __slots__ = ("a", "b")
 
     def __init__(self, a, b=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        # a Fraction is immutable, so one handed in is kept as it is
+        self.a = a if type(a) is Fraction else Fraction(a)
+        self.b = b if type(b) is Fraction else Fraction(b)
 
     @staticmethod
     def _coerce(x):
@@ -164,6 +165,7 @@ def _spec(spec):
     return parse_group_spec(spec) if isinstance(spec, str) else spec
 
 
+@lru_cache(maxsize=None)
 def base_table(spec):
     """The base data in serialization order (minimum, saddle, maximum)."""
     spec = _spec(spec)
@@ -226,23 +228,23 @@ def action_threshold(spec, N):
 
 
 def _action_of(base, k):
-    a = Fraction(2 * k, base.cov)
-    return FormalScalar(a, base.sign * a)
+    return FormalScalar(Fraction(2 * k, base.cov), Fraction(2 * base.sign * k, base.cov))
 
 
 def _rotation_of(base, k):
-    return FormalScalar(Fraction(2 * k, base.cov), base.sign * Fraction(k, base.cov))
+    return FormalScalar(Fraction(2 * k, base.cov), Fraction(base.sign * k, base.cov))
 
 
 def _cz_closed(base, k):
-    ratio = Fraction(2 * k, base.cov)
+    # 2*ceil(2k/cov) - 1 over a minimum, 2*floor(2k/cov) + 1 over a maximum
+    # and 2*(2k/cov) over a saddle, in integer arithmetic
     if base.sign < 0:
-        return 2 * math.ceil(ratio) - 1
+        return 2 * -(-2 * k // base.cov) - 1
     if base.sign > 0:
-        return 2 * math.floor(ratio) + 1
-    if ratio.denominator not in (1, 2):
+        return 2 * (2 * k // base.cov) + 1
+    if 4 * k % base.cov:
         raise AssertionError(f"saddle rotation 2*{k}/{base.cov} is not half-integral")
-    return int(2 * ratio)
+    return 4 * k // base.cov
 
 
 def _classify(base, k):
@@ -344,19 +346,23 @@ def _validate_class_tables(kind, n):
 
 
 def make_orbit(spec, base, k):
-    """Assemble the full orbit record for the k-th iterate over a base."""
+    """The orbit record for the k-th iterate over a base, built afresh.
+
+    Validates the lift tables like ``enumerate_orbits`` but keeps nothing:
+    its callers want a handful of single records, and tables come from the
+    per-(group, base) lists that ``enumerate_orbits`` keeps.
+    """
     spec = _spec(spec)
     if isinstance(base, str):
         base = _base_by_name(spec, base)
     if k < 1:
         raise ValueError(f"multiplicity must be >= 1, got {k}")
     _validate_class_tables(spec.kind, spec.n)
-    return _orbit_record(spec, base, k)
+    return _orbit_record(spec, base, OrbifoldPointKind(base.name, base.isotropy), k)
 
 
-@lru_cache(maxsize=None)
-def _orbit_record(spec, base, k):
-    """The exact arithmetic of ``make_orbit``, computed once per (spec, base, k)."""
+def _orbit_record(spec, base, kind, k):
+    """The exact arithmetic of one orbit record; kind is the base's point kind."""
     rotation = _rotation_of(base, k)
     cz = formal_floor(rotation) + formal_ceil(rotation)
     closed = _cz_closed(base, k)
@@ -367,7 +373,7 @@ def _orbit_record(spec, base, k):
     orbit_type, good = _classify(base, k)
     return ReebOrbit(
         group=spec,
-        base=OrbifoldPointKind(base.name, base.isotropy),
+        base=kind,
         k=k,
         action=_action_of(base, k),
         rotation=rotation,
@@ -378,6 +384,17 @@ def _orbit_record(spec, base, k):
         class_label=_class_label(spec, base.name, k),
         contractible=(k % base.cov == 0),
     )
+
+
+@lru_cache(maxsize=None)
+def _orbit_family(spec, base):
+    """The base's point kind and its orbit records for k = 1, 2, ..., in order.
+
+    One list per (group, base), kept for the life of the process;
+    ``enumerate_orbits`` grows it to the largest multiplicity asked for so
+    far and hands out copies of its prefixes, so every record is built once.
+    """
+    return OrbifoldPointKind(base.name, base.isotropy), []
 
 
 def _max_multiplicity(spec, base, N):
@@ -393,9 +410,14 @@ def _max_multiplicity(spec, base, N):
 
 
 def enumerate_orbits(spec, N):
-    """All orbits with action below L_N, ordered by base then multiplicity."""
+    """All orbits with action below L_N, ordered by base then multiplicity.
+
+    The lift tables are validated on every call; the records are slices of
+    the process-lifetime lists of ``_orbit_family``.
+    """
     spec = _spec(spec)
     limit = action_threshold(spec, N)
+    _validate_class_tables(spec.kind, spec.n)
     out = []
     for base in base_table(spec):
         k_max = _max_multiplicity(spec, base, N)
@@ -405,7 +427,10 @@ def enumerate_orbits(spec, N):
             raise AssertionError(
                 f"{spec.label}/{base.name}: the threshold does not fall between "
                 f"k={k_max} and k={k_max + 1}, the closed range's end")
-        out.extend(make_orbit(spec, base, k) for k in range(1, k_max + 1))
+        kind, family = _orbit_family(spec, base)
+        family.extend(_orbit_record(spec, base, kind, k)
+                      for k in range(len(family) + 1, k_max + 1))
+        out.extend(family[:k_max])
     return out
 
 

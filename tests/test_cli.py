@@ -4,6 +4,7 @@ byte-for-byte determinism."""
 
 import csv
 import dataclasses
+import hashlib
 import importlib
 import io
 import json
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 import chlab
-from chlab import cli, czengine, groups, homology, morse, orbits
+from chlab import cli, czengine, groups, homology, morse
 
 
 def run_cli(capsys, *argv):
@@ -323,17 +324,6 @@ def test_orbits_library_assertion_is_violation(capsys, monkeypatch, error):
     assert err == ""
 
 
-@pytest.fixture
-def fresh_groups():
-    """Rebuild groups and their lift checks for the test, and drop them after."""
-    def clear():
-        groups._closed_group.cache_clear()
-        orbits._validate_class_tables.cache_clear()
-    clear()
-    yield
-    clear()
-
-
 def test_fixed_point_clustering_failure_is_numeric_abort(capsys, monkeypatch, fresh_groups):
     # with a zero clustering tolerance no rotation is seen to fix any
     # point, so the tetrahedral edge orbit cannot be found
@@ -485,6 +475,30 @@ def test_format_formal():
     assert cli.format_formal(FormalScalar(Fraction(5, 3), 0)) == "5/3"
     assert cli.format_formal(FormalScalar(2, Fraction(1, 6))) == "2 + 1/6·eps"
     assert cli.format_formal(FormalScalar(2, Fraction(-1, 6))) == "2 - 1/6·eps"
+    assert cli.format_formal(FormalScalar(Fraction(1, 3), 1)) == "1/3 + 1·eps"
+    assert cli.format_formal(FormalScalar(Fraction(1, 3), -1)) == "1/3 - 1·eps"
+    assert cli.format_formal(FormalScalar(3, 4)) == "3 + 4·eps"
+    assert cli.format_formal(FormalScalar(Fraction(-7, 4), Fraction(-2, 5))) == "-7/4 - 2/5·eps"
+    assert cli.format_formal(FormalScalar(-3, 0)) == "-3"
+
+
+# sha256 of the stdout of `chlab orbits`, recorded before the orbit records
+# and their rendering were last reworked; any change to a byte shows here
+ORBIT_TABLE_DIGESTS = {
+    ("D:7", "3", "markdown"): "105ca8527bb99872750beed8762e866e42fb8bacbe87ebc30187021cab88d50d",
+    ("D:7", "3", "csv"): "53382afe5c5c36cbeaa85c7cbbc7f1d8524faa933f86d1b86ff531b23d4cfbca",
+    ("D:7", "3", "json"): "916e546e60cca264a805475d6f4917b06365e271d461a99cabb67a4d71a1f7cf",
+    ("T", "2", "markdown"): "1b57810db6472cbaced8c0a4b7f7862d4fb469fa6b5aeccecf4ce1935363648a",
+    ("T", "2", "csv"): "e7a6c4480c5b4605fa421ec499631aebc571f62313b5cf9f83c4344ab9525ba7",
+    ("T", "2", "json"): "1144993f8426c37beaf8809df67192c5eb0e6e3a1cb6fac09ef4249aec3a4c1c",
+}
+
+
+def test_orbit_tables_match_pinned_digests(capsys):
+    for (group, levels, fmt), digest in ORBIT_TABLE_DIGESTS.items():
+        code, out, err = run_cli(capsys, "orbits", "-g", group, "-N", levels, "-f", fmt)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (group, levels, fmt)
 
 
 def test_version_flag(capsys):

@@ -6,10 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+from chlab import groups, orbits as orbits_module
+from chlab.groups import AmbiguousLabel
 from chlab.orbits import (
     FormalScalar,
     MonotonicityViolation,
     action_threshold,
+    base_table,
     classify,
     covering_multiplicity,
     cz_index,
@@ -120,6 +123,35 @@ def test_enumeration_ranges_polyhedral(label, iv):
         for base, top in (("Vertex", 2 * N * iv - 1), ("Edge", 4 * N - 1), ("Face", 6 * N - 1)):
             ks = sorted(o.k for o in orbits if o.base.name == base)
             assert ks == list(range(1, top + 1))
+
+
+def _single_records(label, N):
+    return [make_orbit(label, base, k) for base in base_table(label)
+            for k in range(1, orbits_module._max_multiplicity(label, base, N) + 1)]
+
+
+def test_enumeration_slices_match_single_records_in_any_order():
+    labels = ("C:7", "D:5", "T", "O")
+    levels = (4, 1, 3, 2)  # the first query grows each family to its end
+    orbits_module._orbit_family.cache_clear()
+    descending = {(label, N): enumerate_orbits(label, N) for label in labels for N in levels}
+    orbits_module._orbit_family.cache_clear()
+    for label in labels:
+        for N in sorted(levels):
+            ascending = enumerate_orbits(label, N)
+            assert ascending == descending[label, N] == _single_records(label, N)
+
+
+def test_record_lists_never_skip_the_lift_check(monkeypatch, fresh_groups):
+    enumerate_orbits("T", 2)  # T's record lists now reach past level 1
+    groups._closed_group.cache_clear()
+    orbits_module._validate_class_tables.cache_clear()
+    # with a zero clustering tolerance the tetrahedral edge orbit is not found
+    monkeypatch.setattr(groups, "TOL_POINT", 0.0)
+    with pytest.raises(AmbiguousLabel, match="single order-2 orbit"):
+        enumerate_orbits("T", 1)
+    with pytest.raises(AmbiguousLabel, match="single order-2 orbit"):
+        make_orbit("T", "Edge", 1)
 
 
 def test_all_enumerated_actions_lie_below_threshold():
