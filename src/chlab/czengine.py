@@ -51,6 +51,7 @@ __all__ = [
     "standard_j",
     "omega0",
     "solve_path",
+    "solve_paths",
     "crossing_records",
     "cz_crossing_form",
     "rotation_cz_sp2",
@@ -185,11 +186,11 @@ class SymmetricPath:
         return self.values.shape[0]
 
     def at(self, t):
-        """Evaluate S(t); exact when an evaluator is attached.  A grid node
-        returns its stored sample."""
+        """Evaluate S(t); exact when an evaluator is attached, which then
+        also takes an array of times if ``func`` does.  A grid node returns
+        its stored sample."""
         if self.func is not None:
-            s = np.asarray(self.func(t), dtype=float)
-            return 0.5 * (s + s.T)
+            return _symmetrized(np.asarray(self.func(t), dtype=float))
         m = self.samples
         x = float(t) * (m - 1)
         i = min(max(math.floor(x), 0), m - 1)
@@ -218,6 +219,18 @@ class SymmetricPath:
 
 def _symmetrized(a):
     return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
+def _constant_generator(s, samples=DEFAULT_SAMPLES):
+    """The constant generator path t -> s: its node and midpoint stacks are
+    read-only broadcasts of one symmetrized matrix, with no evaluator call."""
+    s = _symmetrized(np.asarray(s, dtype=float))
+    samples = max(int(samples), MIN_SAMPLES)
+    return SymmetricPath(
+        np.broadcast_to(s, (samples,) + s.shape),
+        func=lambda t: s,
+        mids=np.broadcast_to(s, (samples - 1,) + s.shape),
+    )
 
 
 def _midpoint_times(ts):
@@ -321,7 +334,11 @@ class AsymptoticFamily:
     exactly on the sample grid, and must be the straight line between its
     ends: ``S(s, t) = 1/2 (1 - s) S(-1, t) + 1/2 (1 + s) S(1, t)``.  The
     constructor spot-checks all three (affinity at s = -1/2, 0, 1/2 to
-    relative 1e-12) and raises ``ValueError`` otherwise.  ``fourier_order``
+    relative 1e-12) and raises ``ValueError`` otherwise.  The ends are
+    sampled with one call per end and grid, ``func(end, times)`` for a 1-D
+    array of times, which must return the stack of the pointwise values
+    bit for bit, shape ``(len(times), 2n, 2n)``; a family constant in t may
+    return its one matrix instead, which is broadcast.  ``fourier_order``
     fixes the truncation used when the family is turned into self-adjoint
     operators ``A_s = -J0 d/dt - S(s, .)`` acting on loops; by affinity
     ``A_s = 1/2 (1 - s) A_-1 + 1/2 (1 + s) A_1``, so only the two ends are
@@ -366,15 +383,20 @@ class AsymptoticFamily:
         if samples not in self._grid_ends:
             ts = np.linspace(0.0, 1.0, samples)
             times = np.concatenate([ts, _midpoint_times(ts)])
-            self._grid_ends[samples] = tuple(
-                np.stack([np.asarray(self.func(end, t), dtype=float) for t in times])
-                for end in (-1.0, 1.0)
-            )
+            self._grid_ends[samples] = (self._end_samples(-1.0, times),
+                                        self._end_samples(1.0, times))
         lo, hi = self._grid_ends[samples]
         stack = _symmetrized(0.5 * (1.0 - s) * lo + 0.5 * (1.0 + s) * hi)
         return SymmetricPath(
             stack[:samples], func=lambda t: self.func(s, t), mids=stack[samples:]
         )
+
+    def _end_samples(self, end, times):
+        """``S(end, t)`` at every time of the 1-D array ``times``, from one
+        call of ``func``, as a ``(len(times), 2n, 2n)`` stack."""
+        d = 2 * self.n
+        values = np.asarray(self.func(end, times), dtype=float)
+        return np.broadcast_to(values, (len(times), d, d))
 
     def operator_ends(self, order):
         """The Galerkin operators ``(A_-1, A_1)`` at truncation ``order``,
@@ -401,25 +423,41 @@ def _rk4_increment(a0, a_mid, a1, h):
     return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def solve_path(generator):
-    """Integrate Phi' = J0 S(t) Phi, Phi(0) = Id with one-step Runge-Kutta.
+def solve_paths(generators):
+    """Integrate Phi' = J0 S(t) Phi, Phi(0) = Id with one-step Runge-Kutta
+    for every generator of a list, all on one grid and of one dimension
+    (``ValueError`` otherwise); returns the paths in order.
 
-    The increments of all grid cells are built in one batched expression
-    from the node and midpoint samples of S; only chaining them,
-    ``Phi_{i+1} = Phi_i + D_i Phi_i``, runs step by step.  No
-    re-orthonormalization is applied: the symplecticity drift is kept as an
-    accuracy witness and ``DriftExceeded`` is raised if it passes
+    The increments of all grid cells of all paths are built in one batched
+    expression from the node and midpoint samples of S; only chaining them,
+    ``Phi_{i+1} = Phi_i + D_i Phi_i``, runs step by step, once for the
+    whole stack of paths.  A stacked matrix product computes each matrix as
+    the single product does, so every path is bit for bit the one solved
+    alone.  No re-orthonormalization is applied: the symplecticity drift is
+    kept as an accuracy witness and ``DriftExceeded`` is raised if it passes
     ``TOL_DRIFT``.
     """
-    j0 = standard_j(generator.dim // 2)
-    a = j0 @ generator.values
-    h = generator.ts[1] - generator.ts[0]
-    increments = _rk4_increment(a[:-1], j0 @ generator.midpoints(), a[1:], h)
+    generators = list(generators)
+    if not generators:
+        return []
+    first = generators[0]
+    if any(g.samples != first.samples or g.dim != first.dim for g in generators):
+        raise ValueError("paths solved together must share one grid and one dimension")
+    j0 = standard_j(first.dim // 2)
+    a = j0 @ np.stack([g.values for g in generators])
+    mids = j0 @ np.stack([g.midpoints() for g in generators])
+    h = first.ts[1] - first.ts[0]
+    increments = _rk4_increment(a[:, :-1], mids, a[:, 1:], h)
     values = np.empty_like(a)
-    values[0] = np.eye(generator.dim)
-    for i, step in enumerate(increments):
-        values[i + 1] = values[i] + step @ values[i]
-    return SymplecticPath(values, generator)
+    values[:, 0] = np.eye(first.dim)
+    for i in range(first.samples - 1):
+        values[:, i + 1] = values[:, i] + increments[:, i] @ values[:, i]
+    return [SymplecticPath(v, g) for v, g in zip(values, generators)]
+
+
+def solve_path(generator):
+    """``solve_paths`` for one generator."""
+    return solve_paths([generator])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -437,9 +475,21 @@ def _signature(sym, dead_zone=TOL_DEAD_ZONE, context="", error=IrregularCrossing
     return int(np.sum(eigs > 0) - np.sum(eigs < 0))
 
 
+def _det_minus_id_values(phi):
+    """``g = det(Phi - Id)`` of one matrix or a stack.  In Sp(2) it is
+    ``det Phi - tr Phi + 1`` and is taken as ``2 - tr Phi``: for 2x2
+    matrices ``Phi^T J0 Phi = det(Phi) J0``, so the two differ by
+    ``|det Phi - 1|``, which is the symplecticity drift at a grid node.  The
+    drift is at most ``TOL_DRIFT`` = ``TOL_ENDPOINT`` < ``|g(1)|``, so the
+    sign of g at the endpoint cannot flip."""
+    d = phi.shape[-1]
+    if d == 2:
+        return 2.0 - (phi[..., 0, 0] + phi[..., 1, 1])
+    return np.linalg.det(phi - np.eye(d))
+
+
 def _det_minus_id(path, t):
-    d = 2 * path.n
-    return float(np.linalg.det(path.at(t) - np.eye(d)))
+    return float(_det_minus_id_values(path.at(t)))
 
 
 def _cofactors(m):
@@ -452,12 +502,16 @@ def _cofactors(m):
 
 
 def _det_and_slope(path, t):
-    """``g(t) = det(Phi(t) - Id)`` and its exact derivative by Jacobi's
-    formula, ``g'(t) = tr(adj(Phi(t) - Id) J0 S(t) Phi(t))``."""
+    """``g(t) = det(Phi(t) - Id)`` and its exact derivative: in Sp(2)
+    ``g = 2 - tr Phi`` and ``g' = -tr(J0 S(t) Phi(t))`` (see
+    ``_det_minus_id_values``), in higher dimension Jacobi's formula
+    ``g'(t) = tr(adj(Phi(t) - Id) J0 S(t) Phi(t))``."""
     phi = path.at(t)
+    phi_dot = standard_j(path.n) @ path.generator.at(t) @ phi
+    if path.n == 1:
+        return float(2.0 - (phi[0, 0] + phi[1, 1])), float(-(phi_dot[0, 0] + phi_dot[1, 1]))
     m = phi - np.eye(2 * path.n)
     cof = _cofactors(m)
-    phi_dot = standard_j(path.n) @ path.generator.at(t) @ phi
     return float(m[0] @ cof[0]), float(np.sum(cof * phi_dot))
 
 
@@ -544,18 +598,17 @@ def crossing_records(path):
 
     Sign changes of the determinant on the grid are refined by safeguarded
     Newton steps and even-order touches (dips of |det| without a sign
-    change) by a root search on the exact derivative, both using Jacobi's
-    formula; each candidate is confirmed through the singular values of
-    Phi(t*) - Id.  Crossings closer than
-    ``TOL_ENDPOINT_GAP`` to either endpoint raise ``IrregularCrossing``.
+    change) by a root search on the exact derivative (``_det_and_slope``;
+    in Sp(2) the determinant is ``2 - tr Phi``); each candidate is
+    confirmed through the singular values of Phi(t*) - Id.  Crossings
+    closer than ``TOL_ENDPOINT_GAP`` to either endpoint raise
+    ``IrregularCrossing``.
     """
     if not path.endpoint_nondegenerate:
         raise DegenerateEndpoint(
             "det(Phi(1) - Id) is within tolerance of zero; the path is degenerate"
         )
-    d = 2 * path.n
-    g = np.linalg.det(path.values - np.eye(d))
-    m = path.samples
+    g = _det_minus_id_values(path.values)
     scale = max(1.0, float(np.max(np.abs(g))))
     j0 = standard_j(path.n)
     times = []
@@ -928,8 +981,9 @@ def _galerkin_ends(family, k):
     Real Fourier basis per coordinate: 1, sqrt2 cos(2 pi m t),
     sqrt2 sin(2 pi m t) for m = 1..K, ordered (mode, coordinate); each
     result is a symmetric matrix of size 2n(2K+1).  ``S`` is sampled at
-    ``max(256, 8K)`` quadrature points and each coordinate pair (u, v)
-    contributes the Gram block ``(basis * S_uv) @ basis^T`` through BLAS."""
+    ``max(256, 8K)`` quadrature points, one ``func`` call per end, and each
+    coordinate pair (u, v) contributes the Gram block
+    ``(basis * S_uv) @ basis^T`` through BLAS."""
     d = 2 * family.n
     m_quad = max(256, 8 * k)
     ts = np.arange(m_quad) / m_quad
@@ -942,7 +996,7 @@ def _galerkin_ends(family, k):
     j0 = standard_j(family.n)
     ends = []
     for s in (-1.0, 1.0):
-        svals = np.stack([np.asarray(family.func(s, t), dtype=float) for t in ts])
+        svals = family._end_samples(s, ts)
         a = np.empty((dim, dim))
         for u in range(d):
             for v in range(d):
@@ -1054,8 +1108,9 @@ def verify_crossing_sign_lemma(family):
     eta``, with the exact derivative ``dA/ds = 1/2 (A_1 - A_-1)`` of the
     affine family; for ``v = eta(0)`` the return-map form is ``Gamma_Psi =
     omega0(v, d/ds Psi_s(1) v)`` where ``Psi_s`` solves the path equation
-    for ``S(s, .)``.  The two must have opposite signs and agree in
-    magnitude within relative 1e-4.
+    for ``S(s, .)``; the paths at ``s* - h``, ``s*`` and ``s* + h`` of all
+    crossings are solved in one march.  The two must have opposite signs
+    and agree in magnitude within relative 1e-4.
 
     A family with no crossings returns an empty report when its endpoint
     negative counts agree (nothing to check); ``NoCrossingFound`` is raised
@@ -1081,11 +1136,13 @@ def verify_crossing_sign_lemma(family):
     failures = []
     instances = 0
     max_residual = 0.0
-    for crossing in crossings:
+    paths = solve_paths(
+        family.path_at(c["s"] + shift) for c in crossings for shift in (h_path, -h_path, 0.0)
+    )
+    for crossing, psi_plus, psi_minus, psi_star in zip(
+        crossings, paths[0::3], paths[1::3], paths[2::3]
+    ):
         s_star = crossing["s"]
-        psi_plus = solve_path(family.path_at(s_star + h_path))
-        psi_minus = solve_path(family.path_at(s_star - h_path))
-        psi_star = solve_path(family.path_at(s_star))
         dpsi = (psi_plus.endpoint() - psi_minus.endpoint()) / (2.0 * h_path)
         for eta in crossing["kernel"].T:
             gamma_a = float(eta @ da @ eta)
@@ -1152,14 +1209,17 @@ def _random_generator(rng, n, scale=1.0):
             s = s + c * cos(2.0 * math.pi * m * t) + dcoef * sin(2.0 * math.pi * m * t)
         return s
 
-    # The grid and the solver midpoints are summed with array cos/sin;
-    # off-grid times (crossing refinement) take the scalar route, which is
-    # much cheaper per point than numpy on a single time.
+    def evaluate(t):
+        # Arrays of times (the grid, the solver midpoints, family ends) are
+        # summed with array cos/sin; a single time (crossing refinement)
+        # takes the scalar route, much cheaper per point than numpy.
+        if np.ndim(t):
+            return series(_times(t), np.cos, np.sin)
+        return series(t, math.cos, math.sin)
+
     ts = np.linspace(0.0, 1.0, DEFAULT_SAMPLES)
     return SymmetricPath(
-        _symmetrized(series(_times(ts), np.cos, np.sin)),
-        func=lambda t: series(t, math.cos, math.sin),
-        mids=_symmetrized(series(_times(_midpoint_times(ts)), np.cos, np.sin)),
+        _symmetrized(evaluate(ts)), func=evaluate, mids=_symmetrized(evaluate(_midpoint_times(ts)))
     )
 
 
@@ -1332,7 +1392,11 @@ def cz_axiom_suite(seed, instances=50):
             total == m1 + m2,
             failures,
         )
-    # Zero axiom: hyperbolic-spectrum paths have index zero.
+    # Zero axiom: constant generators with hyperbolic spectrum have index
+    # zero.  Signature axiom: constant generators with norm below 2 pi have
+    # index half their signature.  All 24 are drawn first (solving draws no
+    # random numbers), then solved in one march per dimension.
+    constants = []
     for i in range(12):
         n = 1 if i % 2 == 0 else 2
         while True:
@@ -1342,10 +1406,8 @@ def cz_axiom_suite(seed, instances=50):
             eigs = np.linalg.eigvals(j0 @ s)
             if np.max(np.abs(eigs.imag)) < 1e-12 and np.min(np.abs(eigs.real)) > 0.05:
                 break
-        s_const = SymmetricPath.from_callable(lambda t, s=s: s, samples=DEFAULT_SAMPLES)
-        mu = cz_crossing_form(solve_path(s_const))
-        _check(report, "zero", {"instance": i, "mu": mu}, mu == 0, failures)
-    # Signature axiom: constant generator with norm below 2 pi.
+        constants.append(s)
+    signature_eigs = []
     for i in range(12):
         while True:
             s = rng.normal(0.0, 1.5, size=(2, 2))
@@ -1353,8 +1415,16 @@ def cz_axiom_suite(seed, instances=50):
             eigs = np.linalg.eigvalsh(s)
             if np.max(np.abs(eigs)) < 0.95 * 2.0 * math.pi and np.min(np.abs(eigs)) > 0.05:
                 break
-        s_const = SymmetricPath.from_callable(lambda t, s=s: s, samples=DEFAULT_SAMPLES)
-        mu = cz_crossing_form(solve_path(s_const))
+        constants.append(s)
+        signature_eigs.append(eigs)
+    gens = [_constant_generator(s) for s in constants]
+    marches = {d: iter(solve_paths(g for g in gens if g.dim == d)) for d in (2, 4)}
+    paths = [next(marches[g.dim]) for g in gens]
+    for i, path in enumerate(paths[:12]):
+        mu = cz_crossing_form(path)
+        _check(report, "zero", {"instance": i, "mu": mu}, mu == 0, failures)
+    for i, (path, eigs) in enumerate(zip(paths[12:], signature_eigs)):
+        mu = cz_crossing_form(path)
         expected = int(np.sum(eigs > 0) - np.sum(eigs < 0)) // 2
         _check(
             report,

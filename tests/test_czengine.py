@@ -24,11 +24,12 @@ from chlab.czengine import (
     path_product,
     rotation_cz_sp2,
     solve_path,
+    solve_paths,
     spectral_flow,
     standard_j,
     verify_crossing_sign_lemma,
 )
-from chlab.orbits import enumerate_orbits
+from chlab.orbits import covering_multiplicity, enumerate_orbits
 
 
 def _constant_path(s_matrix, samples=257):
@@ -148,6 +149,49 @@ def test_batched_solve_matches_step_by_step_reference(kind, samples):
     assert path.drift < czengine.TOL_DRIFT
 
 
+def _march_generators(n):
+    """Random, constant and family generators of dimension 2n on the
+    default grid."""
+    rng = np.random.default_rng(31 + n)
+    g0, g1 = (czengine._random_generator(rng, n, scale=1.5) for _ in range(2))
+    fam = AsymptoticFamily(
+        lambda s, t: 0.5 * (1.0 - s) * g0.at(t) + 0.5 * (1.0 + s) * g1.at(t), n=n)
+    s = rng.normal(0.0, 1.0, size=(2 * n, 2 * n))
+    return [g0, g1, czengine._constant_generator(s + s.T), fam.path_at(-0.4), fam.path_at(0.9)]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_one_march_equals_one_path_at_a_time(n):
+    gens = _march_generators(n)
+    marched = solve_paths(gens)
+    assert len(marched) == len(gens)
+    for path, gen in zip(marched, gens):
+        alone = solve_path(gen)
+        assert path.generator is gen
+        assert np.array_equal(path.values, alone.values)
+        assert path.drift == alone.drift
+
+
+def test_one_march_needs_one_grid_and_one_dimension():
+    s = np.diag([1.0, -1.0])
+    with pytest.raises(ValueError, match="one grid and one dimension"):
+        solve_paths([czengine._constant_generator(s), czengine._constant_generator(s, 2048)])
+    with pytest.raises(ValueError, match="one grid and one dimension"):
+        solve_paths([czengine._constant_generator(s), czengine._constant_generator(np.eye(4))])
+    assert solve_paths([]) == []
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_constant_generator_equals_pointwise_sampling(d):
+    s = np.random.default_rng(d).normal(0.0, 1.0, size=(d, d))
+    s = 0.5 * (s + s.T)
+    gen = czengine._constant_generator(s)
+    pointwise = SymmetricPath.from_callable(lambda t: s)
+    assert np.array_equal(gen.values, pointwise.values)
+    assert np.array_equal(gen.midpoints(), pointwise.midpoints())
+    assert np.array_equal(gen.at(0.3), pointwise.at(0.3))
+
+
 @pytest.mark.parametrize("s", [-1.0, -0.7, 0.2, 1.0])
 def test_family_path_stacks_equal_pointwise_samples(s):
     # the CLI's interpolation families are combined from S(-1, .) and S(1, .)
@@ -209,10 +253,15 @@ def test_loop_prepend_shifts_by_two(k):
     assert cz_crossing_form(path_product(loop, base)) == 2 * k + cz_crossing_form(base)
 
 
+def _det_minus_id(path, t):
+    """det(Phi(t) - Id) by LU, independent of the engine's own evaluation."""
+    return float(np.linalg.det(path.at(t) - np.eye(2 * path.n)))
+
+
 def _bisect_sign_change(path, a, b, fa, fb):
     while b - a > czengine.TOL_BISECTION:
         m = 0.5 * (a + b)
-        fm = czengine._det_minus_id(path, m)
+        fm = _det_minus_id(path, m)
         if fm == 0.0:
             return m
         if (fa < 0) != (fm < 0):
@@ -223,7 +272,7 @@ def _bisect_sign_change(path, a, b, fa, fb):
 
 
 def _ternary_touch(path, a, b):
-    f = lambda t: abs(czengine._det_minus_id(path, t))
+    f = lambda t: abs(_det_minus_id(path, t))
     while b - a > czengine.TOL_BISECTION:
         m1 = a + (b - a) / 3.0
         m2 = b - (b - a) / 3.0
@@ -288,6 +337,45 @@ def test_touch_refinement_makes_few_determinant_evaluations(crossing_paths, monk
         crossing_records(path)
     assert len(counts) > 200
     assert max(counts) <= 15
+
+
+@pytest.mark.parametrize("label", ["C:5", "D:7", "I", "C:37"])
+def test_extremal_local_model_touches_sit_at_closed_form_times(label):
+    # at a minimum (H = Id) the local model is the rotation R((a - b) tau),
+    # at a maximum (H = -Id) R((a + b) tau): it touches the identity exactly
+    # at tau_j = 2 pi j / (a -+ b), each a touch of kernel dimension 2
+    checked = 0
+    for orbit in enumerate_orbits(label, 3):
+        if orbit.rotation.b == 0:
+            continue  # a saddle
+        f_value = -1.0 if orbit.rotation.b < 0 else 1.0
+        k = orbit.k / covering_multiplicity(orbit.group, orbit.base)
+        eps = czengine.DEFAULT_EPSILON
+        a = 4.0 * math.pi * k
+        b = 2.0 * math.pi * k * eps / (1.0 + eps * f_value)
+        omega = a - b if f_value < 0 else a + b
+        expected = [2.0 * math.pi * j / omega for j in range(1, int(omega / (2.0 * math.pi)) + 1)]
+        records = crossing_records(local_model_for(orbit))
+        assert len(records) == len(expected), orbit.name
+        for record, tau in zip(records, expected):
+            assert abs(record.time - tau) < czengine.TOL_BISECTION, (orbit.name, tau)
+            assert (record.kernel_dimension, record.signature) == (2, 2)
+            checked += 1
+    assert checked > 20
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sp2_trace_gap_is_within_drift(seed):
+    # for 2x2 matrices Phi^T J0 Phi = det(Phi) J0, so 2 - tr Phi and
+    # det(Phi - Id) = det Phi - tr Phi + 1 differ by |det Phi - 1| <= drift,
+    # up to the rounding of the LU determinant, a few ulps of max|Phi|^2
+    rng = np.random.default_rng(seed)
+    for _ in range(4):
+        path = czengine._random_nondegenerate_path(rng, 1, scale=1.0 + 1.5 * rng.random())
+        by_trace = czengine._det_minus_id_values(path.values)
+        by_lu = np.linalg.det(path.values - np.eye(2))
+        rounding = 4.0 * np.finfo(float).eps * np.max(np.abs(path.values), axis=(1, 2)) ** 2
+        assert np.all(np.abs(by_trace - by_lu) <= path.drift + rounding)
 
 
 def _slope_paths():
@@ -675,7 +763,7 @@ def test_sign_lemma_operator_form_uses_exact_derivative(monkeypatch):
     # a frozen return map has d/ds Psi = 0, so every crossing is reported as
     # a failure together with the operator form it computed
     frozen = solve_path(fam.path_at(0.0))
-    monkeypatch.setattr(czengine, "solve_path", lambda generator: frozen)
+    monkeypatch.setattr(czengine, "solve_paths", lambda generators: [frozen for _ in generators])
     report = verify_crossing_sign_lemma(fam)
     assert report["failures"]
     da = 0.5 * (czengine._operator_matrix(fam, 1.0) - czengine._operator_matrix(fam, -1.0))
