@@ -27,6 +27,7 @@ complex structure is ``J0 = [[0, -I], [I, 0]]``; the symplectic form is
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -115,12 +116,22 @@ class AxiomViolation(AssertionError):
     """A randomized index-axiom check failed."""
 
 
+@functools.lru_cache(maxsize=None)
 def standard_j(n):
-    """The standard complex structure J0 on R^(2n), block [[0, -I], [I, 0]]."""
+    """The standard complex structure J0 on R^(2n), block [[0, -I], [I, 0]]; read-only."""
     j = np.zeros((2 * n, 2 * n))
     j[:n, n:] = -np.eye(n)
     j[n:, :n] = np.eye(n)
+    j.flags.writeable = False
     return j
+
+
+@functools.lru_cache(maxsize=None)
+def _identity(d):
+    """The d x d identity; read-only."""
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye
 
 
 def omega0(x, y):
@@ -263,7 +274,7 @@ class SymplecticPath:
         values = np.asarray(values, dtype=float)
         if values.shape[0] != generator.samples or values.shape[1] != generator.dim:
             raise ValueError("path samples must match the generator grid")
-        if np.max(np.abs(values[0] - np.eye(generator.dim))) > 1e-10:
+        if np.max(np.abs(values[0] - _identity(generator.dim))) > 1e-10:
             raise ValueError("path must start at the identity")
         self.n = generator.dim // 2
         j0 = standard_j(self.n)
@@ -277,7 +288,7 @@ class SymplecticPath:
         self.generator = generator
         self.func = func
         self.endpoint_nondegenerate = (
-            abs(float(np.linalg.det(values[-1] - np.eye(2 * self.n)))) > TOL_ENDPOINT
+            abs(float(np.linalg.det(values[-1] - _identity(2 * self.n)))) > TOL_ENDPOINT
         )
 
     @property
@@ -415,7 +426,7 @@ def _rk4_increment(a0, a_mid, a1, h):
     """The classical Runge-Kutta step of the linear equation Phi' = A(t) Phi
     as ``Phi(t0 + h) = Phi(t0) + D Phi(t0)``, with the increment ``D`` built
     from A at t0, t0 + h/2 and t0 + h alone; one matrix or a stack of them."""
-    eye = np.eye(a0.shape[-1])
+    eye = _identity(a0.shape[-1])
     k1 = a0
     k2 = a_mid @ (eye + 0.5 * h * k1)
     k3 = a_mid @ (eye + 0.5 * h * k2)
@@ -485,7 +496,7 @@ def _det_minus_id_values(phi):
     d = phi.shape[-1]
     if d == 2:
         return 2.0 - (phi[..., 0, 0] + phi[..., 1, 1])
-    return np.linalg.det(phi - np.eye(d))
+    return np.linalg.det(phi - _identity(d))
 
 
 def _det_minus_id(path, t):
@@ -493,26 +504,30 @@ def _det_minus_id(path, t):
 
 
 def _cofactors(m):
-    """Cofactor matrix of a square matrix: adj(m) is its transpose."""
+    """Cofactor matrix of a square matrix or of a stack: adj(m) is its transpose."""
     d = m.shape[-1]
     keep = np.array([[j for j in range(d) if j != i] for i in range(d)])
-    minors = m[keep[:, None, :, None], keep[None, :, None, :]]
+    minors = m[..., keep[:, None, :, None], keep[None, :, None, :]]
     signs = (-1.0) ** np.add.outer(np.arange(d), np.arange(d))
     return signs * np.linalg.det(minors)
 
 
+def _det_and_slope_values(phi, s):
+    """``g = det(Phi - Id)`` and its exact derivative along Phi' = J0 S Phi,
+    for one matrix or a stack: in Sp(2) ``g = 2 - tr Phi`` and
+    ``g' = -tr(J0 S Phi)`` (see ``_det_minus_id_values``), in higher
+    dimension Jacobi's formula ``g' = tr(adj(Phi - Id) J0 S Phi)``."""
+    d = phi.shape[-1]
+    phi_dot = standard_j(d // 2) @ s @ phi
+    if d == 2:
+        slope = -(phi_dot[..., 0, 0] + phi_dot[..., 1, 1])
+    else:
+        slope = np.sum(_cofactors(phi - _identity(d)) * phi_dot, axis=(-2, -1))
+    return _det_minus_id_values(phi), slope
+
+
 def _det_and_slope(path, t):
-    """``g(t) = det(Phi(t) - Id)`` and its exact derivative: in Sp(2)
-    ``g = 2 - tr Phi`` and ``g' = -tr(J0 S(t) Phi(t))`` (see
-    ``_det_minus_id_values``), in higher dimension Jacobi's formula
-    ``g'(t) = tr(adj(Phi(t) - Id) J0 S(t) Phi(t))``."""
-    phi = path.at(t)
-    phi_dot = standard_j(path.n) @ path.generator.at(t) @ phi
-    if path.n == 1:
-        return float(2.0 - (phi[0, 0] + phi[1, 1])), float(-(phi_dot[0, 0] + phi_dot[1, 1]))
-    m = phi - np.eye(2 * path.n)
-    cof = _cofactors(m)
-    return float(m[0] @ cof[0]), float(np.sum(cof * phi_dot))
+    return _det_and_slope_values(path.at(t), path.generator.at(t))
 
 
 def _refine_sign_change(path, a, b, fa, fb):
@@ -538,18 +553,13 @@ def _refine_sign_change(path, a, b, fa, fb):
             return x
 
 
-def _refine_touch(path, a, b):
-    """Locate a touch of g = det(Phi(t) - Id) on [a, b] as the root of g'.
-
-    Illinois regula falsi (the value kept at an end that survives two steps
-    in a row is halved), with every step at least ``TOL_BISECTION / 2`` long
-    so that the bracket closes, then one secant step across the final
-    bracket.  Where g' shows no sign change on [a, b], ternary-search the
-    minimum of |g| instead."""
+def _refine_extremum(path, a, b, fa, fb):
+    """The extremum of g on [a, b] as the root of g', where g'(a) = fa and
+    g'(b) = fb differ in sign: Illinois regula falsi (the value kept at an
+    end that survives two steps in a row is halved), with every step at
+    least ``TOL_BISECTION / 2`` long so that the bracket closes, then one
+    secant step across the final bracket."""
     slope = lambda t: _det_and_slope(path, t)[1]
-    fa, fb = slope(a), slope(b)
-    if (fa < 0) == (fb < 0):
-        return _ternary_min_abs_det(path, a, b)
     wa = wb = 1.0
     x, side = None, 0
     while b - a > TOL_BISECTION:
@@ -571,22 +581,8 @@ def _refine_touch(path, a, b):
     return (a * fb - b * fa) / (fb - fa)
 
 
-def _ternary_min_abs_det(path, a, b):
-    """Ternary-search the minimum of |det(Phi(t) - Id)| on [a, b]."""
-    f = lambda t: abs(_det_minus_id(path, t))
-    while b - a > TOL_BISECTION:
-        m1 = a + (b - a) / 3.0
-        m2 = b - (b - a) / 3.0
-        if f(m1) <= f(m2):
-            b = m2
-        else:
-            a = m1
-    return 0.5 * (a + b)
-
-
 def _kernel_basis(path, t):
-    d = 2 * path.n
-    m = path.at(t) - np.eye(d)
+    m = path.at(t) - _identity(2 * path.n)
     u, sig, vt = np.linalg.svd(m)
     scale = max(1.0, float(sig[0]))
     mask = sig < TOL_KERNEL_REL * scale
@@ -594,50 +590,55 @@ def _kernel_basis(path, t):
 
 
 def crossing_records(path):
-    """Locate all interior crossings of ``det(Phi(t) - Id) = 0``.
+    """Locate all interior crossings of ``g(t) = det(Phi(t) - Id) = 0``.
 
-    Sign changes of the determinant on the grid are refined by safeguarded
-    Newton steps and even-order touches (dips of |det| without a sign
-    change) by a root search on the exact derivative (``_det_and_slope``;
-    in Sp(2) the determinant is ``2 - tr Phi``); each candidate is
-    confirmed through the singular values of Phi(t*) - Id.  Crossings
-    closer than ``TOL_ENDPOINT_GAP`` to either endpoint raise
-    ``IrregularCrossing``.
+    g and g' (``_det_and_slope_values``) are read at every grid node and
+    each cell has one rule.  A sign change of g is refined by safeguarded
+    Newton steps.  In a same-sign cell, ``sign(g) g'`` turning from negative
+    to nonnegative marks a minimum t* of |g|, refined as a root of g': a
+    touch if ``|g(t*)| < 1e-8 max|g|``, two sign changes if g(t*) has the
+    other sign.  In the first cell, where g(0) = 0, ``g ~ t^(2n) det S(0)``
+    near 0, so a sign change between ``det S(0)`` and ``g(ts[1])`` is
+    refined on ``[TOL_ENDPOINT_GAP, ts[1]]``.  No cell may hold two extrema
+    of g.  Candidates are confirmed through the singular values of
+    Phi(t*) - Id; crossings within ``TOL_ENDPOINT_GAP`` of an endpoint
+    raise ``IrregularCrossing``.
     """
     if not path.endpoint_nondegenerate:
         raise DegenerateEndpoint(
             "det(Phi(1) - Id) is within tolerance of zero; the path is degenerate"
         )
-    g = _det_minus_id_values(path.values)
+    ts = path.ts
+    g, slope = _det_and_slope_values(path.values, path.generator.values)
     scale = max(1.0, float(np.max(np.abs(g))))
     j0 = standard_j(path.n)
     times = []
-    # Sign changes (vectorized scan over interior cells).
-    prod = g[1:-1] * g[2:]
-    for i in np.nonzero(prod < 0.0)[0] + 1:
-        times.append(_refine_sign_change(path, path.ts[i], path.ts[i + 1], g[i], g[i + 1]))
-    for i in np.nonzero(g[1:-1] == 0.0)[0] + 1:
-        times.append(float(path.ts[i]))
-    # Even-order touches: interior local minima of |g| that dip low enough.
-    absg = np.abs(g)
-    dips = (
-        (absg[1:-1] < absg[:-2])
-        & (absg[1:-1] <= absg[2:])
-        & (absg[1:-1] < 1e-3 * scale)
-        & ((g[:-2] < 0) == (g[2:] < 0))
+    if float(np.linalg.det(path.generator.values[0])) * g[1] < 0.0:
+        g_gap = _det_minus_id(path, TOL_ENDPOINT_GAP)
+        if g_gap * g[1] >= 0.0:
+            raise IrregularCrossing(f"a crossing sits within {TOL_ENDPOINT_GAP:.0e} of t = 0")
+        times.append(_refine_sign_change(path, TOL_ENDPOINT_GAP, ts[1], g_gap, g[1]))
+    abs_slope = np.sign(g) * slope  # the slope of |g|
+    ends = g[1:-1] * g[2:]
+    cells = (ends < 0.0) | (g[1:-1] == 0.0) | (
+        (ends > 0.0) & (abs_slope[1:-1] < 0.0) & (abs_slope[2:] >= 0.0)
     )
-    for i in np.nonzero(dips)[0] + 1:
-        t_star = _refine_touch(path, path.ts[i - 1], path.ts[i + 1])
-        if abs(_det_minus_id(path, t_star)) < 1e-8 * scale:
-            times.append(t_star)
-    # Merge detections that refined to the same crossing.
-    times.sort()
-    merged = []
-    for t in times:
-        if not merged or t - merged[-1] > 10.0 * TOL_BISECTION:
-            merged.append(t)
+    for i in np.nonzero(cells)[0] + 1:
+        a, b = ts[i], ts[i + 1]
+        if g[i] == 0.0:
+            times.append(float(a))
+        elif ends[i - 1] < 0.0:
+            times.append(_refine_sign_change(path, a, b, g[i], g[i + 1]))
+        else:
+            t_min = _refine_extremum(path, a, b, slope[i], slope[i + 1])
+            g_min = _det_minus_id(path, t_min)
+            if abs(g_min) < 1e-8 * scale:
+                times.append(t_min)
+            elif g_min * g[i] < 0.0:
+                times += [_refine_sign_change(path, a, t_min, g[i], g_min),
+                          _refine_sign_change(path, t_min, b, g_min, g[i + 1])]
     records = []
-    for t_star in merged:
+    for t_star in times:
         if t_star < TOL_ENDPOINT_GAP or t_star > 1.0 - TOL_ENDPOINT_GAP:
             raise IrregularCrossing(
                 f"crossing at t = {t_star:.3e} sits within {TOL_ENDPOINT_GAP:.0e} of an endpoint"
@@ -814,12 +815,10 @@ def local_model_path(f_value, hessian, eps=DEFAULT_EPSILON, k=1, samples=None):
         return a * np.eye(2) - b * (r @ h @ r.T)
 
     if samples is None:
-        if float(np.linalg.det(h)) < 0.0:
-            # A saddle Hessian produces near-resonant crossing *pairs* whose
-            # separation scales like eps/k; the grid must resolve them.
-            samples = max(DEFAULT_SAMPLES, int(12.0 * kf / eps) + 1)
-        else:
-            samples = max(DEFAULT_SAMPLES, 64 * (int(a) + 1))
+        # 64 nodes per radian of fiber rotation keep every extremum of g in
+        # a cell of its own; a saddle's near-resonant crossing pair, often
+        # closer than a cell, shares one and is split at its minimum.
+        samples = max(DEFAULT_SAMPLES, 64 * (int(a) + 1))
     ts = np.linspace(0.0, 1.0, max(int(samples), MIN_SAMPLES))
     # Vectorized sampling of both the generator and the path.
     ca, sa = np.cos(a * ts), np.sin(a * ts)

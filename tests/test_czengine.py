@@ -253,6 +253,45 @@ def test_loop_prepend_shifts_by_two(k):
     assert cz_crossing_form(path_product(loop, base)) == 2 * k + cz_crossing_form(base)
 
 
+def _ramp_path(rate):
+    # S(t) = diag(1, c(t)) with c rising from -1 through 0 near t = 1/rate:
+    # det S(0) < 0, so det(Phi(t) - Id) starts out negative, and it turns
+    # positive at about t = 2.6/rate
+    return solve_path(czengine.SymmetricPath.from_callable(
+        lambda t: np.diag([1.0, (rate * t - 1.0) / (rate * t + 1.0)])))
+
+
+def test_crossing_in_first_grid_cell_is_found():
+    path = _ramp_path(1e4)
+    (record,) = crossing_records(path)
+    assert czengine.TOL_ENDPOINT_GAP < record.time < path.ts[1]
+    assert cz_crossing_form(path) == rotation_cz_sp2(path)[1] == 1
+
+
+def test_crossing_inside_endpoint_gap_raises():
+    with pytest.raises(czengine.IrregularCrossing, match="of t = 0"):
+        crossing_records(_ramp_path(1e7))
+
+
+def test_near_resonant_saddle_pair_in_one_cell_matches_fine_grid():
+    # a saddle model at k = 5/2 crosses twice, 2e-4 apart, near tau = 0.2:
+    # inside one cell of its default grid, while a grid of 12k/eps nodes
+    # puts the two crossings in different cells
+    k = Fraction(5, 2)
+    saddle = np.diag([1.0, -1.0])
+    coarse = local_model_path(0.0, saddle, k=k)
+    fine = local_model_path(0.0, saddle, k=k,
+                            samples=int(12.0 * k / czengine.DEFAULT_EPSILON) + 1)
+    got, ref = crossing_records(coarse), crossing_records(fine)
+    cells = np.searchsorted(coarse.ts, [r.time for r in got])
+    assert np.any(cells[1:] == cells[:-1])
+    assert not np.any(np.diff(np.searchsorted(fine.ts, [r.time for r in ref])) == 0)
+    assert len(got) == len(ref)
+    for g, r in zip(got, ref):
+        assert (g.kernel_dimension, g.signature) == (r.kernel_dimension, r.signature)
+        assert abs(g.time - r.time) < czengine.TOL_BISECTION
+
+
 def _det_minus_id(path, t):
     """det(Phi(t) - Id) by LU, independent of the engine's own evaluation."""
     return float(np.linalg.det(path.at(t) - np.eye(2 * path.n)))
@@ -271,8 +310,11 @@ def _bisect_sign_change(path, a, b, fa, fb):
     return 0.5 * (a + b)
 
 
-def _ternary_touch(path, a, b):
-    f = lambda t: abs(_det_minus_id(path, t))
+def _ternary_extremum(path, a, b, fa, fb):
+    # the extremum of g in a cell is the minimum of sign(g(a)) g, which stays
+    # unimodal when g dips through zero and back
+    sign = math.copysign(1.0, _det_minus_id(path, a))
+    f = lambda t: sign * _det_minus_id(path, t)
     while b - a > czengine.TOL_BISECTION:
         m1 = a + (b - a) / 3.0
         m2 = b - (b - a) / 3.0
@@ -299,7 +341,7 @@ def crossing_paths():
 def test_refined_crossings_match_bisection_and_ternary_reference(crossing_paths, monkeypatch):
     refined = {name: crossing_records(p) for name, p in crossing_paths.items()}
     monkeypatch.setattr(czengine, "_refine_sign_change", _bisect_sign_change)
-    monkeypatch.setattr(czengine, "_refine_touch", _ternary_touch)
+    monkeypatch.setattr(czengine, "_refine_extremum", _ternary_extremum)
     total = 0
     for name, path in crossing_paths.items():
         reference = crossing_records(path)
@@ -313,7 +355,7 @@ def test_refined_crossings_match_bisection_and_ternary_reference(crossing_paths,
 
 def test_touch_refinement_makes_few_determinant_evaluations(crossing_paths, monkeypatch):
     # an evaluation is one det(Phi(t) - Id), with or without its slope; the
-    # ternary search alone would make about 80 per touch
+    # ternary search alone would make about 80 per extremum
     counts = []
     calls = 0
 
@@ -324,15 +366,15 @@ def test_touch_refinement_makes_few_determinant_evaluations(crossing_paths, monk
             return evaluate(path, t)
         return wrapper
 
-    def counted_touch(path, a, b, refine=czengine._refine_touch):
+    def counted_extremum(path, a, b, fa, fb, refine=czengine._refine_extremum):
         start = calls
-        t = refine(path, a, b)
+        t = refine(path, a, b, fa, fb)
         counts.append(calls - start)
         return t
 
     for name in ("_det_and_slope", "_det_minus_id"):
         monkeypatch.setattr(czengine, name, counted(getattr(czengine, name)))
-    monkeypatch.setattr(czengine, "_refine_touch", counted_touch)
+    monkeypatch.setattr(czengine, "_refine_extremum", counted_extremum)
     for path in crossing_paths.values():
         crossing_records(path)
     assert len(counts) > 200
@@ -668,11 +710,11 @@ def test_axiom_suite_clean():
     assert report["max_residual"] < 1e-8
 
 
-@pytest.mark.xfail(raises=czengine.AxiomViolation, strict=True,
-                   reason="ROADMAP item 1: first-cell crossing miss")
 @pytest.mark.parametrize("seed", [484553450, 348387268, 4002431733])
 def test_axiom_suite_known_first_cell_misses(seed):
-    cz_axiom_suite(seed, instances=10)
+    # each of these draws a path with a crossing in (0, ts[1])
+    report = cz_axiom_suite(seed, instances=10)
+    assert report["failures"] == []
 
 
 # ---------------------------------------------------------------------------
@@ -873,11 +915,17 @@ def test_seed_285_flow_equals_rotation_index_difference(k):
     assert spectral_flow(fam, order=k) == rot1 - rot0
 
 
-@pytest.mark.xfail(raises=AssertionError, strict=True,
-                   reason="ROADMAP item 1: first-cell crossing miss at s = -1")
 def test_seed_285_crossing_form_reference_matches_rotation_index():
+    # the s = -1 end crosses in the first grid cell
     _fam, cz0, cz1 = _seed_285()
     assert (cz0, cz1) == (0, 0)
+
+
+@pytest.mark.parametrize("seed", [353, 949, 1134])
+def test_first_cell_seeded_family_crossing_form_matches_rotation_index(seed):
+    ((fam, cz0, cz1),) = cli.seeded_flow_families(seed, 1)
+    rot0, rot1 = (rotation_cz_sp2(solve_path(fam.path_at(s)))[1] for s in (-1.0, 1.0))
+    assert (cz0, cz1) == (rot0, rot1)
 
 
 # ---------------------------------------------------------------------------
