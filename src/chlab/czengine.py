@@ -486,16 +486,68 @@ def _signature(sym, dead_zone=TOL_DEAD_ZONE, context="", error=IrregularCrossing
     return int(np.sum(eigs > 0) - np.sum(eigs < 0))
 
 
+def _entries(m):
+    """The entries of a matrix or of a stack, as ``e[i][j]``: Python floats
+    for one matrix, whose arithmetic is much cheaper per call than numpy's,
+    and a view per entry across a stack.  Both round each operation alike,
+    so one closed form gives a matrix the bits of its row of the stack."""
+    return m.tolist() if m.ndim == 2 else np.moveaxis(m, (-2, -1), (0, 1))
+
+
+def _laplace4(e):
+    """``det m`` of a 4x4 matrix or stack from its entries ``e`` (see
+    ``_entries``) by the Laplace expansion along rows (0, 1): the sum over
+    column pairs P of ``sign(P) top(P) bottom(P^c)``, with ``top`` and
+    ``bottom`` the 2x2 minors of rows (0, 1) and (2, 3).  Returns the
+    determinant and the twelve minors, which ``_cofactors4`` reuses."""
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = e
+    top = (a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0,
+           a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2)
+    bottom = (c0 * d1 - c1 * d0, c0 * d2 - c2 * d0, c0 * d3 - c3 * d0,
+              c1 * d2 - c2 * d1, c1 * d3 - c3 * d1, c2 * d3 - c3 * d2)
+    t01, t02, t03, t12, t13, t23 = top
+    u01, u02, u03, u12, u13, u23 = bottom
+    det = t01 * u23 - t02 * u13 + t03 * u12 + t12 * u03 - t13 * u02 + t23 * u01
+    return det, top, bottom
+
+
+def _cofactors4(e, top, bottom):
+    """Cofactor matrix of a 4x4 matrix or stack as nested rows, from its
+    entries and the minors of ``_laplace4``: each cofactor of a top row is
+    the 3x3 minor expanded along the other top row, whose 2x2 minors are
+    bottom minors, and likewise for the bottom rows."""
+    def rows(m, first, second):
+        # the cofactors of the first and the second row of a row pair,
+        # with m the six 2x2 minors of the complementary row pair
+        m01, m02, m03, m12, m13, m23 = m
+        x0, x1, x2, x3 = second
+        y0, y1, y2, y3 = first
+        return ((x1 * m23 - x2 * m13 + x3 * m12, x2 * m03 - x0 * m23 - x3 * m02,
+                 x0 * m13 - x1 * m03 + x3 * m01, x1 * m02 - x0 * m12 - x2 * m01),
+                (y2 * m13 - y1 * m23 - y3 * m12, y0 * m23 - y2 * m03 + y3 * m02,
+                 y1 * m03 - y0 * m13 - y3 * m01, y0 * m12 - y1 * m02 + y2 * m01))
+
+    return (*rows(bottom, e[0], e[1]), *rows(top, e[2], e[3]))
+
+
+def _dot4(x, y):
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2] + x[3] * y[3]
+
+
 def _det_minus_id_values(phi):
     """``g = det(Phi - Id)`` of one matrix or a stack.  In Sp(2) it is
     ``det Phi - tr Phi + 1`` and is taken as ``2 - tr Phi``: for 2x2
     matrices ``Phi^T J0 Phi = det(Phi) J0``, so the two differ by
     ``|det Phi - 1|``, which is the symplecticity drift at a grid node.  The
     drift is at most ``TOL_DRIFT`` = ``TOL_ENDPOINT`` < ``|g(1)|``, so the
-    sign of g at the endpoint cannot flip."""
+    sign of g at the endpoint cannot flip.  In Sp(4) it is the Laplace
+    expansion of ``_laplace4``, bit for bit the node scan's value; for
+    d >= 6 the LU determinant."""
     d = phi.shape[-1]
     if d == 2:
         return 2.0 - (phi[..., 0, 0] + phi[..., 1, 1])
+    if d == 4:
+        return _laplace4(_entries(phi - _identity(4)))[0]
     return np.linalg.det(phi - _identity(d))
 
 
@@ -504,7 +556,9 @@ def _det_minus_id(path, t):
 
 
 def _cofactors(m):
-    """Cofactor matrix of a square matrix or of a stack: adj(m) is its transpose."""
+    """Cofactor matrix of a square matrix or of a stack, from LAPACK
+    determinants of its (d - 1)-minors: adj(m) is its transpose.  It
+    serves d >= 6; Sp(4) takes the closed form of ``_laplace4``."""
     d = m.shape[-1]
     keep = np.array([[j for j in range(d) if j != i] for i in range(d)])
     minors = m[..., keep[:, None, :, None], keep[None, :, None, :]]
@@ -514,15 +568,31 @@ def _cofactors(m):
 
 def _det_and_slope_values(phi, s):
     """``g = det(Phi - Id)`` and its exact derivative along Phi' = J0 S Phi,
-    for one matrix or a stack: in Sp(2) ``g = 2 - tr Phi`` and
-    ``g' = -tr(J0 S Phi)`` (see ``_det_minus_id_values``), in higher
-    dimension Jacobi's formula ``g' = tr(adj(Phi - Id) J0 S Phi)``."""
+    for one matrix or a stack.
+
+    In Sp(2) ``g = 2 - tr Phi`` (see ``_det_minus_id_values``) and ``g' =
+    -tr(J0 S Phi) = S10 Phi00 + S11 Phi10 - S00 Phi01 - S01 Phi11``.  Above,
+    Jacobi's formula ``g' = tr(adj(M) J0 S Phi)`` with ``M = Phi - Id``.  In
+    Sp(4), g and the cofactors of M come from the Laplace expansion of
+    ``_laplace4``, and since ``Phi adj(M) = (M + Id) adj(M) = g Id + adj(M)``
+    and ``tr(J0 S) = 0`` for symmetric S, ``g'`` is taken as ``tr(adj(M) J0
+    S)``: ``J0 S`` has rows ``-S2, -S3, S0, S1``, so no product with Phi is
+    formed.  Sp(2) and Sp(4) are computed entry by entry, so one matrix gets
+    the bits of its row of a stack; for d >= 6 the cofactors are LAPACK
+    minors (``_cofactors``)."""
     d = phi.shape[-1]
-    phi_dot = standard_j(d // 2) @ s @ phi
     if d == 2:
-        slope = -(phi_dot[..., 0, 0] + phi_dot[..., 1, 1])
-    else:
-        slope = np.sum(_cofactors(phi - _identity(d)) * phi_dot, axis=(-2, -1))
+        p, q = _entries(phi), _entries(s)
+        slope = q[1][0] * p[0][0] + q[1][1] * p[1][0] - q[0][0] * p[0][1] - q[0][1] * p[1][1]
+        return _det_minus_id_values(phi), slope
+    if d == 4:
+        e = _entries(phi - _identity(4))
+        det, top, bottom = _laplace4(e)
+        c0, c1, c2, c3 = _cofactors4(e, top, bottom)
+        s0, s1, s2, s3 = _entries(s)
+        return det, _dot4(c2, s0) + _dot4(c3, s1) - _dot4(c0, s2) - _dot4(c1, s3)
+    phi_dot = standard_j(d // 2) @ s @ phi
+    slope = np.sum(_cofactors(phi - _identity(d)) * phi_dot, axis=(-2, -1))
     return _det_minus_id_values(phi), slope
 
 
@@ -558,14 +628,17 @@ def _refine_extremum(path, a, b, fa, fb):
     g'(b) = fb differ in sign: Illinois regula falsi (the value kept at an
     end that survives two steps in a row is halved), with every step at
     least ``TOL_BISECTION / 2`` long so that the bracket closes, then one
-    secant step across the final bracket."""
+    secant step across the final bracket.  The previous point is an end of
+    the bracket, so a nudge that would leave it goes the other way, into
+    the bracket."""
     slope = lambda t: _det_and_slope(path, t)[1]
     wa = wb = 1.0
     x, side = None, 0
     while b - a > TOL_BISECTION:
         x_new = (a * wb * fb - b * wa * fa) / (wb * fb - wa * fa)
         if x is not None and abs(x_new - x) < 0.5 * TOL_BISECTION:
-            x_new = x + math.copysign(0.5 * TOL_BISECTION, x_new - x)
+            step = math.copysign(0.5 * TOL_BISECTION, x_new - x)
+            x_new = x + step if a < x + step < b else x - step
         x = x_new if a < x_new < b else 0.5 * (a + b)
         fx = slope(x)
         if fx == 0.0:
@@ -787,6 +860,12 @@ def local_model_path(f_value, hessian, eps=DEFAULT_EPSILON, k=1, samples=None):
     lifts and rational values extend the same model over one period of a
     non-contractible orbit.  For integer k the crossing-form index is
     ``4k + index(H) - 1``.
+
+    The grid samples are computed entry by entry, without matrix products:
+    the generator from ``R h R^T = p Id + [[u, v], [v, -u]]``, exactly
+    symmetric, and the path as ``R(a tau) exp(tau m0)`` with the closed-form
+    exponential of the traceless ``m0 = -b J0 H``.  They agree with the
+    per-point evaluators, which off-grid reads call, to a few ulps.
     """
     if not 0.0 < eps <= MAX_EPSILON:
         raise ValueError(f"eps must lie in (0, {MAX_EPSILON}], got {eps}")
@@ -820,28 +899,40 @@ def local_model_path(f_value, hessian, eps=DEFAULT_EPSILON, k=1, samples=None):
         # closer than a cell, shares one and is split at its minimum.
         samples = max(DEFAULT_SAMPLES, 64 * (int(a) + 1))
     ts = np.linspace(0.0, 1.0, max(int(samples), MIN_SAMPLES))
-    # Vectorized sampling of both the generator and the path.
+    # The node samples, entry by entry.  R h R^T = p Id + [[u, v], [v, -u]]
+    # with (u, v) the traceless part ((h00 - h11)/2, h01) turned by twice
+    # the rotation angle, so the generator stack is exactly symmetric.
     ca, sa = np.cos(a * ts), np.sin(a * ts)
-    rots = np.empty((ts.size, 2, 2))
-    rots[:, 0, 0] = ca
-    rots[:, 0, 1] = -sa
-    rots[:, 1, 0] = sa
-    rots[:, 1, 1] = ca
-    svals = a * np.eye(2) - b * (rots @ h @ np.swapaxes(rots, 1, 2))
-    delta = float(np.linalg.det(m0))
+    c2, s2 = ca * ca - sa * sa, 2.0 * sa * ca
+    u0, v0 = 0.5 * (h[0, 0] - h[1, 1]), h[0, 1]
+    u, v = u0 * c2 - v0 * s2, u0 * s2 + v0 * c2
+    diag = a - b * (0.5 * (h[0, 0] + h[1, 1]))
+    svals = np.empty((ts.size, 2, 2))
+    svals[:, 0, 0] = diag - b * u
+    svals[:, 1, 1] = diag + b * u
+    svals[:, 0, 1] = svals[:, 1, 0] = -b * v
+    # exp(tau m0) = cos(r) Id + (sin(r) / r) tau m0 with r = tau sqrt(det m0)
+    # (cosh and sinh when det m0 < 0), then Phi = R(a tau) exp(tau m0).
+    delta = float(m0[0, 0] * m0[1, 1] - m0[0, 1] * m0[1, 0])
     if delta > 0.0:
         r = np.sqrt(delta) * ts
+        diag_exp = np.cos(r)
         coef = np.where(r > 1e-12, np.sin(np.maximum(r, 1e-300)) / np.maximum(r, 1e-300), 1.0)
-        evals_exp = np.cos(r)[:, None, None] * np.eye(2) + (coef * ts)[:, None, None] * m0
     elif delta < 0.0:
         r = np.sqrt(-delta) * ts
+        diag_exp = np.cosh(r)
         coef = np.where(r > 1e-12, np.sinh(np.maximum(r, 1e-300)) / np.maximum(r, 1e-300), 1.0)
-        evals_exp = np.cosh(r)[:, None, None] * np.eye(2) + (coef * ts)[:, None, None] * m0
     else:
-        evals_exp = np.broadcast_to(np.eye(2), (ts.size, 2, 2)) + ts[:, None, None] * m0
-    values = rots @ evals_exp
-    s_path = SymmetricPath(0.5 * (svals + np.swapaxes(svals, 1, 2)), func=gen)
-    return SymplecticPath(values, s_path, func=phi)
+        diag_exp, coef = 1.0, 1.0
+    coef = coef * ts
+    e00, e01 = diag_exp + coef * m0[0, 0], coef * m0[0, 1]
+    e10, e11 = coef * m0[1, 0], diag_exp + coef * m0[1, 1]
+    values = np.empty((ts.size, 2, 2))
+    values[:, 0, 0] = ca * e00 - sa * e10
+    values[:, 0, 1] = ca * e01 - sa * e11
+    values[:, 1, 0] = sa * e00 + ca * e10
+    values[:, 1, 1] = sa * e01 + ca * e11
+    return SymplecticPath(values, SymmetricPath(svals, func=gen), func=phi)
 
 
 def local_model_for(orbit, eps=DEFAULT_EPSILON):

@@ -381,6 +381,34 @@ def test_touch_refinement_makes_few_determinant_evaluations(crossing_paths, monk
     assert max(counts) <= 15
 
 
+@pytest.mark.parametrize("fa", [-0.011034543650966365, -0.011034543650966363])
+def test_extremum_nudge_stays_inside_the_bracket(fa, monkeypatch):
+    # a cell of the C:5 NorthPole^4 model whose regula falsi point lands
+    # within TOL_BISECTION / 2 of the previous one at the bracket's end; one
+    # ulp of the node slope decides whether the nudge points out of the
+    # bracket, and then it must turn back in rather than restart from the
+    # midpoint of the wide bracket
+    (orbit,) = [o for o in enumerate_orbits("C:5", 3) if o.name == "NorthPole^4"]
+    path = local_model_for(orbit)
+    a, b = 0.624633431085044, 0.6256109481915934
+    i = int(np.searchsorted(path.ts, a))
+    assert (path.ts[i], path.ts[i + 1]) == (a, b)
+    _g, slope = czengine._det_and_slope_values(path.values, path.generator.values)
+    calls = 0
+
+    def counted(path, t, evaluate=czengine._det_and_slope):
+        nonlocal calls
+        calls += 1
+        return evaluate(path, t)
+
+    monkeypatch.setattr(czengine, "_det_and_slope", counted)
+    t = czengine._refine_extremum(path, a, b, fa, slope[i + 1])
+    assert calls <= 5
+    reference = czengine._refine_extremum(path, a, b, slope[i], slope[i + 1])
+    assert abs(t - reference) < czengine.TOL_BISECTION
+    assert a < t < b
+
+
 @pytest.mark.parametrize("label", ["C:5", "D:7", "I", "C:37"])
 def test_extremal_local_model_touches_sit_at_closed_form_times(label):
     # at a minimum (H = Id) the local model is the rotation R((a - b) tau),
@@ -418,6 +446,60 @@ def test_sp2_trace_gap_is_within_drift(seed):
         by_lu = np.linalg.det(path.values - np.eye(2))
         rounding = 4.0 * np.finfo(float).eps * np.max(np.abs(path.values), axis=(1, 2)) ** 2
         assert np.all(np.abs(by_trace - by_lu) <= path.drift + rounding)
+
+
+def _sp4_stacks():
+    """Random 4x4 stacks of full rank and of rank deficiency 1 and 2."""
+    rng = np.random.default_rng(5)
+    full = rng.normal(size=(64, 4, 4))
+    deficient = [rng.normal(size=(64, 4, r)) @ rng.normal(size=(64, r, 4)) for r in (3, 2)]
+    return [full] + deficient
+
+
+@pytest.mark.parametrize("stack", _sp4_stacks(), ids=["full", "deficiency-1", "deficiency-2"])
+def test_sp4_laplace_kernel_matches_lapack(stack):
+    e = czengine._entries(stack)
+    det, top, bottom = czengine._laplace4(e)
+    cof = np.moveaxis(np.array(czengine._cofactors4(e, top, bottom)), (0, 1), (-2, -1))
+    size = np.max(np.abs(stack), axis=(1, 2))
+    assert np.all(np.abs(det - np.linalg.det(stack)) <= 1e-12 * size**4)
+    reference = czengine._cofactors(stack)
+    assert np.all(np.abs(cof - reference) <= 1e-12 * size[:, None, None] ** 3)
+    for m, d_row, c_row in zip(stack, det, cof):
+        entries = czengine._entries(m)
+        d_one, top_one, bottom_one = czengine._laplace4(entries)
+        assert d_one == d_row
+        assert np.array_equal(np.array(czengine._cofactors4(entries, top_one, bottom_one)), c_row)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_one_matrix_reads_the_bits_of_its_stack_row(n):
+    # the per-point reads of the refinement and the node scan agree bit for
+    # bit, and the Sp(4) slope is Jacobi's formula with the product by Phi
+    path = czengine._random_nondegenerate_path(np.random.default_rng(40 + n), n)
+    g, slope = czengine._det_and_slope_values(path.values, path.generator.values)
+    for i in range(0, path.samples, 31):
+        value, one_slope = czengine._det_and_slope_values(path.values[i], path.generator.values[i])
+        assert (value, one_slope) == (g[i], slope[i])
+        assert czengine._det_minus_id_values(path.values[i]) == g[i]
+    phi_dot = standard_j(n) @ path.generator.values @ path.values
+    if n == 1:
+        jacobi = -(phi_dot[:, 0, 0] + phi_dot[:, 1, 1])
+    else:
+        jacobi = np.sum(czengine._cofactors(path.values - np.eye(4)) * phi_dot, axis=(-2, -1))
+    assert np.max(np.abs(slope - jacobi)) <= 1e-12 * np.max(np.abs(jacobi))
+
+
+def test_sp6_crossing_form_uses_the_lapack_route():
+    # no local model or suite path reaches d >= 6; a direct sum of three
+    # local models does, and its index is the sum 5 + 7 + 7
+    total = path_direct_sum(
+        path_direct_sum(local_model_path(-1.0, np.eye(2), k=Fraction(5, 4)),
+                        local_model_path(0.0, np.diag([1.0, -1.0]), k=Fraction(7, 4))),
+        local_model_path(1.0, -np.eye(2), k=Fraction(3, 2)),
+    )
+    assert total.n == 3
+    assert cz_crossing_form(total) == 19
 
 
 def _slope_paths():
@@ -548,6 +630,18 @@ def test_local_model_matches_orbit_indices_below_low_threshold():
             assert cz_crossing_form(path) == orbit.cz
             theta, mu = rotation_cz_sp2(path)
             assert mu == orbit.cz
+
+
+@pytest.mark.parametrize("hessian", [np.eye(2), np.diag([1.0, -1.0]), -np.eye(2),
+                                     np.array([[2.0, 0.5], [0.5, -1.0]])])
+@pytest.mark.parametrize("k", [1, Fraction(7, 4), 3])
+def test_local_model_nodes_equal_its_evaluators(hessian, k):
+    path = local_model_path(0.3, hessian, k=k)
+    gen = path.generator
+    assert np.array_equal(gen.values, np.swapaxes(gen.values, 1, 2))
+    for i, t in enumerate(path.ts):
+        assert np.max(np.abs(path.values[i] - path.at(t))) <= 1e-13
+        assert np.max(np.abs(gen.values[i] - gen.at(t))) <= 1e-12
 
 
 def test_local_model_rejects_bad_arguments():
