@@ -432,6 +432,10 @@ def _build_parser():
 
 def _check_verify_args(args):
     """Reject verify options no battery can use, before any battery runs."""
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
+    if args.nmax < 1:
+        raise ValueError(f"--nmax must be >= 1, got {args.nmax}")
     if args.fourier_modes < 4:
         raise ValueError(f"--fourier-modes must be >= 4, got {args.fourier_modes}")
     if not 0.0 < args.tolerance <= czengine.MAX_EPSILON:

@@ -155,9 +155,10 @@ class SymmetricPath:
 
     Stores at least ``MIN_SAMPLES`` uniform samples (endpoints included),
     optionally the samples ``mids`` at the cell midpoints ``ts[i] + h/2``
-    (which ``solve_path`` reads) and optionally an exact evaluator; off-grid
-    values come from the evaluator when present and from 4-point Lagrange
-    interpolation otherwise.
+    (which ``solve_path`` reads) and optionally an exact evaluator.  Off-grid
+    values, and midpoints when none are stored, come from the evaluator when
+    present and otherwise from one 4-point Lagrange routine, ``_lagrange``;
+    ``at`` finds its node as ``SymplecticPath.at`` does.
     """
 
     __slots__ = ("values", "ts", "func", "dim", "mids")
@@ -202,17 +203,10 @@ class SymmetricPath:
         its stored sample."""
         if self.func is not None:
             return _symmetrized(np.asarray(self.func(t), dtype=float))
-        m = self.samples
-        x = float(t) * (m - 1)
-        i = min(max(math.floor(x), 0), m - 1)
-        # t * (m - 1) can round to just below a node index
-        if i + 1 < m and self.ts[i + 1] <= t:
-            i += 1
+        i = _node_at_or_below(self.ts, t)
         if abs(float(t) - self.ts[i]) < 1e-15:
             return self.values[i]
-        i0 = min(max(i - 1, 0), m - 4)
-        w = _lagrange_weights(x - i0)
-        return np.tensordot(w, self.values[i0 : i0 + 4], axes=(0, 0))
+        return _lagrange(self.values, i, float(t) * (self.samples - 1))
 
     def midpoints(self):
         """S at the cell midpoints ``ts[i] + h/2``: the stored stack, else one
@@ -221,11 +215,8 @@ class SymmetricPath:
             return self.mids
         if self.func is not None:
             return np.stack([self.at(t) for t in _midpoint_times(self.ts)])
-        m = self.samples
-        i0 = np.clip(np.arange(m - 1) - 1, 0, m - 4)
-        weights = np.stack([_lagrange_weights(offset + 0.5) for offset in range(3)])
-        stencils = self.values[i0[:, None] + np.arange(4)]
-        return np.einsum("tk,tkij->tij", weights[np.arange(m - 1) - i0], stencils)
+        cells = np.arange(self.samples - 1)
+        return _lagrange(self.values, cells, cells + 0.5)
 
 
 def _symmetrized(a):
@@ -248,15 +239,31 @@ def _midpoint_times(ts):
     return ts[:-1] + 0.5 * (ts[1] - ts[0])
 
 
-def _lagrange_weights(x):
-    """Weights of the 4-point Lagrange stencil on nodes 0..3 at position x;
-    the midpoint of the middle cell, x = 1.5, gets (-1/16, 9/16, 9/16, -1/16)."""
-    w = np.ones(4)
+def _node_at_or_below(ts, t):
+    """Index of the last node of the uniform grid ``ts`` at or below t,
+    clamped to the grid."""
+    m = ts.size
+    i = min(max(math.floor(float(t) * (m - 1)), 0), m - 1)
+    # t * (m - 1) can round to just below a node index
+    if i + 1 < m and ts[i + 1] <= t:
+        i += 1
+    return i
+
+
+def _lagrange(values, i, x):
+    """4-point Lagrange interpolation of the node stack ``values`` at the
+    positions ``x`` (in grid steps from node 0) in the cells ``i`` (one
+    index, or an array shaped like ``x``).  A cell's stencil is the nodes
+    ``i0 .. i0 + 3``, ``i0 = i - 1`` shifted to fit inside the grid; the
+    middle cell's midpoint gets the weights (-1/16, 9/16, 9/16, -1/16)."""
+    i0 = np.clip(i - 1, 0, values.shape[0] - 4)
+    x = np.asarray(x - i0, dtype=float)
+    w = np.ones(x.shape + (4,))
     for a in range(4):
         for b in range(4):
             if a != b:
-                w[a] *= (x - b) / (a - b)
-    return w
+                w[..., a] *= (x - b) / (a - b)
+    return np.einsum("...k,...kij->...ij", w, values[i0[..., None] + np.arange(4)])
 
 
 class SymplecticPath:
@@ -301,12 +308,7 @@ class SymplecticPath:
         lower grid node.  A grid node returns its stored sample."""
         if self.func is not None:
             return np.asarray(self.func(t), dtype=float)
-        m = self.samples
-        x = float(t) * (m - 1)
-        i0 = min(max(math.floor(x), 0), m - 1)
-        # t * (m - 1) can round to just below a node index
-        if i0 + 1 < m and self.ts[i0 + 1] <= t:
-            i0 += 1
+        i0 = _node_at_or_below(self.ts, t)
         t0 = self.ts[i0]
         h = float(t) - t0
         if abs(h) < 1e-15:
@@ -834,21 +836,44 @@ def maslov_loop(path):
 # ---------------------------------------------------------------------------
 
 
-def _rot2(angle):
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s], [s, c]])
+def _local_model_entries(tau, a, b, h, m0, xp):
+    """The entries of ``S(tau) = a Id - b R h R^T`` and of
+    ``Phi(tau) = R exp(tau m0)``, with ``R = R(a tau)`` the rotation and
+    ``m0`` traceless, as ``(s00, s01, s10, s11), (p00, p01, p10, p11)``.
 
-
-def _expm2_traceless(m):
-    """exp(M) for a traceless 2x2 matrix in closed form."""
-    delta = float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-    if delta > 1e-300:
-        r = math.sqrt(delta)
-        return math.cos(r) * np.eye(2) + (math.sin(r) / r) * m
-    if delta < -1e-300:
-        r = math.sqrt(-delta)
-        return math.cosh(r) * np.eye(2) + (math.sinh(r) / r) * m
-    return np.eye(2) + m
+    ``xp`` is ``numpy`` for an array of times and ``math`` for one float,
+    much cheaper per point.  ``R h R^T = p Id + [[u, v], [v, -u]]`` with
+    ``(u, v)`` the traceless part ``((h00 - h11)/2, h01)`` turned by twice
+    the angle, so S is exactly symmetric.  ``exp(tau m0) = C(r) Id +
+    (S(r)/w) m0`` with ``r = tau w``, ``w = sqrt|delta|``, ``delta = det m0``
+    and ``C, S = cos, sin`` (``cosh, sinh`` when ``delta < 0``); it is
+    ``Id + tau m0`` when ``delta`` underflows to 0.
+    """
+    (h00, h01), (_, h11) = h
+    (m00, m01), (m10, m11) = m0
+    ca, sa = xp.cos(a * tau), xp.sin(a * tau)
+    c2, s2 = ca * ca - sa * sa, 2.0 * sa * ca
+    u0, v0 = 0.5 * (h00 - h11), h01
+    u, v = u0 * c2 - v0 * s2, u0 * s2 + v0 * c2
+    diag = a - b * (0.5 * (h00 + h11))
+    s_off = -b * v
+    delta = m00 * m11 - m01 * m10
+    if delta > 0.0:
+        w = math.sqrt(delta)
+        c, s_over_w = xp.cos(w * tau), xp.sin(w * tau) / w
+    elif delta < 0.0:
+        w = math.sqrt(-delta)
+        c, s_over_w = xp.cosh(w * tau), xp.sinh(w * tau) / w
+    else:
+        c, s_over_w = 1.0, tau
+    e00, e01 = c + s_over_w * m00, s_over_w * m01
+    e10, e11 = s_over_w * m10, c + s_over_w * m11
+    return (diag - b * u, s_off, s_off, diag + b * u), (
+        ca * e00 - sa * e10,
+        ca * e01 - sa * e11,
+        sa * e00 + ca * e10,
+        sa * e01 + ca * e11,
+    )
 
 
 def local_model_path(f_value, hessian, eps=DEFAULT_EPSILON, k=1, samples=None):
@@ -861,11 +886,10 @@ def local_model_path(f_value, hessian, eps=DEFAULT_EPSILON, k=1, samples=None):
     non-contractible orbit.  For integer k the crossing-form index is
     ``4k + index(H) - 1``.
 
-    The grid samples are computed entry by entry, without matrix products:
-    the generator from ``R h R^T = p Id + [[u, v], [v, -u]]``, exactly
-    symmetric, and the path as ``R(a tau) exp(tau m0)`` with the closed-form
-    exponential of the traceless ``m0 = -b J0 H``.  They agree with the
-    per-point evaluators, which off-grid reads call, to a few ulps.
+    The closed form is written once, entry by entry, in
+    ``_local_model_entries``: the grid samples are one call of it on the
+    array of nodes, and the evaluators that off-grid reads call are one
+    call on a single float, so both agree to a few ulps.
     """
     if not 0.0 < eps <= MAX_EPSILON:
         raise ValueError(f"eps must lie in (0, {MAX_EPSILON}], got {eps}")
@@ -883,15 +907,13 @@ def local_model_path(f_value, hessian, eps=DEFAULT_EPSILON, k=1, samples=None):
     kf = float(k)
     a = 4.0 * math.pi * kf
     b = 2.0 * math.pi * kf * eps / f_eps
-    j0 = standard_j(1)
-    m0 = -b * (j0 @ h)  # traceless; exp(tau * m0) in closed form
+    model = (a, b, h.tolist(), (-b * (standard_j(1) @ h)).tolist())
 
     def phi(tau):
-        return _rot2(a * tau) @ _expm2_traceless(tau * m0)
+        return np.array(_local_model_entries(tau, *model, math)[1]).reshape(2, 2)
 
     def gen(tau):
-        r = _rot2(a * tau)
-        return a * np.eye(2) - b * (r @ h @ r.T)
+        return np.array(_local_model_entries(tau, *model, math)[0]).reshape(2, 2)
 
     if samples is None:
         # 64 nodes per radian of fiber rotation keep every extremum of g in
@@ -899,40 +921,12 @@ def local_model_path(f_value, hessian, eps=DEFAULT_EPSILON, k=1, samples=None):
         # closer than a cell, shares one and is split at its minimum.
         samples = max(DEFAULT_SAMPLES, 64 * (int(a) + 1))
     ts = np.linspace(0.0, 1.0, max(int(samples), MIN_SAMPLES))
-    # The node samples, entry by entry.  R h R^T = p Id + [[u, v], [v, -u]]
-    # with (u, v) the traceless part ((h00 - h11)/2, h01) turned by twice
-    # the rotation angle, so the generator stack is exactly symmetric.
-    ca, sa = np.cos(a * ts), np.sin(a * ts)
-    c2, s2 = ca * ca - sa * sa, 2.0 * sa * ca
-    u0, v0 = 0.5 * (h[0, 0] - h[1, 1]), h[0, 1]
-    u, v = u0 * c2 - v0 * s2, u0 * s2 + v0 * c2
-    diag = a - b * (0.5 * (h[0, 0] + h[1, 1]))
-    svals = np.empty((ts.size, 2, 2))
-    svals[:, 0, 0] = diag - b * u
-    svals[:, 1, 1] = diag + b * u
-    svals[:, 0, 1] = svals[:, 1, 0] = -b * v
-    # exp(tau m0) = cos(r) Id + (sin(r) / r) tau m0 with r = tau sqrt(det m0)
-    # (cosh and sinh when det m0 < 0), then Phi = R(a tau) exp(tau m0).
-    delta = float(m0[0, 0] * m0[1, 1] - m0[0, 1] * m0[1, 0])
-    if delta > 0.0:
-        r = np.sqrt(delta) * ts
-        diag_exp = np.cos(r)
-        coef = np.where(r > 1e-12, np.sin(np.maximum(r, 1e-300)) / np.maximum(r, 1e-300), 1.0)
-    elif delta < 0.0:
-        r = np.sqrt(-delta) * ts
-        diag_exp = np.cosh(r)
-        coef = np.where(r > 1e-12, np.sinh(np.maximum(r, 1e-300)) / np.maximum(r, 1e-300), 1.0)
-    else:
-        diag_exp, coef = 1.0, 1.0
-    coef = coef * ts
-    e00, e01 = diag_exp + coef * m0[0, 0], coef * m0[0, 1]
-    e10, e11 = coef * m0[1, 0], diag_exp + coef * m0[1, 1]
-    values = np.empty((ts.size, 2, 2))
-    values[:, 0, 0] = ca * e00 - sa * e10
-    values[:, 0, 1] = ca * e01 - sa * e11
-    values[:, 1, 0] = sa * e00 + ca * e10
-    values[:, 1, 1] = sa * e01 + ca * e11
-    return SymplecticPath(values, SymmetricPath(svals, func=gen), func=phi)
+    s, p = _local_model_entries(ts, *model, np)
+    return SymplecticPath(
+        np.stack(p, axis=-1).reshape(-1, 2, 2),
+        SymmetricPath(np.stack(s, axis=-1).reshape(-1, 2, 2), func=gen),
+        func=phi,
+    )
 
 
 def local_model_for(orbit, eps=DEFAULT_EPSILON):
@@ -1238,7 +1232,7 @@ def verify_crossing_sign_lemma(family):
             gamma_a = float(eta @ da @ eta)
             v = _eval_loop_at_zero(eta, family.n, order)
             kernel_residual = float(
-                np.linalg.norm((psi_star.endpoint() - np.eye(2 * family.n)) @ v)
+                np.linalg.norm((psi_star.endpoint() - _identity(2 * family.n)) @ v)
             )
             gamma_psi = float((j0 @ v) @ (dpsi @ v))
             rel = abs(gamma_a + gamma_psi) / max(abs(gamma_a), abs(gamma_psi))
@@ -1351,7 +1345,7 @@ def _rotation_loop(k, n=1):
     def func(t):
         angle = 2.0 * math.pi * k * np.asarray(t, dtype=float)
         c, s = np.cos(angle), np.sin(angle)
-        m = np.broadcast_to(np.eye(2 * n), angle.shape + (2 * n, 2 * n)).copy()
+        m = np.broadcast_to(_identity(2 * n), angle.shape + (2 * n, 2 * n)).copy()
         m[..., 0, 0] = c
         m[..., 0, n] = -s
         m[..., n, 0] = s
@@ -1392,7 +1386,7 @@ def cz_axiom_suite(seed, instances=50):
         report["max_residual"] = max(report["max_residual"], path.drift)
         mu = cz_crossing_form(path)
         end = path.endpoint()
-        det_end = float(np.linalg.det(end - np.eye(2 * n)))
+        det_end = float(np.linalg.det(end - _identity(2 * n)))
         _check(
             report,
             "determinant",

@@ -118,6 +118,22 @@ def test_verify_rejects_unusable_numeric_options_up_front(capsys, monkeypatch, a
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("verify", "all", "--seed", "-1"), "--seed"),
+    (("verify", "cz-engine", "--nmax", "0"), "--nmax"),
+])
+def test_verify_rejects_negative_seed_and_nmax_below_one_up_front(
+        capsys, monkeypatch, argv, flag):
+    def no_battery(*args):
+        raise AssertionError("a battery ran before the options were checked")
+
+    monkeypatch.setattr(cli, "cmd_verify", no_battery)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag} ")
+
+
 # ---------------------------------------------------------------------------
 # homology reports
 # ---------------------------------------------------------------------------

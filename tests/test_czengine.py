@@ -636,12 +636,14 @@ def test_local_model_matches_orbit_indices_below_low_threshold():
                                      np.array([[2.0, 0.5], [0.5, -1.0]])])
 @pytest.mark.parametrize("k", [1, Fraction(7, 4), 3])
 def test_local_model_nodes_equal_its_evaluators(hessian, k):
-    path = local_model_path(0.3, hessian, k=k)
-    gen = path.generator
-    assert np.array_equal(gen.values, np.swapaxes(gen.values, 1, 2))
-    for i, t in enumerate(path.ts):
-        assert np.max(np.abs(path.values[i] - path.at(t))) <= 1e-13
-        assert np.max(np.abs(gen.values[i] - gen.at(t))) <= 1e-12
+    # at eps = 1e-300, b^2 underflows and det(m0) is exactly 0
+    for eps in (czengine.DEFAULT_EPSILON, 1e-300):
+        path = local_model_path(0.3, hessian, eps=eps, k=k)
+        gen = path.generator
+        assert np.array_equal(gen.values, np.swapaxes(gen.values, 1, 2))
+        for i, t in enumerate(path.ts):
+            assert np.max(np.abs(path.values[i] - path.at(t))) <= 1e-13
+            assert np.max(np.abs(gen.values[i] - gen.at(t))) <= 1e-12
 
 
 def test_local_model_rejects_bad_arguments():
