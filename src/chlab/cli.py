@@ -19,7 +19,9 @@ Three subcommands:
 The base class of an exception decides its exit code, for every command:
 ``ArithmeticError`` is a numeric abort (3), ``AssertionError`` a violation
 (1) and ``ValueError`` unusable arguments (2).  Every library exception
-derives from one of the three.
+derives from one of the three.  A ``MemoryError`` is a numeric abort too:
+whether an allocation fails depends on the machine, not on the arguments
+alone.
 
 Output formats are ``markdown`` (default), ``json``, and ``csv``.  All output
 is deterministic: a fixed (command, seed, version) triple yields byte-identical
@@ -348,10 +350,14 @@ _CHECKS = {
 CHECK_NAMES = tuple(_CHECKS)
 
 
+#: exceptions that end a check, or a command, as a numeric abort (exit 3)
+_NUMERIC_ABORTS = (ArithmeticError, MemoryError)
+
+
 def _run_check(name, opts):
     try:
         return _CHECKS[name](opts)
-    except ArithmeticError as err:  # a numeric guard tripped: exit 3
+    except _NUMERIC_ABORTS as err:  # a numeric guard tripped or memory ran out: exit 3
         return CheckResult(name, False, f"{name}: ABORT ({err})", (),
                            {"check": name, "error": str(err)}, "numeric")
     except AssertionError as err:  # a checked statement failed: exit 1
@@ -463,7 +469,7 @@ def main(argv=None):
     except ValueError as err:  # groups.ParseError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except ArithmeticError as err:
+    except _NUMERIC_ABORTS as err:
         print(f"{args.command}: NUMERIC ABORT ({err})")
         return 3
     except AssertionError as err:  # a library check of a statement failed

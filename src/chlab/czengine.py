@@ -151,19 +151,21 @@ def _drift(values, j0):
 
 
 class SymmetricPath:
-    """A path of symmetric matrices S : [0,1] -> Sym(2n) on a uniform grid.
+    """A path of symmetric matrices S : [0,1] -> Sym(2n): samples on a
+    uniform grid plus its exact evaluator ``func``.
 
-    Stores at least ``MIN_SAMPLES`` uniform samples (endpoints included),
-    optionally the samples ``mids`` at the cell midpoints ``ts[i] + h/2``
-    (which ``solve_path`` reads) and optionally an exact evaluator.  Off-grid
-    values, and midpoints when none are stored, come from the evaluator when
-    present and otherwise from one 4-point Lagrange routine, ``_lagrange``;
-    ``at`` finds its node as ``SymplecticPath.at`` does.
+    Stores at least ``MIN_SAMPLES`` uniform samples (endpoints included)
+    and optionally the samples ``mids`` at the cell midpoints ``ts[i] + h/2``
+    (which ``solve_path`` reads).  ``at`` is one call of ``func`` at any
+    time, and ``midpoints`` one per midpoint when no stack is stored.  A
+    path without an evaluator raises ``ValueError``.
     """
 
     __slots__ = ("values", "ts", "func", "dim", "mids")
 
-    def __init__(self, values, func=None, mids=None):
+    def __init__(self, values, func, mids=None):
+        if not callable(func):
+            raise ValueError("a generator path needs its exact evaluator")
         values = np.asarray(values, dtype=float)
         if values.ndim != 3 or values.shape[1] != values.shape[2]:
             raise ValueError("generator samples must be an (m, d, d) array")
@@ -198,25 +200,16 @@ class SymmetricPath:
         return self.values.shape[0]
 
     def at(self, t):
-        """Evaluate S(t); exact when an evaluator is attached, which then
-        also takes an array of times if ``func`` does.  A grid node returns
-        its stored sample."""
-        if self.func is not None:
-            return _symmetrized(np.asarray(self.func(t), dtype=float))
-        i = _node_at_or_below(self.ts, t)
-        if abs(float(t) - self.ts[i]) < 1e-15:
-            return self.values[i]
-        return _lagrange(self.values, i, float(t) * (self.samples - 1))
+        """Evaluate S(t) by the exact evaluator, symmetrized; it takes an
+        array of times if ``func`` does."""
+        return _symmetrized(np.asarray(self.func(t), dtype=float))
 
     def midpoints(self):
         """S at the cell midpoints ``ts[i] + h/2``: the stored stack, else one
-        evaluator call per midpoint, else the 4-point Lagrange stencil."""
+        evaluator call per midpoint."""
         if self.mids is not None:
             return self.mids
-        if self.func is not None:
-            return np.stack([self.at(t) for t in _midpoint_times(self.ts)])
-        cells = np.arange(self.samples - 1)
-        return _lagrange(self.values, cells, cells + 0.5)
+        return np.stack([self.at(t) for t in _midpoint_times(self.ts)])
 
 
 def _symmetrized(a):
@@ -248,22 +241,6 @@ def _node_at_or_below(ts, t):
     if i + 1 < m and ts[i + 1] <= t:
         i += 1
     return i
-
-
-def _lagrange(values, i, x):
-    """4-point Lagrange interpolation of the node stack ``values`` at the
-    positions ``x`` (in grid steps from node 0) in the cells ``i`` (one
-    index, or an array shaped like ``x``).  A cell's stencil is the nodes
-    ``i0 .. i0 + 3``, ``i0 = i - 1`` shifted to fit inside the grid; the
-    middle cell's midpoint gets the weights (-1/16, 9/16, 9/16, -1/16)."""
-    i0 = np.clip(i - 1, 0, values.shape[0] - 4)
-    x = np.asarray(x - i0, dtype=float)
-    w = np.ones(x.shape + (4,))
-    for a in range(4):
-        for b in range(4):
-            if a != b:
-                w[..., a] *= (x - b) / (a - b)
-    return np.einsum("...k,...kij->...ij", w, values[i0[..., None] + np.arange(4)])
 
 
 class SymplecticPath:
@@ -478,12 +455,12 @@ def solve_path(generator):
 # ---------------------------------------------------------------------------
 
 
-def _signature(sym, dead_zone=TOL_DEAD_ZONE, context="", error=IrregularCrossing):
+def _signature(sym, context="", error=IrregularCrossing):
     eigs = np.linalg.eigvalsh(0.5 * (sym + sym.T))
     scale = max(1.0, float(np.max(np.abs(eigs))))
-    if np.any(np.abs(eigs) < dead_zone * scale):
+    if np.any(np.abs(eigs) < TOL_DEAD_ZONE * scale):
         raise error(
-            f"crossing form eigenvalue inside dead zone {dead_zone:.1e}{context}"
+            f"crossing form eigenvalue inside dead zone {TOL_DEAD_ZONE:.1e}{context}"
         )
     return int(np.sum(eigs > 0) - np.sum(eigs < 0))
 
@@ -952,17 +929,11 @@ def local_model_for(orbit, eps=DEFAULT_EPSILON):
 # ---------------------------------------------------------------------------
 
 
-def _on_grid(path, samples):
-    """Values and generator samples of ``path`` on the uniform grid with
-    ``samples`` nodes: its own arrays when the grids agree, else one pass of
-    its evaluators over the new nodes."""
-    if path.samples == samples:
-        return path.values, path.generator.values
-    ts = np.linspace(0.0, 1.0, samples)
-    return (
-        np.stack([path.at(t) for t in ts]),
-        np.stack([path.generator.at(t) for t in ts]),
-    )
+def _require_one_grid(p, q):
+    if p.samples != q.samples:
+        raise ValueError(
+            f"paths combined pointwise must share one grid, got {p.samples} and {q.samples} nodes"
+        )
 
 
 def _symplectic_inverse(m, j0):
@@ -977,20 +948,18 @@ def _inverse_generator(p_val, s_p):
     return -(np.swapaxes(p_val, -1, -2) @ s_p @ p_val)
 
 
-def path_product(p, q, samples=None):
-    """Pointwise product path t -> P(t) Q(t).
+def path_product(p, q):
+    """Pointwise product path t -> P(t) Q(t) of two paths of one dimension
+    on one grid (``ValueError`` otherwise).
 
     The generator is ``S_P + J0 P J0 S_Q J0 P^T J0``, which is exactly
-    symmetric for symplectic P.  Both are computed on the whole grid at once
-    (``samples`` nodes, by default the finer operand grid); the per-point
-    evaluators serve off-grid times.
+    symmetric for symplectic P.  Both are computed from the operands' grid
+    samples at once; the per-point evaluators serve off-grid times.
     """
     if p.n != q.n:
         raise ValueError("paths must share a dimension")
+    _require_one_grid(p, q)
     j0 = standard_j(p.n)
-    samples = max(p.samples, q.samples) if samples is None else max(int(samples), MIN_SAMPLES)
-    p_vals, s_p = _on_grid(p, samples)
-    q_vals, s_q = _on_grid(q, samples)
 
     def gen(t):
         return _product_generator(p.at(t), p.generator.at(t), q.generator.at(t), j0)
@@ -998,8 +967,9 @@ def path_product(p, q, samples=None):
     def func(t):
         return p.at(t) @ q.at(t)
 
-    s_path = SymmetricPath(_symmetrized(_product_generator(p_vals, s_p, s_q, j0)), func=gen)
-    return SymplecticPath(p_vals @ q_vals, s_path, func=func)
+    s_vals = _product_generator(p.values, p.generator.values, q.generator.values, j0)
+    s_path = SymmetricPath(_symmetrized(s_vals), func=gen)
+    return SymplecticPath(p.values @ q.values, s_path, func=func)
 
 
 def path_inverse(p):
@@ -1027,8 +997,10 @@ def _interleave_indices(n1, n2):
 
 
 def path_direct_sum(p, q):
-    """Direct-sum path in Sp(2(n1+n2)) with block coordinates interleaved
-    into the (q..., p...) convention."""
+    """Direct-sum path in Sp(2(n1+n2)) of two paths on one grid
+    (``ValueError`` otherwise), with block coordinates interleaved into the
+    (q..., p...) convention."""
+    _require_one_grid(p, q)
     d = 2 * (p.n + q.n)
     i1, i2 = _interleave_indices(p.n, q.n)
     block1 = (Ellipsis,) + np.ix_(i1, i1)
@@ -1046,11 +1018,8 @@ def path_direct_sum(p, q):
     def func(t):
         return embed(p.at(t), q.at(t))
 
-    samples = max(p.samples, q.samples)
-    p_vals, s_p = _on_grid(p, samples)
-    q_vals, s_q = _on_grid(q, samples)
-    s_path = SymmetricPath(_symmetrized(embed(s_p, s_q)), func=gen)
-    return SymplecticPath(embed(p_vals, q_vals), s_path, func=func)
+    s_path = SymmetricPath(_symmetrized(embed(p.generator.values, q.generator.values)), func=gen)
+    return SymplecticPath(embed(p.values, q.values), s_path, func=func)
 
 
 # ---------------------------------------------------------------------------

@@ -210,13 +210,26 @@ def test_verify_exhausted_random_draw_is_numeric_abort(capsys, monkeypatch, whic
     # every drawn generator is zero, so every solved path ends at the
     # identity and the nondegenerate-path draw runs out of tries
     def zero_generator(rng, n, scale=1.0):
-        return czengine.SymmetricPath(np.zeros((czengine.MIN_SAMPLES, 2 * n, 2 * n)))
+        return czengine._constant_generator(np.zeros((2 * n, 2 * n)), czengine.MIN_SAMPLES)
 
     monkeypatch.setattr(czengine, "_random_generator", zero_generator)
     code, out, err = run_cli(capsys, "verify", which)
     assert code == 3
     assert "could not draw a nondegenerate random path" in out
     assert f"verify {which}: NUMERIC ABORT" in out
+    assert err == ""  # no traceback
+
+
+def test_verify_out_of_memory_is_numeric_abort(capsys, monkeypatch):
+    # a Galerkin assembly too large for the machine's memory
+    def no_memory(family, k):
+        raise MemoryError("Unable to allocate 116. TiB for an array")
+
+    monkeypatch.setattr(czengine, "_galerkin_ends", no_memory)
+    code, out, err = run_cli(capsys, "verify", "spectral-flow")
+    assert code == 3
+    assert "spectral-flow: ABORT (Unable to allocate 116. TiB for an array)" in out
+    assert "verify spectral-flow: NUMERIC ABORT" in out
     assert err == ""  # no traceback
 
 
@@ -262,8 +275,9 @@ def _library_errors(base):
 
 
 # the base class decides the exit code: ArithmeticError is a numeric abort
-# (3), AssertionError a violation (1), whatever chlab module raises it
-LIBRARY_NUMERIC_ERRORS = _library_errors(ArithmeticError) + [ZeroDivisionError]
+# (3), AssertionError a violation (1), whatever chlab module raises it; so
+# is MemoryError, since whether an allocation fails depends on the machine
+LIBRARY_NUMERIC_ERRORS = _library_errors(ArithmeticError) + [ZeroDivisionError, MemoryError]
 LIBRARY_ASSERTIONS = _library_errors(AssertionError) + [AssertionError]
 
 

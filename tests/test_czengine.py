@@ -83,24 +83,10 @@ def test_solver_preserves_symplectic_form():
 def test_path_at_grid_node_returns_stored_sample(samples):
     # t * (m - 1) rounds below the node index at some nodes; at() must still
     # return the stored sample there instead of a substep off the node below
+    s0, s1 = np.array([[2.0, 0.3], [0.3, -1.0]]), np.array([[1.0, 0.5], [0.5, 4.0]])
     ts = np.linspace(0.0, 1.0, samples)[:, None, None]
-    stack = np.array([[2.0, 0.3], [0.3, -1.0]]) + ts * np.array([[1.0, 0.5], [0.5, 4.0]])
-    path = solve_path(SymmetricPath(stack))
-    assert path.func is None and path.generator.func is None
-    for i, t in enumerate(path.ts):
-        assert np.array_equal(path.at(t), path.values[i]), i
-
-
-@pytest.mark.parametrize("samples", [512, 1024, 4097])
-def test_symmetric_path_at_grid_node_returns_stored_sample(samples):
-    # without an evaluator, at() interpolates; at a node whose t * (m - 1)
-    # rounds off the integer it must still return the stored sample
-    ts = np.linspace(0.0, 1.0, samples)
-    stack = np.empty((samples, 2, 2))
-    stack[:, 0, 0] = 2.0 + np.cos(2.0 * math.pi * ts)
-    stack[:, 0, 1] = stack[:, 1, 0] = 0.3 * np.sin(6.0 * ts)
-    stack[:, 1, 1] = np.exp(ts) - 1.0
-    path = SymmetricPath(stack)
+    path = solve_path(SymmetricPath(s0 + ts * s1, func=lambda t: s0 + t * s1))
+    assert path.func is None
     for i, t in enumerate(path.ts):
         assert np.array_equal(path.at(t), path.values[i]), i
 
@@ -205,26 +191,23 @@ def test_family_path_stacks_equal_pointwise_samples(s):
         assert np.array_equal(gen.values, pointwise.values)
 
 
-def test_midpoints_without_evaluator_use_the_lagrange_stencil():
-    ts = np.linspace(0.0, 1.0, 512)
-    stack = np.empty((512, 2, 2))
-    stack[:, 0, 0] = np.cos(3.0 * ts)
-    stack[:, 0, 1] = stack[:, 1, 0] = ts**3
-    stack[:, 1, 1] = np.exp(ts)
-    gen = SymmetricPath(stack)
-    h = ts[1] - ts[0]
-    expected = np.stack([gen.at(t) for t in ts[:-1] + 0.5 * h])
-    assert np.max(np.abs(gen.midpoints() - expected)) < 1e-14
-
-
 def test_midpoint_stack_is_validated():
     values = np.zeros((512, 2, 2))
+    zero = lambda t: np.zeros((2, 2))
     with pytest.raises(ValueError, match="midpoint samples must be"):
-        SymmetricPath(values, mids=np.zeros((512, 2, 2)))
+        SymmetricPath(values, zero, mids=np.zeros((512, 2, 2)))
     skew = np.zeros((511, 2, 2))
     skew[:, 0, 1] = 1.0
     with pytest.raises(ValueError, match="not symmetric"):
-        SymmetricPath(values, mids=skew)
+        SymmetricPath(values, zero, mids=skew)
+
+
+def test_generator_path_needs_its_evaluator():
+    values = np.zeros((512, 2, 2))
+    with pytest.raises(ValueError, match="exact evaluator"):
+        SymmetricPath(values, None)
+    with pytest.raises(TypeError):
+        SymmetricPath(values)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +231,7 @@ def test_crossing_form_counts_full_turns():
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_loop_prepend_shifts_by_two(k):
-    base = _constant_path(np.diag([1.0, -1.0]))
+    base = _constant_path(np.diag([1.0, -1.0]), samples=czengine.DEFAULT_SAMPLES)
     loop = czengine._rotation_loop(k)
     assert cz_crossing_form(path_product(loop, base)) == 2 * k + cz_crossing_form(base)
 
@@ -328,11 +311,11 @@ def _ternary_extremum(path, a, b, fa, fb):
 @pytest.fixture(scope="module")
 def crossing_paths():
     """Local models of every orbit of C:5, D:4 and T below the level-3
-    threshold, and one direct sum in Sp(4)."""
+    threshold, and one direct sum in Sp(4) on the saddle's default grid."""
     paths = {f"{label}/{o.name}": local_model_for(o)
              for label in ("C:5", "D:4", "T") for o in enumerate_orbits(label, 3)}
     paths["sum"] = path_direct_sum(
-        local_model_path(-1.0, np.eye(2), k=Fraction(5, 4)),
+        local_model_path(-1.0, np.eye(2), k=Fraction(5, 4), samples=1408),
         local_model_path(0.0, np.diag([1.0, -1.0]), k=Fraction(7, 4)),
     )
     return paths
@@ -492,11 +475,13 @@ def test_one_matrix_reads_the_bits_of_its_stack_row(n):
 
 def test_sp6_crossing_form_uses_the_lapack_route():
     # no local model or suite path reaches d >= 6; a direct sum of three
-    # local models does, and its index is the sum 5 + 7 + 7
+    # local models on the finest of their default grids does, and its index
+    # is the sum 5 + 7 + 7
     total = path_direct_sum(
-        path_direct_sum(local_model_path(-1.0, np.eye(2), k=Fraction(5, 4)),
-                        local_model_path(0.0, np.diag([1.0, -1.0]), k=Fraction(7, 4))),
-        local_model_path(1.0, -np.eye(2), k=Fraction(3, 2)),
+        path_direct_sum(local_model_path(-1.0, np.eye(2), k=Fraction(5, 4), samples=1408),
+                        local_model_path(0.0, np.diag([1.0, -1.0]), k=Fraction(7, 4),
+                                         samples=1408)),
+        local_model_path(1.0, -np.eye(2), k=Fraction(3, 2), samples=1408),
     )
     assert total.n == 3
     assert cz_crossing_form(total) == 19
@@ -542,8 +527,8 @@ def test_rotation_index_elliptic():
 
 
 def test_rotation_index_positive_hyperbolic_full_turn():
-    hyp = _constant_path(np.diag([1.0, -1.0]), samples=1025)
-    path = path_product(czengine._rotation_loop(1), hyp, samples=4097)
+    hyp = _constant_path(np.diag([1.0, -1.0]), samples=czengine.DEFAULT_SAMPLES)
+    path = path_product(czengine._rotation_loop(1), hyp)
     theta, mu = rotation_cz_sp2(path)
     assert abs(theta - 1.0) < 1e-6
     assert mu == 2
@@ -722,44 +707,46 @@ def _assert_matches(path, reference):
 
 @pytest.fixture(scope="module")
 def operand_paths():
-    """Two random paths on the default 1024-node grid (no exact evaluator)
-    and a 4097-node path with an exact evaluator."""
+    """Two solved random paths and a path with an exact evaluator, all on
+    the default 1024-node grid."""
     rng = np.random.default_rng(5)
     p = czengine._random_nondegenerate_path(rng, 1)
     q = czengine._random_nondegenerate_path(rng, 1)
-    fine = path_product(czengine._rotation_loop(1), _constant_path(np.diag([1.0, -1.0])),
-                        samples=4097)
-    return p, q, fine
+    exact = path_product(czengine._rotation_loop(1),
+                         _constant_path(np.diag([1.0, -1.0]), samples=czengine.DEFAULT_SAMPLES))
+    return p, q, exact
 
 
 def test_batched_algebra_matches_per_sample_on_shared_grid(operand_paths):
-    p, q, _fine = operand_paths
-    assert p.samples == q.samples == 1024
+    p, q, exact = operand_paths
+    assert p.samples == q.samples == exact.samples == 1024
+    assert p.func is None and exact.func is not None
     _assert_matches(path_product(p, q), _product_reference(p, q, p.ts))
+    _assert_matches(path_product(p, exact), _product_reference(p, exact, p.ts))
+    _assert_matches(path_product(exact, p), _product_reference(exact, p, p.ts))
     _assert_matches(path_inverse(p), _inverse_reference(p, p.ts))
+    _assert_matches(path_inverse(exact), _inverse_reference(exact, p.ts))
     _assert_matches(path_direct_sum(p, q), _direct_sum_reference(p, q, p.ts))
+    _assert_matches(path_direct_sum(p, exact), _direct_sum_reference(p, exact, p.ts))
 
 
-def test_batched_algebra_matches_per_sample_on_mismatched_grid(operand_paths):
-    p, _q, fine = operand_paths
+def test_algebra_needs_one_grid(operand_paths):
+    p, _q, _exact = operand_paths
+    fine = _constant_path(np.diag([1.0, -1.0]), samples=4097)
     assert (p.samples, fine.samples) == (1024, 4097)
-    prod = path_product(p, fine)
-    assert prod.samples == 4097
-    _assert_matches(prod, _product_reference(p, fine, prod.ts))
-    _assert_matches(path_product(fine, p), _product_reference(fine, p, prod.ts))
-    _assert_matches(path_inverse(fine), _inverse_reference(fine, fine.ts))
-    total = path_direct_sum(p, fine)
-    assert total.samples == 4097
-    _assert_matches(total, _direct_sum_reference(p, fine, total.ts))
+    for combine in (path_product, path_direct_sum):
+        for pair in ((p, fine), (fine, p)):
+            with pytest.raises(ValueError, match="one grid"):
+                combine(*pair)
 
 
 def test_algebra_off_grid_values_use_exact_evaluators(operand_paths):
-    p, q, fine = operand_paths
+    p, q, exact = operand_paths
     j0 = standard_j(1)
-    t = 0.123456789  # not a node of either grid
-    prod = path_product(p, fine)
-    assert np.array_equal(prod.at(t), p.at(t) @ fine.at(t))
-    _, ref_gens = _product_reference(p, fine, [t])
+    t = 0.123456789  # not a grid node
+    prod = path_product(p, exact)
+    assert np.array_equal(prod.at(t), p.at(t) @ exact.at(t))
+    _, ref_gens = _product_reference(p, exact, [t])
     assert np.array_equal(prod.generator.at(t), ref_gens[0])
     inv = path_inverse(p)
     assert np.array_equal(inv.at(t), -j0 @ p.at(t).T @ j0)
