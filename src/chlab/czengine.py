@@ -134,6 +134,14 @@ def _identity(d):
     return eye
 
 
+@functools.lru_cache(maxsize=None)
+def _grid(m):
+    """The uniform grid of m nodes on [0, 1], endpoints included; read-only."""
+    ts = np.linspace(0.0, 1.0, m)
+    ts.flags.writeable = False
+    return ts
+
+
 def omega0(x, y):
     """Standard symplectic form omega0(x, y) = (J0 x) . y."""
     n = len(x) // 2
@@ -142,12 +150,40 @@ def omega0(x, y):
 
 
 def _sym_defect(a):
+    """Largest ``|a_ij - a_ji|`` over a stack of square matrices."""
+    if a.shape[-1] == 2:
+        return float(np.max(np.abs(a[..., 0, 1] - a[..., 1, 0])))
     return float(np.max(np.abs(a - np.swapaxes(a, -1, -2))))
 
 
 def _drift(values, j0):
-    res = np.swapaxes(values, -1, -2) @ j0 @ values - j0
-    return float(np.max(np.abs(res)))
+    """The symplecticity residual ``max |Phi^T J0 Phi - J0|`` over a stack.
+    ``Phi^T J0`` is ``Phi^T`` with its column blocks swapped and the second
+    negated, formed exactly without a product; the product with Phi stays,
+    since its rounding is part of the value (see ``_drift_bound``)."""
+    n = values.shape[-1] // 2
+    vt = np.swapaxes(values, -1, -2)
+    vt_j0 = np.concatenate([vt[..., n:], -vt[..., :n]], axis=-1)
+    return float(np.max(np.abs(vt_j0 @ values - j0)))
+
+
+def _drift_bound(values):
+    """An upper bound on ``_drift`` of a stack without its matrix product;
+    ``inf`` above Sp(2).
+
+    In Sp(2) ``Phi^T J0 Phi - J0 = (det Phi - 1) J0``, so each node's
+    residual is ``|p00 p11 - p01 p10 - 1|``, entry by entry, up to the
+    rounding of the two 2-term products, which also leaves up to ``2 eps
+    |p00 p10|`` and ``2 eps |p01 p11|`` on the diagonal: all within ``4 eps
+    (|p00 p11| + |p01 p10| + |p00 p10| + |p01 p11| + 1)``.  On paths with
+    large entries that rounding is above ``|det Phi - 1|`` itself, so the
+    closed form bounds the residual but is not its value."""
+    if values.shape[-1] != 2:
+        return math.inf
+    (p00, p01), (p10, p11) = _entries(values)
+    a, b = p00 * p11, p01 * p10
+    slack = np.abs(a) + np.abs(b) + np.abs(p00 * p10) + np.abs(p01 * p11) + 1.0
+    return float(np.max(np.abs(a - b - 1.0) + 4.0 * np.finfo(float).eps * slack))
 
 
 class SymmetricPath:
@@ -159,6 +195,11 @@ class SymmetricPath:
     (which ``solve_path`` reads).  ``at`` is one call of ``func`` at any
     time, and ``midpoints`` one per midpoint when no stack is stored.  A
     path without an evaluator raises ``ValueError``.
+
+    ``func`` must return exactly symmetric matrices, and ``at`` returns its
+    output as it is.  An evaluator that is not symmetric by construction
+    (a product of matrices, a user's function) symmetrizes its own output,
+    as ``from_callable`` does for the function it is given.
     """
 
     __slots__ = ("values", "ts", "func", "dim", "mids")
@@ -183,26 +224,30 @@ class SymmetricPath:
         if defect > TOL_SYMMETRY:
             raise ValueError(f"generator samples not symmetric: defect {defect:.3e}")
         self.values = values
-        self.ts = np.linspace(0.0, 1.0, values.shape[0])
+        self.ts = _grid(values.shape[0])
         self.func = func
         self.dim = values.shape[1]
         self.mids = mids
 
     @classmethod
     def from_callable(cls, func, samples=DEFAULT_SAMPLES):
-        samples = max(int(samples), MIN_SAMPLES)
-        ts = np.linspace(0.0, 1.0, samples)
-        values = np.stack([np.asarray(func(t), dtype=float) for t in ts])
-        return cls(_symmetrized(values), func=func)
+        """The path of ``func`` on a grid of ``samples`` nodes (at least
+        ``MIN_SAMPLES``), one call per node; its evaluator is ``func``
+        symmetrized."""
+        def symmetric(t):
+            return _symmetrized(np.asarray(func(t), dtype=float))
+
+        values = np.stack([symmetric(t) for t in _grid(max(int(samples), MIN_SAMPLES))])
+        return cls(values, func=symmetric)
 
     @property
     def samples(self):
         return self.values.shape[0]
 
     def at(self, t):
-        """Evaluate S(t) by the exact evaluator, symmetrized; it takes an
-        array of times if ``func`` does."""
-        return _symmetrized(np.asarray(self.func(t), dtype=float))
+        """Evaluate S(t) by the exact evaluator; it takes an array of times
+        if ``func`` does."""
+        return np.asarray(self.func(t), dtype=float)
 
     def midpoints(self):
         """S at the cell midpoints ``ts[i] + h/2``: the stored stack, else one
@@ -249,10 +294,14 @@ class SymplecticPath:
     Invariants checked at construction: the initial value is the identity,
     and the symplecticity residual ``Phi^T J0 Phi - J0`` stays within
     ``TOL_DRIFT`` at every sample.  ``endpoint_nondegenerate`` records
-    whether ``det(Phi(1) - Id)`` clears ``TOL_ENDPOINT``.
+    whether ``det(Phi(1) - Id)`` clears ``TOL_ENDPOINT``.  In Sp(2) the
+    closed-form bound of ``_drift_bound`` clears the check, and the residual
+    ``drift`` is formed on first read; the check forms it when the bound
+    does not clear.
     """
 
-    __slots__ = ("values", "ts", "generator", "func", "n", "drift", "endpoint_nondegenerate")
+    __slots__ = ("values", "ts", "generator", "func", "n", "endpoint_nondegenerate",
+                 "_residual", "_substep")
 
     def __init__(self, values, generator, func=None):
         values = np.asarray(values, dtype=float)
@@ -261,16 +310,17 @@ class SymplecticPath:
         if np.max(np.abs(values[0] - _identity(generator.dim))) > 1e-10:
             raise ValueError("path must start at the identity")
         self.n = generator.dim // 2
-        j0 = standard_j(self.n)
-        self.drift = _drift(values, j0)
-        if self.drift > TOL_DRIFT:
+        self.values = values
+        self._residual = None
+        # "not within" sends a NaN bound to the residual itself
+        if not _drift_bound(values) <= TOL_DRIFT and self.drift > TOL_DRIFT:
             raise DriftExceeded(
                 f"symplecticity drift {self.drift:.3e} exceeds {TOL_DRIFT:.1e}"
             )
-        self.values = values
-        self.ts = np.linspace(0.0, 1.0, values.shape[0])
+        self.ts = _grid(values.shape[0])
         self.generator = generator
         self.func = func
+        self._substep = (None, None)
         self.endpoint_nondegenerate = (
             abs(float(np.linalg.det(values[-1] - _identity(2 * self.n)))) > TOL_ENDPOINT
         )
@@ -279,12 +329,26 @@ class SymplecticPath:
     def samples(self):
         return self.values.shape[0]
 
+    @property
+    def drift(self):
+        """The symplecticity residual ``max |Phi^T J0 Phi - J0|`` over the
+        samples (``_drift``), formed on first read."""
+        if self._residual is None:
+            self._residual = _drift(self.values, standard_j(self.n))
+        return self._residual
+
     def at(self, t):
         """Evaluate Phi(t); off-grid values come from the exact evaluator
         when present, else from one Runge-Kutta substep off the nearest
-        lower grid node.  A grid node returns its stored sample."""
+        lower grid node.  A grid node returns its stored sample.  The last
+        substep is kept, read-only, and returned again for the same t: the
+        evaluators of a product or an inverse read their operand twice per
+        time, once for the value and once for the generator."""
         if self.func is not None:
             return np.asarray(self.func(t), dtype=float)
+        last_t, last = self._substep
+        if t == last_t:
+            return last
         i0 = _node_at_or_below(self.ts, t)
         t0 = self.ts[i0]
         h = float(t) - t0
@@ -294,7 +358,10 @@ class SymplecticPath:
         step = _rk4_increment(
             j0 @ gen.at(t0), j0 @ gen.at(t0 + 0.5 * h), j0 @ gen.at(t0 + h), h
         )
-        return self.values[i0] + step @ self.values[i0]
+        value = self.values[i0] + step @ self.values[i0]
+        value.flags.writeable = False
+        self._substep = (t, value)
+        return value
 
     def endpoint(self):
         return self.values[-1]
@@ -368,17 +435,20 @@ class AsymptoticFamily:
     def path_at(self, s, samples=DEFAULT_SAMPLES):
         """The generator path t -> S(s, t) as a SymmetricPath, its node and
         midpoint samples the affine combination of those of ``S(-1, .)`` and
-        ``S(1, .)``, which are sampled on first use per grid size."""
+        ``S(1, .)``, which are sampled on first use per grid size, and its
+        evaluator ``func(s, .)`` symmetrized."""
         samples = max(int(samples), MIN_SAMPLES)
         if samples not in self._grid_ends:
-            ts = np.linspace(0.0, 1.0, samples)
+            ts = _grid(samples)
             times = np.concatenate([ts, _midpoint_times(ts)])
             self._grid_ends[samples] = (self._end_samples(-1.0, times),
                                         self._end_samples(1.0, times))
         lo, hi = self._grid_ends[samples]
         stack = _symmetrized(0.5 * (1.0 - s) * lo + 0.5 * (1.0 + s) * hi)
         return SymmetricPath(
-            stack[:samples], func=lambda t: self.func(s, t), mids=stack[samples:]
+            stack[:samples],
+            func=lambda t: _symmetrized(np.asarray(self.func(s, t), dtype=float)),
+            mids=stack[samples:],
         )
 
     def _end_samples(self, end, times):
@@ -421,10 +491,11 @@ def solve_paths(generators):
     The increments of all grid cells of all paths are built in one batched
     expression from the node and midpoint samples of S; only chaining them,
     ``Phi_{i+1} = Phi_i + D_i Phi_i``, runs step by step, once for the
-    whole stack of paths.  A stacked matrix product computes each matrix as
-    the single product does, so every path is bit for bit the one solved
-    alone.  No re-orthonormalization is applied: the symplecticity drift is
-    kept as an accuracy witness and ``DriftExceeded`` is raised if it passes
+    whole stack of paths, in place on one node's block of the result at a
+    time.  A stacked matrix product computes each matrix as the single
+    product does, so every path is bit for bit the one solved alone.  No
+    re-orthonormalization is applied: the symplecticity drift is kept as an
+    accuracy witness and ``DriftExceeded`` is raised if it passes
     ``TOL_DRIFT``.
     """
     generators = list(generators)
@@ -434,15 +505,19 @@ def solve_paths(generators):
     if any(g.samples != first.samples or g.dim != first.dim for g in generators):
         raise ValueError("paths solved together must share one grid and one dimension")
     j0 = standard_j(first.dim // 2)
-    a = j0 @ np.stack([g.values for g in generators])
-    mids = j0 @ np.stack([g.midpoints() for g in generators])
+    # node-major stacks: row i holds node i of every path, so each step of
+    # the chain reads and writes contiguous blocks
+    a = j0 @ np.stack([g.values for g in generators], axis=1)
+    mids = j0 @ np.stack([g.midpoints() for g in generators], axis=1)
     h = first.ts[1] - first.ts[0]
-    increments = _rk4_increment(a[:, :-1], mids, a[:, 1:], h)
+    increments = _rk4_increment(a[:-1], mids, a[1:], h)
     values = np.empty_like(a)
-    values[:, 0] = np.eye(first.dim)
-    for i in range(first.samples - 1):
-        values[:, i + 1] = values[:, i] + increments[:, i] @ values[:, i]
-    return [SymplecticPath(v, g) for v, g in zip(values, generators)]
+    values[0] = _identity(first.dim)
+    for step, node, following in zip(increments, values, values[1:]):
+        np.matmul(step, node, out=following)
+        np.add(node, following, out=following)
+    return [SymplecticPath(np.ascontiguousarray(values[:, k]), g)
+            for k, g in enumerate(generators)]
 
 
 def solve_path(generator):
@@ -456,13 +531,29 @@ def solve_path(generator):
 
 
 def _signature(sym, context="", error=IrregularCrossing):
-    eigs = np.linalg.eigvalsh(0.5 * (sym + sym.T))
-    scale = max(1.0, float(np.max(np.abs(eigs))))
-    if np.any(np.abs(eigs) < TOL_DEAD_ZONE * scale):
+    """Signature of the symmetric part of a square form; ``error`` if an
+    eigenvalue lies within ``TOL_DEAD_ZONE`` times ``max(1, max|eig|)`` of 0.
+
+    A 1x1 form is its entry.  A 2x2 form ``[[a, b], [b, d]]`` has the
+    eigenvalue of larger modulus ``big = mean + copysign(hypot((a - d)/2,
+    b), mean)`` with ``mean = (a + d)/2``, free of cancellation, and the
+    other one ``det/big``.  Larger forms call ``eigvalsh``."""
+    d = sym.shape[-1]
+    if d == 1:
+        eigs = [float(sym[0, 0])]
+    elif d == 2:
+        (a, b), (c, e) = sym.tolist()
+        off, mean = 0.5 * (b + c), 0.5 * (a + e)
+        big = mean + math.copysign(math.hypot(0.5 * (a - e), off), mean)
+        eigs = [big, (a * e - off * off) / big if big != 0.0 else 0.0]
+    else:
+        eigs = np.linalg.eigvalsh(0.5 * (sym + sym.T)).tolist()
+    scale = max(1.0, max(abs(x) for x in eigs))
+    if any(abs(x) < TOL_DEAD_ZONE * scale for x in eigs):
         raise error(
             f"crossing form eigenvalue inside dead zone {TOL_DEAD_ZONE:.1e}{context}"
         )
-    return int(np.sum(eigs > 0) - np.sum(eigs < 0))
+    return sum(x > 0 for x in eigs) - sum(x < 0 for x in eigs)
 
 
 def _entries(m):
@@ -633,8 +724,29 @@ def _refine_extremum(path, a, b, fa, fb):
     return (a * fb - b * fa) / (fb - fa)
 
 
-def _kernel_basis(path, t):
-    m = path.at(t) - _identity(2 * path.n)
+def _kernel_basis(m):
+    """Orthonormal columns spanning the numerical kernel of a square matrix:
+    the right singular vectors whose singular value is below
+    ``TOL_KERNEL_REL`` times ``max(1, sigma_1)``.
+
+    For 2x2, ``sigma_1 = (sqrt(F^2 + 2|det|) + sqrt(F^2 - 2|det|)) / 2``
+    from the Frobenius norm F, and ``sigma_2 = |det| / sigma_1``, which has
+    no cancellation.  A kernel of dimension 1 is the unit vector
+    perpendicular to the longer row, one of dimension 2 the identity
+    columns.  Larger matrices call ``svd``."""
+    if m.shape[-1] == 2:
+        (a, b), (c, d) = m.tolist()
+        det = abs(a * d - b * c)
+        f2 = a * a + b * b + c * c + d * d
+        sigma1 = 0.5 * (math.sqrt(f2 + 2.0 * det) + math.sqrt(max(f2 - 2.0 * det, 0.0)))
+        threshold = TOL_KERNEL_REL * max(1.0, sigma1)
+        if sigma1 < threshold:
+            return _identity(2)
+        if det / sigma1 >= threshold:
+            return np.empty((2, 0))
+        x, y = (a, b) if a * a + b * b >= c * c + d * d else (c, d)
+        r = math.hypot(x, y)
+        return np.array([[-y / r], [x / r]])
     u, sig, vt = np.linalg.svd(m)
     scale = max(1.0, float(sig[0]))
     mask = sig < TOL_KERNEL_REL * scale
@@ -695,14 +807,14 @@ def crossing_records(path):
             raise IrregularCrossing(
                 f"crossing at t = {t_star:.3e} sits within {TOL_ENDPOINT_GAP:.0e} of an endpoint"
             )
-        kernel = _kernel_basis(path, t_star)
+        phi = path.at(t_star)
+        kernel = _kernel_basis(phi - _identity(2 * path.n))
         if kernel.shape[1] == 0:
             continue  # a near-miss dip, not a crossing
-        phi = path.at(t_star)
         phi_dot = j0 @ path.generator.at(t_star) @ phi
         # Crossing form Gamma(v) = omega0(v, Phi'(t*) v) restricted to the kernel.
         w = (j0 @ kernel).T @ (phi_dot @ kernel)
-        sig = _signature(0.5 * (w + w.T), context=f" at t = {t_star:.6f}")
+        sig = _signature(w, context=f" at t = {t_star:.6f}")
         records.append(CrossingRecord(float(t_star), int(kernel.shape[1]), sig))
     return records
 
@@ -788,19 +900,26 @@ def rotation_cz_sp2(path):
 
 
 def maslov_loop(path):
-    """Maslov index of a symplectic loop via the winding of the determinant
-    of the unitary polar factor."""
+    """Maslov index of a symplectic loop: the winding of ``det((A + D) +
+    i (C - B))`` over the nodes ``Phi = [[A, B], [C, D]]``.
+
+    ``((A + D) + i (C - B)) / 2`` is the complex-linear part of Phi, whose
+    singular values are >= 1 on Sp(2n) and which is the unitary polar factor
+    ``X + i Y`` on U(n), so its determinant winds as that of the polar
+    factor (McDuff-Salamon, Introduction to Symplectic Topology, 2.2).  In
+    Sp(2) it is ``tr Phi + i (Phi10 - Phi01)``, the ``w`` of
+    ``rotation_cz_sp2``.  A loop whose determinant falls below ``2^n / 2``
+    in modulus is not symplectic and raises ``ValueError``."""
     if np.max(np.abs(path.endpoint() - path.values[0])) > 1e-8:
         raise ValueError("maslov_loop requires a loop: Phi(1) must equal Phi(0)")
-    n = path.n
-    u, _, vt = np.linalg.svd(path.values)
-    q = u @ vt  # orthogonal polar factors, in Sp(2n) hence of the form [[X,-Y],[Y,X]]
-    x = q[:, :n, :n]
-    y = q[:, n:, :n]
-    if np.max(np.abs(q[:, :n, n:] + y)) > 1e-8 or np.max(np.abs(q[:, n:, n:] - x)) > 1e-8:
-        raise ValueError("polar factor is not unitary-block structured")
-    dets = np.linalg.det(x + 1j * y)
-    ang = _unwrapped_angle(dets, "polar determinant winding")
+    n, v = path.n, path.values
+    if n == 1:
+        dets = (v[:, 0, 0] + v[:, 1, 1]) + 1j * (v[:, 1, 0] - v[:, 0, 1])
+    else:
+        dets = np.linalg.det((v[:, :n, :n] + v[:, n:, n:]) + 1j * (v[:, n:, :n] - v[:, :n, n:]))
+    if float(np.min(np.abs(dets))) < 2.0 ** n / 2.0:
+        raise ValueError("loop leaves Sp(2n): its complex-linear part is nearly singular")
+    ang = _unwrapped_angle(dets, "complex-linear determinant winding")
     winding = (ang[-1] - ang[0]) / (2.0 * math.pi)
     k = int(round(winding))
     if abs(winding - k) > 1e-6:
@@ -866,7 +985,8 @@ def local_model_path(f_value, hessian, eps=DEFAULT_EPSILON, k=1, samples=None):
     The closed form is written once, entry by entry, in
     ``_local_model_entries``: the grid samples are one call of it on the
     array of nodes, and the evaluators that off-grid reads call are one
-    call on a single float, so both agree to a few ulps.
+    call on a single float, so both agree to a few ulps.  The two
+    evaluators share that call: Phi and S at the last time read.
     """
     if not 0.0 < eps <= MAX_EPSILON:
         raise ValueError(f"eps must lie in (0, {MAX_EPSILON}], got {eps}")
@@ -886,19 +1006,22 @@ def local_model_path(f_value, hessian, eps=DEFAULT_EPSILON, k=1, samples=None):
     b = 2.0 * math.pi * kf * eps / f_eps
     model = (a, b, h.tolist(), (-b * (standard_j(1) @ h)).tolist())
 
+    @functools.lru_cache(maxsize=1)
+    def entries(tau):
+        return _local_model_entries(tau, *model, math)
+
     def phi(tau):
-        return np.array(_local_model_entries(tau, *model, math)[1]).reshape(2, 2)
+        return np.array(entries(tau)[1]).reshape(2, 2)
 
     def gen(tau):
-        return np.array(_local_model_entries(tau, *model, math)[0]).reshape(2, 2)
+        return np.array(entries(tau)[0]).reshape(2, 2)
 
     if samples is None:
         # 64 nodes per radian of fiber rotation keep every extremum of g in
         # a cell of its own; a saddle's near-resonant crossing pair, often
         # closer than a cell, shares one and is split at its minimum.
         samples = max(DEFAULT_SAMPLES, 64 * (int(a) + 1))
-    ts = np.linspace(0.0, 1.0, max(int(samples), MIN_SAMPLES))
-    s, p = _local_model_entries(ts, *model, np)
+    s, p = _local_model_entries(_grid(max(int(samples), MIN_SAMPLES)), *model, np)
     return SymplecticPath(
         np.stack(p, axis=-1).reshape(-1, 2, 2),
         SymmetricPath(np.stack(s, axis=-1).reshape(-1, 2, 2), func=gen),
@@ -952,9 +1075,10 @@ def path_product(p, q):
     """Pointwise product path t -> P(t) Q(t) of two paths of one dimension
     on one grid (``ValueError`` otherwise).
 
-    The generator is ``S_P + J0 P J0 S_Q J0 P^T J0``, which is exactly
-    symmetric for symplectic P.  Both are computed from the operands' grid
-    samples at once; the per-point evaluators serve off-grid times.
+    The generator is ``S_P + J0 P J0 S_Q J0 P^T J0``, which is symmetric
+    for symplectic P and is symmetrized against rounding.  Both are computed
+    from the operands' grid samples at once; the per-point evaluators serve
+    off-grid times.
     """
     if p.n != q.n:
         raise ValueError("paths must share a dimension")
@@ -962,7 +1086,9 @@ def path_product(p, q):
     j0 = standard_j(p.n)
 
     def gen(t):
-        return _product_generator(p.at(t), p.generator.at(t), q.generator.at(t), j0)
+        return _symmetrized(
+            _product_generator(p.at(t), p.generator.at(t), q.generator.at(t), j0)
+        )
 
     def func(t):
         return p.at(t) @ q.at(t)
@@ -977,7 +1103,7 @@ def path_inverse(p):
     j0 = standard_j(p.n)
 
     def gen(t):
-        return _inverse_generator(p.at(t), p.generator.at(t))
+        return _symmetrized(_inverse_generator(p.at(t), p.generator.at(t)))
 
     def func(t):
         return _symplectic_inverse(p.at(t), j0)
@@ -1270,10 +1396,9 @@ def _random_generator(rng, n, scale=1.0):
             return series(_times(t), np.cos, np.sin)
         return series(t, math.cos, math.sin)
 
-    ts = np.linspace(0.0, 1.0, DEFAULT_SAMPLES)
-    return SymmetricPath(
-        _symmetrized(evaluate(ts)), func=evaluate, mids=_symmetrized(evaluate(_midpoint_times(ts)))
-    )
+    # the coefficients are symmetric, so every sum is exactly symmetric
+    ts = _grid(DEFAULT_SAMPLES)
+    return SymmetricPath(evaluate(ts), func=evaluate, mids=evaluate(_midpoint_times(ts)))
 
 
 def _random_nondegenerate_path(rng, n, scale=1.0, tries=40):
@@ -1300,9 +1425,10 @@ def _times(t):
 
 def _vectorized_path(func, gen, samples=DEFAULT_SAMPLES):
     """Path whose evaluators ``func`` and ``gen`` accept a time or an array of
-    times; the grid is sampled with one call of each."""
-    ts = np.linspace(0.0, 1.0, samples)
-    s_path = SymmetricPath(_symmetrized(gen(ts)), func=gen)
+    times, ``gen`` exactly symmetric; the grid is sampled with one call of
+    each."""
+    ts = _grid(samples)
+    s_path = SymmetricPath(gen(ts), func=gen)
     return SymplecticPath(func(ts), s_path, func=func)
 
 

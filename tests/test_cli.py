@@ -8,6 +8,7 @@ import hashlib
 import importlib
 import io
 import json
+import os
 import pkgutil
 import shutil
 import subprocess
@@ -565,9 +566,13 @@ def test_console_script_is_installed():
     assert "chlab" in scripts
     module, _, attr = scripts["chlab"].partition(":")
     assert module and attr
+    # the wrapper runs where chlab is importable, as the tests' own chlab is
+    package_root = str(Path(chlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT_LAUNCHER, module, attr, "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""

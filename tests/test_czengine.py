@@ -4,6 +4,7 @@ crossing-sign relation, and building index bookkeeping."""
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -431,6 +432,50 @@ def test_sp2_trace_gap_is_within_drift(seed):
         assert np.all(np.abs(by_trace - by_lu) <= path.drift + rounding)
 
 
+def _drift_reference(values, j0):
+    return float(np.max(np.abs(np.swapaxes(values, -1, -2) @ j0 @ values - j0)))
+
+
+def _drift_stacks():
+    """Solved Sp(2) and Sp(4) paths, Sp(2) products with large entries among
+    them."""
+    rng = np.random.default_rng(8)
+    stacks = [czengine._random_nondegenerate_path(rng, 2, scale=2.5).values]
+    for _ in range(2):
+        p = czengine._random_nondegenerate_path(rng, 1, scale=2.5)
+        stacks += [p.values, path_product(p, path_product(p, p)).values]
+    stacks.append(local_model_for(enumerate_orbits("D:3", 2)[0]).values)
+    for scale in (0.5, 2.0):  # constant hyperbolic generators, entries up to ~e^4
+        stacks.append(_constant_path(scale * np.array([[0.0, 1.0], [1.0, 0.0]]), 1024).values)
+    return stacks
+
+
+def test_drift_is_the_two_product_residual_and_the_sp2_bound_holds():
+    for values in _drift_stacks():
+        j0 = standard_j(values.shape[-1] // 2)
+        drift = czengine._drift(values, j0)
+        assert drift == _drift_reference(values, j0)
+        bound = czengine._drift_bound(values)
+        if values.shape[-1] == 2:
+            assert drift <= bound
+        else:
+            assert bound == math.inf
+
+
+def test_sp2_path_forms_its_drift_when_read(monkeypatch):
+    calls = []
+    real = czengine._drift
+    monkeypatch.setattr(czengine, "_drift", lambda *args: calls.append(1) or real(*args))
+    path = local_model_path(-1.0, np.eye(2))
+    assert calls == []
+    assert path.drift == _drift_reference(path.values, standard_j(1))
+    assert path.drift == path.drift and len(calls) == 1
+    # a stack off Sp(2) fails the bound and the residual itself
+    with pytest.raises(czengine.DriftExceeded):
+        czengine.SymplecticPath(path.values * (1.0 + 1e-7 * path.ts[:, None, None]),
+                                path.generator)
+
+
 def _sp4_stacks():
     """Random 4x4 stacks of full rank and of rank deficiency 1 and 2."""
     rng = np.random.default_rng(5)
@@ -471,6 +516,58 @@ def test_one_matrix_reads_the_bits_of_its_stack_row(n):
     else:
         jacobi = np.sum(czengine._cofactors(path.values - np.eye(4)) * phi_dot, axis=(-2, -1))
     assert np.max(np.abs(slope - jacobi)) <= 1e-12 * np.max(np.abs(jacobi))
+
+
+def _closed_form_corpus():
+    """2x2 matrices: random, rank 1 within 1e-9, zero, +-Id, and entries
+    scaled by 1e8."""
+    rng = np.random.default_rng(12)
+    random = list(rng.normal(size=(40, 2, 2)))
+    rank1 = [np.outer(rng.normal(size=2), rng.normal(size=2)) + 1e-9 * rng.normal(size=(2, 2))
+             for _ in range(40)]
+    special = [np.zeros((2, 2)), np.eye(2), -np.eye(2)]
+    return random + rank1 + special + [1e8 * m for m in random[:10] + rank1[:10]]
+
+
+def _svd_kernel(m):
+    _u, sig, vt = np.linalg.svd(m)
+    return vt[sig < czengine.TOL_KERNEL_REL * max(1.0, float(sig[0]))].T
+
+
+def test_sp2_kernel_basis_matches_svd():
+    dims = set()
+    for m in _closed_form_corpus():
+        kernel, reference = czengine._kernel_basis(m), _svd_kernel(m)
+        assert kernel.shape == reference.shape
+        dims.add(kernel.shape[1])
+        # orthonormal columns spanning the same subspace
+        assert np.allclose(kernel.T @ kernel, np.eye(kernel.shape[1]), atol=1e-12)
+        assert np.allclose(kernel @ kernel.T, reference @ reference.T, atol=1e-6)
+    assert dims == {0, 1, 2}
+
+
+def _eigvalsh_signature(sym):
+    eigs = np.linalg.eigvalsh(0.5 * (sym + sym.T))
+    scale = max(1.0, float(np.max(np.abs(eigs))))
+    if np.any(np.abs(eigs) < czengine.TOL_DEAD_ZONE * scale):
+        return "dead zone"
+    return int(np.sum(eigs > 0) - np.sum(eigs < 0))
+
+
+def test_small_form_signature_matches_eigvalsh():
+    forms = [0.5 * (m + m.T) for m in _closed_form_corpus()]
+    forms += [m @ m.T for m in _closed_form_corpus()[40:80]]  # rank 1 within 1e-18
+    forms += [np.array([[x]]) for x in (2.0, -0.3, 0.0, 1e-12, -1e8)]
+    outcomes = set()
+    for sym in forms:
+        try:
+            got = czengine._signature(sym)
+        except czengine.IrregularCrossing as err:
+            assert "dead zone" in str(err)
+            got = "dead zone"
+        assert got == _eigvalsh_signature(sym), sym
+        outcomes.add(got)
+    assert outcomes == {-2, -1, 0, 1, 2, "dead zone"}
 
 
 def test_sp6_crossing_form_uses_the_lapack_route():
@@ -586,6 +683,36 @@ def test_maslov_loop_of_fiber_reparameterization():
 def test_maslov_loop_rejects_open_paths():
     with pytest.raises(ValueError):
         maslov_loop(_constant_path(np.eye(2)))
+
+
+@pytest.mark.parametrize("n, c", [(1, 0.25), (2, 0.5), (3, 0.5)])
+def test_maslov_loop_rejects_a_loop_outside_sp(n, c):
+    # the complex-linear part of c Id is c Id, of determinant c^n, far below
+    # the 1 every symplectic matrix clears (0.5 Id in Sp(2) sits on the
+    # bound 2^n / 2 itself); the polar factor of c Id is Id and wound 0
+    values = np.broadcast_to(c * np.eye(2 * n), (512, 2 * n, 2 * n))
+    loop = SimpleNamespace(n=n, values=values, endpoint=lambda: values[-1])
+    with pytest.raises(ValueError, match="complex-linear part"):
+        maslov_loop(loop)
+
+
+@pytest.mark.parametrize("k", [-2, 1, 3])
+def test_maslov_loop_of_a_conjugated_sp4_loop(k):
+    # C L(t) C^-1 with C symplectic and not orthogonal winds as L(t): its
+    # generator is C^-T S C^-1
+    a = np.array([[2.0, 1.0], [0.0, 0.5]])
+    c = np.zeros((4, 4))
+    c[:2, :2], c[2:, 2:] = a, np.linalg.inv(a).T
+    c = c @ czengine._expm(standard_j(2) @ np.diag([0.3, 0.0, 0.0, -0.2]))
+    c_inv = -standard_j(2) @ c.T @ standard_j(2)
+    loop = czengine._rotation_loop(k, n=2)
+    s = c_inv.T @ loop.generator.at(0.0) @ c_inv
+    s = 0.5 * (s + s.T)
+    conjugated = czengine._vectorized_path(
+        lambda t: c @ loop.func(t) @ c_inv, lambda t: np.broadcast_to(s, np.shape(t) + s.shape))
+    assert np.max(np.abs(c.T @ standard_j(2) @ c - standard_j(2))) < 1e-14
+    assert np.max(np.abs(c.T @ c - np.eye(4))) > 1.0
+    assert maslov_loop(conjugated) == k
 
 
 # ---------------------------------------------------------------------------
@@ -754,6 +881,40 @@ def test_algebra_off_grid_values_use_exact_evaluators(operand_paths):
     total = path_direct_sum(p, q)
     assert np.array_equal(total.at(t), _embed(p.at(t), q.at(t)))
     assert np.array_equal(total.generator.at(t), _embed(p.generator.at(t), q.generator.at(t)))
+
+
+def test_product_reads_a_solved_operand_once_per_time(operand_paths, monkeypatch):
+    # the product's value and its generator both read the solved operand at
+    # t; the second read returns the first one's substep
+    p = operand_paths[0]
+    exact = czengine._rotation_loop(1)
+    prod = path_product(p, exact)
+    calls = []
+    real = czengine._rk4_increment
+    monkeypatch.setattr(czengine, "_rk4_increment", lambda *args: calls.append(1) or real(*args))
+    t = 0.3141592653589793  # not a grid node
+    value, slope = czengine._det_and_slope(prod, t)
+    assert len(calls) == 1
+    monkeypatch.setattr(czengine, "_rk4_increment", real)
+    assert (value, slope) == czengine._det_and_slope_values(
+        p.at(t) @ exact.at(t), _product_reference(p, exact, [t])[1][0])
+    with pytest.raises(ValueError):
+        p.at(t)[0, 0] = 0.0  # the kept substep is read-only
+
+
+def test_local_model_crossing_form_symmetrizes_nothing(monkeypatch):
+    # every local-model evaluator returns exactly symmetric matrices, and
+    # Sp(2) kernels and forms take closed forms in place of LAPACK
+    calls = []
+    for module, name in ((czengine, "_symmetrized"), (np.linalg, "svd"),
+                         (np.linalg, "eigvalsh")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    orbits = enumerate_orbits("D:3", 3)
+    for orbit in orbits:
+        assert cz_crossing_form(local_model_for(orbit)) == orbit.cz
+    assert len(orbits) > 10 and calls == []
 
 
 def test_suite_builders_sample_the_grid_like_their_evaluators():
