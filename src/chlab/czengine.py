@@ -312,8 +312,8 @@ class SymplecticPath:
         self.n = generator.dim // 2
         self.values = values
         self._residual = None
-        # "not within" sends a NaN bound to the residual itself
-        if not _drift_bound(values) <= TOL_DRIFT and self.drift > TOL_DRIFT:
+        # a NaN bound or residual is not within the tolerance, so it raises
+        if not (_drift_bound(values) <= TOL_DRIFT or self.drift <= TOL_DRIFT):
             raise DriftExceeded(
                 f"symplecticity drift {self.drift:.3e} exceeds {TOL_DRIFT:.1e}"
             )

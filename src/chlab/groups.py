@@ -6,10 +6,13 @@ their conjugacy classes with stable labels, the 2-to-1 projection to
 rotations, the fiber projection S^3 -> S^2, the fixed-point orbits of the
 rotation image on S^2, and the ADE type attached to each group.
 
-Each group carries its multiplication table, and inverses, element orders,
-powers and conjugacy classes are read off it with array operations.  One
-group is built per spec per process (``build_group`` is memoized), and its
-classes, rotation image and fixed orbits are cached on it.
+The closure matches every generator times every element it finds; those
+matches (the left Cayley graph) give each group's multiplication table
+exactly, with no further product of quaternions.  Inverses, element orders,
+powers, conjugacy classes and the pairs +-g that share a rotation are read
+off the table with array operations.  One group is built per spec per
+process (``build_group`` is memoized), and its classes, rotation image and
+fixed orbits are cached on it.
 """
 
 from __future__ import annotations
@@ -189,7 +192,10 @@ _SPEC_RE = re.compile(r"^([CDTOI])(?::(\d+))?$")
 
 
 def parse_group_spec(text):
-    """Parse 'C:<n>', 'D:<n>', 'T', 'O', 'I' into a GroupSpec."""
+    """Parse 'C:<n>', 'D:<n>', 'T', 'O', 'I' into a GroupSpec; a GroupSpec
+    is returned as it is."""
+    if isinstance(text, GroupSpec):
+        return text
     m = _SPEC_RE.match(text.strip())
     if m is None:
         bad = next((i for i, ch in enumerate(text) if ch not in "CDTOI:0123456789"), 0)
@@ -227,13 +233,6 @@ def _generators(spec):
     return [omega, t]
 
 
-#: rounding grid of the multiplication-table keys; distinct elements of the
-#: supported groups differ by more than 3e-2 in some coordinate, far above it
-_KEY_SCALE = 2 ** 13
-#: products per block of table rows, which bounds the table's temporaries
-_TABLE_BLOCK = 4096
-
-
 def _match(coords, x):
     """Index of the row of coords within TOL_EQ of x in every component, or None."""
     dist = np.max(np.abs(coords - x), axis=-1)
@@ -241,55 +240,15 @@ def _match(coords, x):
     return i if dist[i] <= TOL_EQ else None
 
 
-def _keys(comps):
-    """Components (a, b, c, d) along the first axis, rounded to 1/_KEY_SCALE
-    and packed 15 bits each into one int64."""
-    q = np.rint(comps * _KEY_SCALE).astype(np.int64) + _KEY_SCALE
-    return (q[0] << 45) | (q[1] << 30) | (q[2] << 15) | q[3]
-
-
-def _multiplication_table(coords, label):
-    """mul[i, j] = index of elements[i] * elements[j].
-
-    Products are formed a block of rows at a time and looked up by rounded
-    key; every hit is confirmed within TOL_EQ, and a product whose key
-    straddles a rounding boundary falls back to an exact scan.
-    """
-    n = len(coords)
-    al, be = coords.view(np.complex128).T
-    keys = _keys(coords.T)
-    by_key = np.argsort(keys)
-    sorted_keys = keys[by_key]
-    mul = np.empty((n, n), dtype=np.int16)  # group orders stay far below 2**15
-    rows = max(1, _TABLE_BLOCK // n)
-    for lo in range(0, n, rows):
-        a1, b1 = al[lo:lo + rows, None], be[lo:lo + rows, None]
-        alpha = a1 * al - b1.conj() * be
-        beta = b1 * al + a1.conj() * be
-        prod = np.stack([alpha.real, alpha.imag, beta.real, beta.imag])
-        block = by_key[np.minimum(np.searchsorted(sorted_keys, _keys(prod)), n - 1)]
-        missed = np.max(np.abs(coords.T[:, block] - prod), axis=0) > TOL_EQ
-        for i, j in zip(*np.nonzero(missed)):
-            hit = _match(coords, prod[:, i, j])
-            if hit is None:
-                raise NonClosure(f"product of elements {lo + i} and {j} is not in the group {label}")
-            block[i, j] = hit
-        mul[lo:lo + rows] = block
-    return mul
-
-
-def _element_orders(mul, identity, label):
+def _element_orders(mul):
     """Order of every element, by walking all powers through the table at once."""
     n = len(mul)
     orders = np.zeros(n, dtype=np.int64)
-    power = np.arange(n)
-    for k in range(1, n + 1):
-        orders[(power == identity) & (orders == 0)] = k
-        if orders.all():
-            return orders
-        power = mul[power, np.arange(n)]
-    raise NonClosure(f"{label}: elements {np.flatnonzero(orders == 0).tolist()} "
-                     f"have no finite order within {n} steps")
+    power, k = np.arange(n), 1
+    while not orders.all():
+        orders[(power == 0) & (orders == 0)] = k
+        power, k = mul[power, np.arange(n)], k + 1
+    return orders
 
 
 @dataclass(frozen=True)
@@ -337,18 +296,20 @@ class FiniteSubgroup:
     """A finite subgroup of the unit quaternions with its class data.
 
     ``coords[i]`` holds the components of ``elements[i]`` and ``mul[i, j]``
-    the index of ``elements[i] * elements[j]``; ``inverses`` and ``orders``
-    are read off the table.
+    the index of ``elements[i] * elements[j]``, the exact table that
+    ``_closed_group`` derives from its closure; the identity is element 0,
+    and ``inverses`` and ``orders`` are read off the table.
     """
 
-    def __init__(self, spec, elements):
+    identity = 0
+
+    def __init__(self, spec, elements, coords, mul):
         self.spec = spec
         self.elements = elements
-        self.coords = np.array([q.components() for q in elements])
-        self.mul = _multiplication_table(self.coords, spec.label)
-        self.identity = self.index_of(Quaternion.identity())
-        self.inverses = np.argmax(self.mul == self.identity, axis=1)
-        self.orders = _element_orders(self.mul, self.identity, spec.label)
+        self.coords = coords
+        self.mul = mul
+        self.inverses = np.argmax(mul == 0, axis=1)
+        self.orders = _element_orders(mul)
         self._classes = None
         self._class_of = None
         self._rotations = None
@@ -410,40 +371,56 @@ class FiniteSubgroup:
 
 def build_group(spec):
     """The group of `spec`, built once per process (see ``_closed_group``)."""
-    if isinstance(spec, str):
-        spec = parse_group_spec(spec)
-    return _closed_group(spec)
+    return _closed_group(parse_group_spec(spec))
 
 
 @lru_cache(maxsize=None)
 def _closed_group(spec):
-    """Close the hard-coded generators under multiplication."""
+    """Close the hard-coded generators under multiplication, breadth first.
+
+    Every generator times every element found is matched against the
+    elements so far; with all of them matched and exactly ``spec.order``
+    elements found, the set is closed.  The matches form the left Cayley
+    graph ``left[k, x]`` (the index of ``gens[k] * elements[x]``), and each
+    new element e is ``gens[k] * elements[parent]`` for the pair that found
+    it, so row e of the table is row parent sent through ``left[k]``.
+    """
     gens = _generators(spec)
     expected = spec.order
     elements = [Quaternion.identity()]
     coords = np.zeros((expected + 1, 4))  # one spare row for an overflowing element
     coords[0, 0] = 1.0
-    frontier = [Quaternion.identity()]
+    left = np.empty((len(gens), expected), dtype=np.int16)  # group orders stay far below 2**15
+    found_by = []   # (k, parent) of elements 1, 2, ...
+    frontier = [0]
     while frontier:
         fresh = []
         for x in frontier:
-            for g in gens:
-                y = (g * x).normalized()
+            for k, g in enumerate(gens):
+                y = (g * elements[x]).normalized()
                 if abs(y.norm() - 1.0) > TOL_NORM:
                     raise NonClosure(f"norm drift beyond {TOL_NORM} while closing {spec.label}")
-                if _match(coords[:len(elements)], y.components()) is None:
-                    coords[len(elements)] = y.components()
+                hit = _match(coords[:len(elements)], y.components())
+                if hit is None:
+                    hit = len(elements)
+                    coords[hit] = y.components()
                     elements.append(y)
-                    fresh.append(y)
+                    found_by.append((k, x))
+                    fresh.append(hit)
                     if len(elements) > expected:
                         raise NonClosure(
                             f"closure of {spec.label} exceeded expected order {expected}; "
                             "generator set or tolerance is wrong")
+                left[k, x] = hit
         frontier = fresh
     if len(elements) != expected:
         raise NonClosure(
             f"closure of {spec.label} stopped at {len(elements)}, expected {expected}")
-    return FiniteSubgroup(spec, elements)
+    mul = np.empty((expected, expected), dtype=np.int16)
+    mul[0] = np.arange(expected)
+    for e, (k, parent) in enumerate(found_by, start=1):
+        mul[e] = left[k, mul[parent]]
+    return FiniteSubgroup(spec, elements, coords[:expected], mul)
 
 
 def _so3_stack(coords):
@@ -525,11 +502,16 @@ def fiber_isotropy_generator(group, p):
 
 
 def _rotation_image(group):
-    """Unique rotations P(g) as an (m, 3, 3) stack, in the order of their first preimage."""
-    rots = _so3_stack(group.coords)
-    keys = np.rint(rots.reshape(len(rots), 9) * 1e6).astype(np.int64)
-    first = np.unique(keys, axis=0, return_index=True)[1]
-    return rots[np.sort(first)]
+    """Unique rotations P(g) as an (m, 3, 3) stack, in the order of their first preimage.
+
+    P(g) = P(h) exactly when h = g or h = -g, and -1 is the one element of
+    order 2 (groups of odd order lack it and map one to one), so the first
+    preimages are the rows i < index(-g_i).
+    """
+    neg = np.flatnonzero(group.orders == 2)
+    if len(neg) == 0:
+        return _so3_stack(group.coords)
+    return _so3_stack(group.coords[np.arange(group.order) < group.mul[neg[0]]])
 
 
 def _row_norms(v):
@@ -764,8 +746,7 @@ def conjugacy_classes(group):
 
 def dynkin_type(spec):
     """ADE type whose diagram has (class count - 1) vertices."""
-    if isinstance(spec, str):
-        spec = parse_group_spec(spec)
+    spec = parse_group_spec(spec)
     if spec.kind == CYCLIC:
         return DynkinType("A", spec.n - 1)
     if spec.kind == BINARY_DIHEDRAL:

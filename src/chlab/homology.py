@@ -15,9 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import dynkin_type
+from .groups import dynkin_type, parse_group_spec
 from .orbits import enumerate_orbits, orbit_row
-from .orbits import _spec as _parse
 
 
 class ParityViolation(AssertionError):
@@ -85,7 +84,7 @@ class InclusionMap:
 
 def build_complex(spec, N):
     """Good orbits below L_N, grouped by grading, with zero differential."""
-    spec = _parse(spec)
+    spec = parse_group_spec(spec)
     generators = {}
     for orbit in enumerate_orbits(spec, N):
         if orbit.good:
@@ -106,7 +105,7 @@ def homology_ranks(complex):
 
 def closed_form(spec, N):
     """Predicted homology: m-1 at the extremes, m at even degrees between."""
-    spec = _parse(spec)
+    spec = parse_group_spec(spec)
     m = spec.class_count
     top = 4 * N - 2
     ranks = {0: m - 1, top: m - 1}
@@ -117,7 +116,7 @@ def closed_form(spec, N):
 
 def inclusion_map(spec, N, M):
     """Pair each good orbit below L_N with its twin below L_M (N <= M)."""
-    spec = _parse(spec)
+    spec = parse_group_spec(spec)
     if N > M:
         raise ValueError(f"inclusion requires N <= M, got {N} > {M}")
     source = [o for o in enumerate_orbits(spec, N) if o.good]
@@ -152,7 +151,7 @@ def direct_limit(spec, N_max):
     final value and the stabilized value is checked against the closed
     form (m - 1 in degree 0, m in even degrees >= 2).
     """
-    spec = _parse(spec)
+    spec = parse_group_spec(spec)
     if N_max < 2:
         raise ValueError(f"direct limit needs N_max >= 2, got {N_max}")
     m = spec.class_count
@@ -179,7 +178,7 @@ def direct_limit(spec, N_max):
 
 def mckay_check(spec):
     """Dynkin vertex count == class count - 1 == stabilized degree-0 rank."""
-    spec = _parse(spec)
+    spec = parse_group_spec(spec)
     vertices = dynkin_type(spec).vertices
     m_minus_one = spec.class_count - 1
     rank0 = homology_ranks(build_complex(spec, 1)).rank(0)
@@ -193,7 +192,7 @@ def mckay_check(spec):
 
 def homology_report(spec, N):
     """JSON-ready record comparing computed ranks with the closed form."""
-    spec = _parse(spec)
+    spec = parse_group_spec(spec)
     complex = build_complex(spec, N)
     computed = homology_ranks(complex)
     predicted = closed_form(spec, N)

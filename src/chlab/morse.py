@@ -151,10 +151,6 @@ class IndexCorrespondenceFailure(AssertionError):
     """Morse index differences disagree with covering-orbit index differences."""
 
 
-def _spec(spec):
-    return parse_group_spec(spec) if isinstance(spec, str) else spec
-
-
 def _normalize(x):
     return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
@@ -470,7 +466,7 @@ def build_invariant_morse(spec):
     the index classification must all pass; any failure raises
     SpuriousCriticalPoint.
     """
-    spec = _spec(spec)
+    spec = parse_group_spec(spec)
     group = build_group(spec)
     rotations = group.rotations
     fixed = group.fixed_orbits
@@ -776,7 +772,7 @@ class OrbifoldComplex:
 
 def orbifold_complex(spec):
     """Assemble the orbifold Morse complex and verify its homology ranks."""
-    spec = _spec(spec)
+    spec = parse_group_spec(spec)
     func = build_invariant_morse(spec)
     crits = find_critical_points(func)
 
@@ -829,7 +825,7 @@ def seifert_index_check(spec):
     covering multiplicity.  Pure integer bookkeeping; raises
     IndexCorrespondenceFailure on any mismatch.
     """
-    spec = _spec(spec)
+    spec = parse_group_spec(spec)
     entries = base_table(spec)
     rows = []
     failures = []

@@ -161,14 +161,10 @@ class BaseData:
     cov: int
 
 
-def _spec(spec):
-    return parse_group_spec(spec) if isinstance(spec, str) else spec
-
-
 @lru_cache(maxsize=None)
 def base_table(spec):
     """The base data in serialization order (minimum, saddle, maximum)."""
-    spec = _spec(spec)
+    spec = parse_group_spec(spec)
     if spec.kind == CYCLIC:
         n = spec.n
         iso = n if n % 2 else n // 2
@@ -189,7 +185,7 @@ def _base_by_name(spec, name):
     for base in base_table(spec):
         if base.name == name:
             return base
-    raise KeyError(f"no base named {name!r} for {_spec(spec).label}")
+    raise KeyError(f"no base named {name!r} for {parse_group_spec(spec).label}")
 
 
 @dataclass(frozen=True)
@@ -215,7 +211,7 @@ class ReebOrbit:
 
 def action_threshold(spec, N):
     """Threshold L_N in units of pi; the eps-part is zero."""
-    spec = _spec(spec)
+    spec = parse_group_spec(spec)
     if N < 1:
         raise ValueError(f"threshold level must be >= 1, got {N}")
     if spec.kind == CYCLIC:
@@ -280,7 +276,7 @@ _POLY_CLASS_TABLE = {
 
 
 def _class_label(spec, base_name, k):
-    spec = _spec(spec)
+    spec = parse_group_spec(spec)
     if spec.kind == CYCLIC:
         n = spec.n
         m = k % n if base_name == "NorthPole" else (-k) % n
@@ -352,7 +348,7 @@ def make_orbit(spec, base, k):
     its callers want a handful of single records, and tables come from the
     per-(group, base) lists that ``enumerate_orbits`` keeps.
     """
-    spec = _spec(spec)
+    spec = parse_group_spec(spec)
     if isinstance(base, str):
         base = _base_by_name(spec, base)
     if k < 1:
@@ -399,7 +395,7 @@ def _orbit_family(spec, base):
 
 def _max_multiplicity(spec, base, N):
     # closed-form largest k with action below L_N, per base family
-    spec = _spec(spec)
+    spec = parse_group_spec(spec)
     if spec.kind == CYCLIC:
         return spec.n * N - 1
     if spec.kind == BINARY_DIHEDRAL:
@@ -415,7 +411,7 @@ def enumerate_orbits(spec, N):
     The lift tables are validated on every call; the records are slices of
     the process-lifetime lists of ``_orbit_family``.
     """
-    spec = _spec(spec)
+    spec = parse_group_spec(spec)
     limit = action_threshold(spec, N)
     _validate_class_tables(spec.kind, spec.n)
     out = []
@@ -458,7 +454,7 @@ def classify(orbit):
 
 def covering_multiplicity(spec, base):
     """Iteration order at which orbits over the base become contractible."""
-    spec = _spec(spec)
+    spec = parse_group_spec(spec)
     name = base.name if isinstance(base, OrbifoldPointKind) else base
     data = _base_by_name(spec, name)
     expected = 2 * data.isotropy if spec.order % 2 == 0 else data.isotropy
@@ -470,7 +466,7 @@ def covering_multiplicity(spec, base):
 
 def homotopy_class(orbit):
     """Free homotopy class label, from the validated lookup tables."""
-    spec = _spec(orbit.group)
+    spec = parse_group_spec(orbit.group)
     _validate_class_tables(spec.kind, spec.n)
     return _class_label(spec, orbit.base.name, orbit.k)
 
@@ -496,7 +492,7 @@ def verify_monotonicity(spec, N_max):
     L_{N_max}, equal cz forces the identical orbit, and strictly smaller
     cz forces strictly smaller action.
     """
-    spec = _spec(spec)
+    spec = parse_group_spec(spec)
     if N_max < 1:
         raise ValueError(f"N_max must be >= 1, got {N_max}")
     orbits = enumerate_orbits(spec, N_max)

@@ -476,6 +476,16 @@ def test_sp2_path_forms_its_drift_when_read(monkeypatch):
                                 path.generator)
 
 
+def test_non_finite_samples_exceed_the_drift_guard():
+    # an inf entry makes the bound and the residual NaN, and NaN is not
+    # within the tolerance
+    path = local_model_path(-1.0, np.eye(2))
+    values = path.values.copy()
+    values[500:, 0, 0] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(czengine.DriftExceeded):
+        czengine.SymplecticPath(values, path.generator)
+
+
 def _sp4_stacks():
     """Random 4x4 stacks of full rank and of rank deficiency 1 and 2."""
     rng = np.random.default_rng(5)

@@ -301,16 +301,23 @@ def test_dynkin_vertices_equal_class_count_minus_one(label):
     assert dynkin_type(spec).vertices == spec.class_count - 1
 
 
-def test_table_lookup_falls_back_to_an_exact_scan(monkeypatch):
-    # with every key equal, almost every product misses its rounded-key hit
-    group = build_group("D:5")
-    monkeypatch.setattr(groups, "_keys", lambda comps: np.zeros(np.shape(comps)[1:], dtype=np.int64))
-    assert np.array_equal(groups._multiplication_table(group.coords, "D:5"), group.mul)
+def _patch_generator(monkeypatch, order):
+    """Make every group's generator set one rotation of the given order."""
+    t = 2.0 * math.pi / order
+    monkeypatch.setattr(groups, "_generators",
+                        lambda spec: [Quaternion(math.cos(t), math.sin(t), 0.0, 0.0)])
 
 
-def test_table_of_a_set_that_is_not_closed_is_non_closure():
-    with pytest.raises(NonClosure, match="not in the group"):
-        groups._multiplication_table(build_group("C:5").coords[:4], "C:5")
+def test_closure_past_the_expected_order_is_non_closure(monkeypatch, fresh_groups):
+    _patch_generator(monkeypatch, 10)
+    with pytest.raises(NonClosure, match="closure of C:5 exceeded expected order 5"):
+        build_group("C:5")
+
+
+def test_closure_short_of_the_expected_order_is_non_closure(monkeypatch, fresh_groups):
+    _patch_generator(monkeypatch, 3)
+    with pytest.raises(NonClosure, match="closure of C:6 stopped at 3, expected 6"):
+        build_group("C:6")
 
 
 # ---------------------------------------------------------------------------
@@ -380,15 +387,21 @@ def _reference_classes(elements, find):
     return classes
 
 
-def _reference_fixed_orbits(group):
-    """Fixed orbits by pairwise loops over per-element rotations."""
+def _reference_rotations(elements):
+    """P(q) of every element, each rotation kept at its first preimage."""
     rots, seen = [], set()
-    for q in group.elements:
+    for q in elements:
         r = project_so3(q)
         key = tuple(np.round(r, 6).ravel())
         if key not in seen:
             seen.add(key)
             rots.append(r)
+    return rots
+
+
+def _reference_fixed_orbits(group):
+    """Fixed orbits by pairwise loops over per-element rotations."""
+    rots = _reference_rotations(group.elements)
 
     def isotropy(p):
         return sum(1 for r in rots if np.max(np.abs(r @ p - p)) < TOL_POINT)
@@ -500,6 +513,8 @@ def test_table_derived_data_matches_per_element_reference(label):
     elements = group.elements
     find = _ReferenceLookup(elements)
 
+    assert group.mul.tolist() == [[find.index(p * q) for q in elements] for p in elements]
+    assert np.array_equal(group.rotations, np.array(_reference_rotations(elements)))
     assert group.inverses.tolist() == [find.index(q.inverse()) for q in elements]
     orders = [_reference_order(q) for q in elements]
     assert [group.element_order(i) for i in range(group.order)] == orders
