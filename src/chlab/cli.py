@@ -37,8 +37,15 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass
+
+# One BLAS thread, whatever the environment says: the thread count changes
+# the rounding of BLAS and LAPACK results, and with it printed residuals.
+# BLAS reads these variables once, when numpy first loads it.
+os.environ.update(dict.fromkeys(
+    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
 
 import numpy as np
 
@@ -442,6 +449,11 @@ def _check_verify_args(args):
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
     if args.nmax < 1:
         raise ValueError(f"--nmax must be >= 1, got {args.nmax}")
+    for label in (args.group,) if args.group else BATTERY:
+        count = orbits.orbit_count(label, args.nmax)
+        if count > orbits.MAX_ORBITS:
+            raise ValueError(f"--nmax {args.nmax} holds {count} orbits of {label}, "
+                             f"more than the cap of {orbits.MAX_ORBITS}")
     if args.fourier_modes < 4:
         raise ValueError(f"--fourier-modes must be >= 4, got {args.fourier_modes}")
     if not 0.0 < args.tolerance <= czengine.MAX_EPSILON:

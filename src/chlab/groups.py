@@ -636,7 +636,9 @@ def _raw_classes(group):
     mul = group.mul
     conj = mul[mul, group.inverses[:, None]]   # conj[x, g] = x g x^-1
     smallest = conj.min(axis=0)
-    return [tuple(np.flatnonzero(smallest == m).tolist()) for m in np.unique(smallest)]
+    # the class minima are the elements that are their own class's minimum
+    minima = np.flatnonzero(smallest == np.arange(len(smallest)))
+    return [tuple(np.flatnonzero(smallest == m).tolist()) for m in minima]
 
 
 def _validate_class(group, members):

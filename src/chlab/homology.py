@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import dynkin_type, parse_group_spec
-from .orbits import enumerate_orbits, orbit_row
+from .orbits import enumerate_orbits
 
 
 class ParityViolation(AssertionError):
@@ -199,8 +199,6 @@ def homology_report(spec, N):
     return {
         "spec": spec.label,
         "N": N,
-        "generators": [orbit_row(o) for d in complex.degrees
-                       for o in complex.generators[d]],
         "ranks": {str(d): r for d, r in sorted(computed.ranks.items())},
         "closed_form": {str(d): r for d, r in sorted(predicted.ranks.items())},
         "match": computed == predicted,

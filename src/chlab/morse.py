@@ -69,7 +69,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -129,6 +129,10 @@ STEP_LIMIT = 20_000
 #: initial arc-length step of the unit-speed flow; the error control adapts
 #: it per trajectory, and 1e-2 STEP_BASE floors the near-target cap
 STEP_BASE = 2e-3
+#: sphere points one block of the certification kernels (invariance check,
+#: critical-set scan, rotation permutations) evaluates at once; each block is
+#: reduced to its max, min or argmax before the next is formed
+BLOCK = 8192
 
 
 class SpuriousCriticalPoint(ArithmeticError):
@@ -155,15 +159,27 @@ def _normalize(x):
     return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
 
+@cache
 def _fibonacci_sphere(count):
-    """Quasi-uniform sample of the unit sphere (golden-angle lattice)."""
+    """Quasi-uniform sample of the unit sphere (golden-angle lattice).
+
+    Built once per count and process, and read-only, since every caller
+    shares it.
+    """
     i = np.arange(count, dtype=float) + 0.5
     polar = np.arccos(1.0 - 2.0 * i / count)
     azimuth = math.pi * (1.0 + math.sqrt(5.0)) * i
-    return np.stack(
+    pts = np.stack(
         [np.cos(polar), np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth)],
         axis=1,
     )
+    pts.setflags(write=False)
+    return pts
+
+
+def _blocks(rows, size):
+    """Consecutive slices of at most `size` rows."""
+    return (rows[lo:lo + size] for lo in range(0, len(rows), size))
 
 
 def _tangent_frames(x):
@@ -257,10 +273,17 @@ class InvariantMorseFunction:
     # -- invariance ---------------------------------------------------------
 
     def invariance_residual(self, samples=2048):
-        """max |f(R x) - f(x)| over the rotation image and a sphere sample."""
+        """max |f(R x) - f(x)| over the rotation image and a sphere sample.
+
+        The images are formed a few rotations at a time, at most BLOCK
+        points per block.
+        """
         pts = _fibonacci_sphere(samples)
-        images = pts @ np.swapaxes(self.rotations, -1, -2)
-        return float(np.max(np.abs(self.value(images) - self.value(pts))))
+        base = self.value(pts)
+        step = max(1, BLOCK // samples)
+        worst = [np.max(np.abs(self.value(pts @ np.swapaxes(block, -1, -2)) - base))
+                 for block in _blocks(self.rotations, step)]
+        return float(np.max(worst))
 
 
 class DihedralMorseFunction(InvariantMorseFunction):
@@ -377,24 +400,35 @@ def _scan_critical_set(func):
     Scans a quasi-uniform lattice; outside MASK_RADIUS neighborhoods of
     Fix(H) the tangent gradient norm must exceed GRADIENT_FLOOR, and every
     scan point below CANDIDATE_THRESHOLD must Newton-refine back into a
-    Fix(H) neighborhood.  Returns None on success, else a failure reason.
+    Fix(H) neighborhood.  The lattice is evaluated BLOCK points at a time,
+    each block reduced to its floor, its nearest distance and its candidates.
+    Returns None on success, else a failure reason.
     """
     pts = _fibonacci_sphere(SCAN_POINTS)
-    norms = np.linalg.norm(func.gradient(pts), axis=-1)
     fixed = _all_fixed_point_array(func.fixed_orbits)
-    # chordal distance to the nearest fixed point, from a running maximum of
-    # the cosines so no scan-points x fixed-points matrix is formed
-    cosine = np.full(len(pts), -np.inf)
-    for p in fixed:
-        np.maximum(cosine, pts @ p, out=cosine)
-    nearest = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * cosine))
-    outside = nearest > MASK_RADIUS
-    if not np.any(outside):
+    floors, distances, candidates = [], [], []
+    for lo in range(0, len(pts), BLOCK):
+        block = pts[lo:lo + BLOCK]
+        norms = np.linalg.norm(func.gradient(block), axis=-1)
+        # chordal distance to the nearest fixed point, from a running maximum
+        # of the cosines so no points x fixed-points matrix is formed
+        cosine = np.full(len(block), -np.inf)
+        for p in fixed:
+            np.maximum(cosine, block @ p, out=cosine)
+        nearest = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * cosine))
+        outside = nearest > MASK_RADIUS
+        if np.any(outside):
+            floors.append(np.min(norms[outside]))
+            distances.append(np.min(nearest[outside]))
+            candidates.append(lo + np.nonzero(outside & (norms < CANDIDATE_THRESHOLD))[0])
+    # np.min over the block minima propagates a NaN as one whole-lattice
+    # np.min would, where Python's min would drop it
+    if not floors:
         return "mask covered the whole scan lattice"
-    floor = float(np.min(norms[outside]))
+    floor = float(np.min(floors))
     if floor <= GRADIENT_FLOOR:
-        return f"gradient floor {floor:.3e} at distance {np.min(nearest[outside]):.3e}"
-    candidates = np.nonzero(outside & (norms < CANDIDATE_THRESHOLD))[0]
+        return f"gradient floor {floor:.3e} at distance {np.min(distances):.3e}"
+    candidates = np.concatenate(candidates)
     if candidates.size == 0:
         return None
     refined, converged = _newton_refine(func, pts[candidates])
@@ -642,13 +676,21 @@ def _integrate_batch(func, seeds, sign, target_points):
 
 
 def _critical_permutations(func, crits):
-    """The permutation each rotation R induces on the critical points, shape (m, c)."""
+    """The permutation each rotation R induces on the critical points, shape (m, c).
+
+    Rotations are taken a few at a time: at most BLOCK image-by-point
+    products per block, or one rotation when its c^2 products exceed BLOCK.
+    """
     pts = np.array([c.point for c in crits])
-    images = pts @ np.swapaxes(func.rotations, -1, -2)
-    perms = np.argmax(images @ pts.T, axis=-1)  # the nearest critical point
-    if float(np.max(np.linalg.norm(images - pts[perms], axis=-1))) > TOL_CRITICAL_MATCH:
+    perms, worst = [], []
+    for block in _blocks(func.rotations, max(1, BLOCK // len(pts) ** 2)):
+        images = pts @ np.swapaxes(block, -1, -2)
+        perm = np.argmax(images @ pts.T, axis=-1)  # the nearest critical point
+        perms.append(perm)
+        worst.append(np.max(np.linalg.norm(images - pts[perm], axis=-1)))
+    if float(np.max(worst)) > TOL_CRITICAL_MATCH:
         raise SpuriousCriticalPoint("rotation failed to permute the critical points")
-    return perms
+    return np.concatenate(perms)
 
 
 def count_flow_lines(func, source, target):

@@ -33,6 +33,11 @@ ELLIPTIC = "Elliptic"
 POSITIVE_HYPERBOLIC = "PositiveHyperbolic"
 NEGATIVE_HYPERBOLIC = "NegativeHyperbolic"
 
+#: most orbits one threshold level may hold; a deeper level is refused
+#: before enumerating (the same-class pairs of ``verify_monotonicity`` grow
+#: with the square of the count)
+MAX_ORBITS = 4096
+
 
 class DegenerateRotation(ArithmeticError):
     """Rotation number of an elliptic orbit landed exactly on an integer."""
@@ -405,14 +410,26 @@ def _max_multiplicity(spec, base, N):
     return 4 * N - 1 if base.sign == 0 else 6 * N - 1
 
 
+def orbit_count(spec, N):
+    """The number of orbits below L_N, from the closed-form multiplicities."""
+    spec = parse_group_spec(spec)
+    return sum(_max_multiplicity(spec, base, N) for base in base_table(spec))
+
+
 def enumerate_orbits(spec, N):
     """All orbits with action below L_N, ordered by base then multiplicity.
 
-    The lift tables are validated on every call; the records are slices of
-    the process-lifetime lists of ``_orbit_family``.
+    A level holding more than MAX_ORBITS orbits is refused with a
+    ValueError before any is built.  The lift tables are validated on every
+    call; the records are slices of the process-lifetime lists of
+    ``_orbit_family``.
     """
     spec = parse_group_spec(spec)
     limit = action_threshold(spec, N)
+    count = orbit_count(spec, N)
+    if count > MAX_ORBITS:
+        raise ValueError(f"level {N} holds {count} orbits of {spec.label}, "
+                         f"more than the cap of {MAX_ORBITS}")
     _validate_class_tables(spec.kind, spec.n)
     out = []
     for base in base_table(spec):

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import chlab
-from chlab import cli, czengine, groups, homology, morse
+from chlab import cli, czengine, groups, homology, morse, orbits
 
 
 def run_cli(capsys, *argv):
@@ -133,6 +133,37 @@ def test_verify_rejects_negative_seed_and_nmax_below_one_up_front(
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {flag} ")
+
+
+@pytest.mark.parametrize("argv, head", [
+    (("orbits", "-g", "C:3", "-N", "99999999999999999999"), "error: level 99999999999999999999 "),
+    (("homology", "-g", "C:2", "-N", "1025"), "error: level 1025 holds 4098 orbits of C:2, "),
+], ids=["orbits", "homology"])
+def test_level_past_the_orbit_cap_is_unusable(capsys, monkeypatch, argv, head):
+    def no_record(*args):
+        raise AssertionError("an orbit record was built past the cap")
+
+    monkeypatch.setattr(orbits, "_orbit_record", no_record)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(head)
+    assert err.endswith(f"more than the cap of {orbits.MAX_ORBITS}\n")
+    assert err.count("\n") == 1
+
+
+def test_verify_rejects_nmax_past_the_orbit_cap_up_front(capsys, monkeypatch):
+    def no_battery(*args):
+        raise AssertionError("a battery ran before the options were checked")
+
+    monkeypatch.setattr(cli, "cmd_verify", no_battery)
+    code, out, err = run_cli(capsys, "verify", "monotonicity", "--nmax", "9999999")
+    assert (code, out) == (2, "")
+    assert err == (f"error: --nmax 9999999 holds 39999994 orbits of C:2, "
+                   f"more than the cap of {orbits.MAX_ORBITS}\n")
+    # with -g only that group's count is checked
+    code, _, err = run_cli(capsys, "verify", "monotonicity", "-g", "C:64", "--nmax", "33")
+    assert code == 2
+    assert err.startswith("error: --nmax 33 holds 4222 orbits of C:64, ")
 
 
 # ---------------------------------------------------------------------------
@@ -572,24 +603,63 @@ def declared_scripts():
         return tomllib.load(fh)["project"].get("scripts", {})
 
 
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _child_env(**extra):
+    """The environment of a child interpreter that imports the tests' own chlab."""
+    package_root = str(Path(chlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    for name in BLAS_THREAD_VARIABLES:
+        env.pop(name, None)
+    env.update(extra)
+    return env
+
+
 def test_console_script_is_installed():
     scripts = declared_scripts()
     assert "chlab" in scripts
     module, _, attr = scripts["chlab"].partition(":")
     assert module and attr
     # the wrapper runs where chlab is importable, as the tests' own chlab is
-    package_root = str(Path(chlab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT_LAUNCHER, module, attr, "--help"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert "usage: chlab" in proc.stdout
     for command in ("orbits", "homology", "verify"):
         assert command in proc.stdout
+
+
+def test_output_does_not_depend_on_the_blas_thread_count():
+    outputs = []
+    for extra in ({}, {"OMP_NUM_THREADS": "1"}, {"OMP_NUM_THREADS": "2"},
+                  {"OPENBLAS_NUM_THREADS": "2"}):
+        proc = subprocess.run(
+            [sys.executable, "-m", "chlab.cli", "verify", "sign-lemma", "-f", "json"],
+            capture_output=True, text=True, env=_child_env(**extra))
+        assert (proc.returncode, proc.stderr) == (0, ""), extra
+        outputs.append(proc.stdout)
+    assert outputs == [outputs[0]] * 4
+
+
+def test_orbit_tables_leave_numpy_ma_unloaded():
+    probe = "import sys, numpy; print('numpy.ma' in sys.modules)"
+    loaded = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=_child_env(), check=True).stdout.strip()
+    if loaded == "True":
+        pytest.skip("this numpy loads numpy.ma on import")
+    script = ("import sys\n"
+              "from chlab import cli\n"
+              "cli.main(['orbits', '-g', 'D:5', '-N', '1'])\n"
+              "print('numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_child_env())
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 @pytest.mark.skipif(shutil.which("chlab") is None,

@@ -2,10 +2,13 @@
 critical-set certification, gradient flow-line counting, the weighted
 orbifold complex, and the index-gap correspondence with orbit indices."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from chlab import morse
+from chlab.groups import build_group
 from chlab.morse import (
     build_invariant_morse,
     count_flow_lines,
@@ -119,6 +122,82 @@ def test_polyhedral_critical_census():
 def test_invariance_residual_is_tiny(label):
     func = build_invariant_morse(label)
     assert func.invariance_residual() <= 1e-10
+
+
+def test_scan_lattice_is_built_once_and_read_only():
+    pts = morse._fibonacci_sphere(morse.SCAN_POINTS)
+    assert morse._fibonacci_sphere(morse.SCAN_POINTS) is pts
+    with pytest.raises(ValueError):
+        pts[0, 0] = 0.0
+    assert np.array_equal(pts, morse._fibonacci_sphere.__wrapped__(morse.SCAN_POINTS))
+
+
+@pytest.mark.parametrize("label", ["C:7", "D:64", "I"])
+def test_block_size_changes_no_certificate(monkeypatch, label):
+    func = build_invariant_morse(label)
+    crits = find_critical_points(func)
+
+    def certify():
+        return (func.invariance_residual(), morse._critical_permutations(func, crits),
+                morse._scan_critical_set(func))
+
+    blocked = certify()
+    monkeypatch.setattr(morse, "BLOCK", 10 ** 9)  # every kernel in one block
+    whole = certify()
+    assert blocked[0] == whole[0]
+    assert np.array_equal(blocked[1], whole[1])
+    assert blocked[2] is whole[2] is None
+
+
+def _flattened_near(func, point, radius=0.05):
+    """`func` with its gradient scaled by 1e-9 within `radius` of `point`."""
+    gradient = func.gradient
+
+    def flat(x):
+        g = gradient(x)
+        near = np.linalg.norm(x - point, axis=-1) < radius
+        return np.where(near[..., None], 1e-9 * g, g)
+
+    func.gradient = flat
+    return func
+
+
+@pytest.mark.parametrize("block", [1000, 8192, 10 ** 9])
+def test_scan_failure_reports_the_floor_of_the_whole_lattice(monkeypatch, block):
+    # a spurious near-critical patch on the equator of C:5, far from Fix(H)
+    func = _flattened_near(build_invariant_morse("C:5"), np.array([0.0, 1.0, 0.0]))
+    monkeypatch.setattr(morse, "BLOCK", block)
+    reason = morse._scan_critical_set(func)
+    pts = morse._fibonacci_sphere(morse.SCAN_POINTS)
+    fixed = morse._all_fixed_point_array(func.fixed_orbits)
+    nearest = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * np.max(pts @ fixed.T, axis=1)))
+    outside = nearest > morse.MASK_RADIUS
+    floor = np.min(np.linalg.norm(func.gradient(pts), axis=-1)[outside])
+    assert reason == (f"gradient floor {floor:.3e} at distance "
+                      f"{np.min(nearest[outside]):.3e}")
+
+
+def test_scan_with_no_point_outside_the_mask_certifies_nothing(monkeypatch):
+    func = build_invariant_morse("C:5")
+    monkeypatch.setattr(morse, "MASK_RADIUS", 3.0)
+    assert morse._scan_critical_set(func) == "mask covered the whole scan lattice"
+
+
+#: traced allocation bound of one orbifold complex; evaluated whole, the
+#: certification kernels peaked at 46 MB for I and 25 MB for D:64
+PEAK_BOUND_MB = 12
+
+
+@pytest.mark.parametrize("label", ["I", "D:64"])
+def test_orbifold_complex_traced_peak_is_bounded(label):
+    build_group(label)  # the group tables are not the Morse layer's
+    tracemalloc.start()
+    try:
+        orbifold_complex(label)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < PEAK_BOUND_MB * 1e6, f"{label}: traced peak {peak / 1e6:.1f} MB"
 
 
 @pytest.mark.parametrize("label", ["D:3", "O"])

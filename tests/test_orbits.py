@@ -154,6 +154,32 @@ def test_record_lists_never_skip_the_lift_check(monkeypatch, fresh_groups):
         make_orbit("T", "Edge", 1)
 
 
+@pytest.mark.parametrize("label", ["C:2", "C:64", "D:2", "D:64", "T", "O", "I"])
+def test_orbit_count_is_the_enumerated_count(label):
+    for N in (1, 2, 5):
+        assert orbits_module.orbit_count(label, N) == len(enumerate_orbits(label, N))
+
+
+def test_levels_one_to_eight_of_every_group_are_under_the_cap():
+    labels = [f"{kind}:{n}" for kind in "CD" for n in range(2, 65)] + ["T", "O", "I"]
+    worst = max(orbits_module.orbit_count(label, N) for label in labels for N in range(1, 9))
+    assert worst <= orbits_module.MAX_ORBITS
+
+
+def test_level_past_the_orbit_cap_is_refused_before_enumerating(monkeypatch):
+    assert orbits_module.orbit_count("C:2", 1024) <= orbits_module.MAX_ORBITS
+    assert orbits_module.orbit_count("C:2", 1025) > orbits_module.MAX_ORBITS
+
+    def no_record(*args):
+        raise AssertionError("an orbit record was built past the cap")
+
+    monkeypatch.setattr(orbits_module, "_orbit_record", no_record)
+    with pytest.raises(ValueError, match="level 1025 holds 4098 orbits of C:2, more than the cap"):
+        enumerate_orbits("C:2", 1025)
+    with pytest.raises(ValueError, match="more than the cap"):
+        verify_monotonicity("C:3", 10 ** 20)
+
+
 def test_all_enumerated_actions_lie_below_threshold():
     for label in ("C:4", "D:3", "O"):
         for N in (1, 2):
