@@ -50,7 +50,6 @@ __all__ = [
     "CrossingRecord",
     "AsymptoticFamily",
     "standard_j",
-    "omega0",
     "solve_path",
     "solve_paths",
     "crossing_records",
@@ -140,13 +139,6 @@ def _grid(m):
     ts = np.linspace(0.0, 1.0, m)
     ts.flags.writeable = False
     return ts
-
-
-def omega0(x, y):
-    """Standard symplectic form omega0(x, y) = (J0 x) . y."""
-    n = len(x) // 2
-    jx = np.concatenate([-np.asarray(x)[n:], np.asarray(x)[:n]])
-    return float(np.dot(jx, np.asarray(y)))
 
 
 def _sym_defect(a):
@@ -375,14 +367,6 @@ class CrossingRecord:
     kernel_dimension: int
     signature: int
 
-    def __post_init__(self):
-        if self.kernel_dimension < 1:
-            raise ValueError("a crossing must have kernel dimension >= 1")
-        if abs(self.signature) > 2 * self.kernel_dimension:
-            raise ValueError("crossing signature exceeds twice the kernel dimension")
-        if (self.signature - self.kernel_dimension) % 2 != 0:
-            raise ValueError("crossing signature parity must match the kernel dimension")
-
 
 class AsymptoticFamily:
     """A two-parameter generator S(s, t), s in [-1, 1], t in S^1, affine in s.
@@ -549,7 +533,8 @@ def _signature(sym, context="", error=IrregularCrossing):
     else:
         eigs = np.linalg.eigvalsh(0.5 * (sym + sym.T)).tolist()
     scale = max(1.0, max(abs(x) for x in eigs))
-    if any(abs(x) < TOL_DEAD_ZONE * scale for x in eigs):
+    # a NaN eigenvalue is not outside the dead zone either
+    if not all(abs(x) >= TOL_DEAD_ZONE * scale for x in eigs):
         raise error(
             f"crossing form eigenvalue inside dead zone {TOL_DEAD_ZONE:.1e}{context}"
         )
@@ -611,29 +596,15 @@ def _det_minus_id_values(phi):
     ``|det Phi - 1|``, which is the symplecticity drift at a grid node.  The
     drift is at most ``TOL_DRIFT`` = ``TOL_ENDPOINT`` < ``|g(1)|``, so the
     sign of g at the endpoint cannot flip.  In Sp(4) it is the Laplace
-    expansion of ``_laplace4``, bit for bit the node scan's value; for
-    d >= 6 the LU determinant."""
-    d = phi.shape[-1]
-    if d == 2:
+    expansion of ``_laplace4``, bit for bit the node scan's value.  No
+    other dimension reaches it (``crossing_records``)."""
+    if phi.shape[-1] == 2:
         return 2.0 - (phi[..., 0, 0] + phi[..., 1, 1])
-    if d == 4:
-        return _laplace4(_entries(phi - _identity(4)))[0]
-    return np.linalg.det(phi - _identity(d))
+    return _laplace4(_entries(phi - _identity(4)))[0]
 
 
 def _det_minus_id(path, t):
     return float(_det_minus_id_values(path.at(t)))
-
-
-def _cofactors(m):
-    """Cofactor matrix of a square matrix or of a stack, from LAPACK
-    determinants of its (d - 1)-minors: adj(m) is its transpose.  It
-    serves d >= 6; Sp(4) takes the closed form of ``_laplace4``."""
-    d = m.shape[-1]
-    keep = np.array([[j for j in range(d) if j != i] for i in range(d)])
-    minors = m[..., keep[:, None, :, None], keep[None, :, None, :]]
-    signs = (-1.0) ** np.add.outer(np.arange(d), np.arange(d))
-    return signs * np.linalg.det(minors)
 
 
 def _det_and_slope_values(phi, s):
@@ -641,29 +612,23 @@ def _det_and_slope_values(phi, s):
     for one matrix or a stack.
 
     In Sp(2) ``g = 2 - tr Phi`` (see ``_det_minus_id_values``) and ``g' =
-    -tr(J0 S Phi) = S10 Phi00 + S11 Phi10 - S00 Phi01 - S01 Phi11``.  Above,
-    Jacobi's formula ``g' = tr(adj(M) J0 S Phi)`` with ``M = Phi - Id``.  In
-    Sp(4), g and the cofactors of M come from the Laplace expansion of
+    -tr(J0 S Phi) = S10 Phi00 + S11 Phi10 - S00 Phi01 - S01 Phi11``.  In
+    Sp(4), Jacobi's formula gives ``g' = tr(adj(M) J0 S Phi)`` with ``M =
+    Phi - Id``; g and the cofactors of M come from the Laplace expansion of
     ``_laplace4``, and since ``Phi adj(M) = (M + Id) adj(M) = g Id + adj(M)``
     and ``tr(J0 S) = 0`` for symmetric S, ``g'`` is taken as ``tr(adj(M) J0
     S)``: ``J0 S`` has rows ``-S2, -S3, S0, S1``, so no product with Phi is
-    formed.  Sp(2) and Sp(4) are computed entry by entry, so one matrix gets
-    the bits of its row of a stack; for d >= 6 the cofactors are LAPACK
-    minors (``_cofactors``)."""
-    d = phi.shape[-1]
-    if d == 2:
+    formed.  Both are computed entry by entry, so one matrix gets the bits
+    of its row of a stack."""
+    if phi.shape[-1] == 2:
         p, q = _entries(phi), _entries(s)
         slope = q[1][0] * p[0][0] + q[1][1] * p[1][0] - q[0][0] * p[0][1] - q[0][1] * p[1][1]
         return _det_minus_id_values(phi), slope
-    if d == 4:
-        e = _entries(phi - _identity(4))
-        det, top, bottom = _laplace4(e)
-        c0, c1, c2, c3 = _cofactors4(e, top, bottom)
-        s0, s1, s2, s3 = _entries(s)
-        return det, _dot4(c2, s0) + _dot4(c3, s1) - _dot4(c0, s2) - _dot4(c1, s3)
-    phi_dot = standard_j(d // 2) @ s @ phi
-    slope = np.sum(_cofactors(phi - _identity(d)) * phi_dot, axis=(-2, -1))
-    return _det_minus_id_values(phi), slope
+    e = _entries(phi - _identity(4))
+    det, top, bottom = _laplace4(e)
+    c0, c1, c2, c3 = _cofactors4(e, top, bottom)
+    s0, s1, s2, s3 = _entries(s)
+    return det, _dot4(c2, s0) + _dot4(c3, s1) - _dot4(c0, s2) - _dot4(c1, s3)
 
 
 def _det_and_slope(path, t):
@@ -766,8 +731,12 @@ def crossing_records(path):
     refined on ``[TOL_ENDPOINT_GAP, ts[1]]``.  No cell may hold two extrema
     of g.  Candidates are confirmed through the singular values of
     Phi(t*) - Id; crossings within ``TOL_ENDPOINT_GAP`` of an endpoint
-    raise ``IrregularCrossing``.
+    raise ``IrregularCrossing``.  Paths in Sp(2) and Sp(4) are accepted:
+    the return maps are in Sp(2) and the axiom suite's direct sums in
+    Sp(4); a larger path raises ``ValueError``.
     """
+    if path.n > 2:
+        raise ValueError(f"crossing forms are computed in Sp(2) and Sp(4), not Sp({2 * path.n})")
     if not path.endpoint_nondegenerate:
         raise DegenerateEndpoint(
             "det(Phi(1) - Id) is within tolerance of zero; the path is degenerate"
@@ -821,14 +790,12 @@ def crossing_records(path):
 
 def cz_crossing_form(path):
     """Conley-Zehnder index as 1/2 Sign(S(0)) plus the sum of interior
-    crossing signatures."""
+    crossing signatures.  ``_signature`` admits no zero eigenvalue, so the
+    signature of the 2n x 2n form S(0) is even and its half exact."""
     records = crossing_records(path)
     s0 = path.generator.at(0.0)
     sign0 = _signature(s0, context=" at t = 0 (initial crossing form)")
-    total = Fraction(sign0, 2) + sum(r.signature for r in records)
-    if total.denominator != 1:
-        raise IrregularCrossing("crossing-form total is not an integer")
-    return int(total)
+    return sign0 // 2 + sum(r.signature for r in records)
 
 
 # ---------------------------------------------------------------------------

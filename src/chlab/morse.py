@@ -420,13 +420,14 @@ def _scan_critical_set(func):
         if np.any(outside):
             floors.append(np.min(norms[outside]))
             distances.append(np.min(nearest[outside]))
-            candidates.append(lo + np.nonzero(outside & (norms < CANDIDATE_THRESHOLD))[0])
+            # a NaN norm is not above the threshold, so it is a candidate
+            candidates.append(lo + np.nonzero(outside & ~(norms >= CANDIDATE_THRESHOLD))[0])
     # np.min over the block minima propagates a NaN as one whole-lattice
-    # np.min would, where Python's min would drop it
+    # np.min would, where Python's min would drop it; a NaN floor fails
     if not floors:
         return "mask covered the whole scan lattice"
     floor = float(np.min(floors))
-    if floor <= GRADIENT_FLOOR:
+    if not (floor > GRADIENT_FLOOR):
         return f"gradient floor {floor:.3e} at distance {np.min(distances):.3e}"
     candidates = np.concatenate(candidates)
     if candidates.size == 0:
@@ -522,7 +523,7 @@ def build_invariant_morse(spec):
                                           centers_min, _POLYHEDRAL_SHARPNESS[spec.label])
 
     residual = func.invariance_residual()
-    if residual > TOL_INVARIANCE:
+    if not (residual <= TOL_INVARIANCE):  # a NaN residual fails
         raise SpuriousCriticalPoint(
             f"{spec.label}: invariance residual {residual:.3e} exceeds {TOL_INVARIANCE}")
     reason = _scan_critical_set(func)
@@ -688,7 +689,7 @@ def _critical_permutations(func, crits):
         perm = np.argmax(images @ pts.T, axis=-1)  # the nearest critical point
         perms.append(perm)
         worst.append(np.max(np.linalg.norm(images - pts[perm], axis=-1)))
-    if float(np.max(worst)) > TOL_CRITICAL_MATCH:
+    if not (float(np.max(worst)) <= TOL_CRITICAL_MATCH):  # a NaN mismatch fails
         raise SpuriousCriticalPoint("rotation failed to permute the critical points")
     return np.concatenate(perms)
 
@@ -719,8 +720,6 @@ def count_flow_lines(func, source, target):
 
     eig_slot = 0 if descending else 1  # unstable (negative) vs stable eigenvalue
     saddles = [ci for ci, crit in enumerate(crits) if crit.kind.name == saddle_kind.name]
-    if not saddles:
-        return FlowLines(src.name, tgt.name, 0, 0, (), ())
     # two seeds per saddle, along +w and -w, in saddle order
     seed_crit = np.repeat(saddles, 2)
     dirs = np.array([crits[ci].eigendirection(eig_slot) for ci in saddles])
@@ -759,11 +758,9 @@ def count_flow_lines(func, source, target):
     order = len(func.rotations)
     weights = []
     for size in class_sizes:
-        size = int(size)
-        if order % size != 0:
-            raise AssertionError(f"{spec.label}: trajectory class size {size} "
-                                 f"does not divide the group order {order}")
-        stabilizer = order // size
+        # a class is an orbit of the rotation group, so by orbit-stabilizer
+        # its size divides the order
+        stabilizer = order // int(size)
         if src.isotropy % stabilizer != 0:
             raise AssertionError(
                 f"{spec.label}: trajectory stabilizer {stabilizer} does not divide "

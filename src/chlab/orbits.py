@@ -34,8 +34,8 @@ POSITIVE_HYPERBOLIC = "PositiveHyperbolic"
 NEGATIVE_HYPERBOLIC = "NegativeHyperbolic"
 
 #: most orbits one threshold level may hold; a deeper level is refused
-#: before enumerating (the same-class pairs of ``verify_monotonicity`` grow
-#: with the square of the count)
+#: before enumerating, since every orbit is one row of output and the
+#: count grows linearly with the level, without bound
 MAX_ORBITS = 4096
 
 
@@ -56,8 +56,8 @@ class FormalScalar:
     """Exact first-order jet a + b*eps, eps a positive formal infinitesimal.
 
     The total order is lexicographic on (a, b), which is the limit order
-    as eps -> 0+.  Ring operations are exact over Fraction; a product of
-    two eps-terms drops the eps^2 term (eps^2 := 0).
+    as eps -> 0+.  Formal scalars are ordered and compared with each other
+    only and do no arithmetic: the orbit records compute in integers.
     """
 
     __slots__ = ("a", "b")
@@ -67,62 +67,18 @@ class FormalScalar:
         self.a = a if type(a) is Fraction else Fraction(a)
         self.b = b if type(b) is Fraction else Fraction(b)
 
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, FormalScalar):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return FormalScalar(x)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FormalScalar(self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FormalScalar(-self.a, -self.b)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FormalScalar(self.a * o.a, self.a * o.b + self.b * o.a)
-
-    __rmul__ = __mul__
-
-    def _cmp_key(self):
-        return (self.a, self.b)
-
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if not isinstance(other, FormalScalar):
             return NotImplemented
-        return self._cmp_key() == o._cmp_key()
+        return (self.a, self.b) == (other.a, other.b)
 
     def __hash__(self):
-        return hash(self._cmp_key())
+        return hash((self.a, self.b))
 
     def __lt__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if not isinstance(other, FormalScalar):
             return NotImplemented
-        return self._cmp_key() < o._cmp_key()
+        return (self.a, self.b) < (other.a, other.b)
 
     def __str__(self):
         if self.b == 0:
@@ -243,9 +199,7 @@ def _cz_closed(base, k):
         return 2 * -(-2 * k // base.cov) - 1
     if base.sign > 0:
         return 2 * (2 * k // base.cov) + 1
-    if 4 * k % base.cov:
-        raise AssertionError(f"saddle rotation 2*{k}/{base.cov} is not half-integral")
-    return 4 * k // base.cov
+    return 4 * k // base.cov  # every saddle has cov = 4
 
 
 def _classify(base, k):
@@ -507,7 +461,11 @@ def verify_monotonicity(spec, N_max):
     Under the shared formal eps every admissible pair of levels N <= M
     collapses to: for each ordered pair of same-class orbits below
     L_{N_max}, equal cz forces the identical orbit, and strictly smaller
-    cz forces strictly smaller action.
+    cz forces strictly smaller action.  Each class is sorted by cz and
+    only neighbours are compared: equal cz in two records is two distinct
+    orbits, and otherwise the actions must increase along the sorted
+    class, which covers every pair by transitivity.  ``pairs`` counts the
+    ordered pairs so covered, the squared class sizes.
     """
     spec = parse_group_spec(spec)
     if N_max < 1:
@@ -518,20 +476,19 @@ def verify_monotonicity(spec, N_max):
         by_class.setdefault(orbit.class_label, []).append(orbit)
     pairs = 0
     for members in by_class.values():
-        for gp in members:
-            for gm in members:
-                pairs += 1
-                if gp.cz == gm.cz:
-                    if gp.base.name != gm.base.name or gp.k != gm.k:
-                        raise MonotonicityViolation(
-                            f"{spec.label}: distinct orbits {gp.name} and "
-                            f"{gm.name} share class [{gp.class_label}] "
-                            f"and cz={gp.cz}")
-                elif gp.cz < gm.cz and not gp.action < gm.action:
-                    raise MonotonicityViolation(
-                        f"{spec.label}: pair ({gp.name}, {gm.name}) in class "
-                        f"[{gp.class_label}] has cz {gp.cz} < {gm.cz} but "
-                        f"action {gp.action} >= {gm.action}")
+        pairs += len(members) ** 2
+        members.sort(key=lambda orbit: orbit.cz)
+        for gp, gm in zip(members, members[1:]):
+            if gp.cz == gm.cz:
+                raise MonotonicityViolation(
+                    f"{spec.label}: distinct orbits {gp.name} and "
+                    f"{gm.name} share class [{gp.class_label}] "
+                    f"and cz={gp.cz}")
+            if not gp.action < gm.action:
+                raise MonotonicityViolation(
+                    f"{spec.label}: pair ({gp.name}, {gm.name}) in class "
+                    f"[{gp.class_label}] has cz {gp.cz} < {gm.cz} but "
+                    f"action {gp.action} >= {gm.action}")
     return {"check": "monotonicity", "spec": spec.label, "n_max": N_max,
             "orbits": len(orbits), "pairs": pairs, "violations": 0}
 

@@ -5,7 +5,8 @@ pass/fail line per criterion, and every test also prints an explicit
 verdict line (visible with `pytest -s` and in failure reports).
 
 Criteria:
-  01  filtered homology equals the closed form, every group, N = 1..4
+  01  filtered homology equals the closed form, every group, N = 1..4,
+      and so does its direct limit at N_max = 4
   02  orbit tables: generators per grading and bad-orbit placement
   03  conjugacy-class counts and Dynkin vertex counts
   04  exhaustive same-class action/index monotonicity at N_max = 4
@@ -34,7 +35,7 @@ from chlab.czengine import (
     verify_crossing_sign_lemma,
 )
 from chlab.groups import build_group, conjugacy_classes, dynkin_type, parse_group_spec
-from chlab.homology import build_complex, closed_form, homology_ranks
+from chlab.homology import GradedVectorSpace, build_complex, closed_form, direct_limit, homology_ranks
 from chlab.orbits import (
     covering_multiplicity,
     degree_census,
@@ -70,7 +71,8 @@ def criterion(number, title):
 # ---------------------------------------------------------------------------
 
 
-@criterion(1, "filtered homology matches the closed form for all groups, N=1..4")
+@criterion(1, "filtered homology matches the closed form for all groups, N=1..4, "
+              "and so does its direct limit")
 def test_criterion_01_homology_matches_closed_form():
     start = time.monotonic()
     checked = 0
@@ -80,9 +82,16 @@ def test_criterion_01_homology_matches_closed_form():
                 f"{label} at level {N}"
             )
             checked += 1
+        # the ranks stabilized by level 4 are those of the closed form below
+        # its top degree 14
+        limit, report = direct_limit(label, 4)
+        stable = {d: r for d, r in closed_form(label, 4).ranks.items() if d <= 12}
+        assert limit == GradedVectorSpace(stable), label
+        assert report["violations"] == 0
     elapsed = time.monotonic() - start
     assert elapsed < 5.0, f"took {elapsed:.2f}s, budget 5s"
-    return f"{checked} (group, level) pairs in {elapsed:.2f}s"
+    return (f"{checked} (group, level) pairs and {len(BATTERY)} direct limits "
+            f"in {elapsed:.2f}s")
 
 
 # ---------------------------------------------------------------------------

@@ -473,6 +473,51 @@ def test_verify_morse_unpermuted_trajectory_endpoints_is_numeric_abort(capsys, m
     assert err == ""
 
 
+def _rotation_index_off_by_two(monkeypatch):
+    real = czengine.rotation_cz_sp2
+
+    def shifted(path):
+        theta, mu = real(path)
+        return theta, mu + 2
+
+    monkeypatch.setattr(czengine, "rotation_cz_sp2", shifted)
+
+
+def _spectral_flow_off_by_one(monkeypatch):
+    real = czengine.spectral_flow
+    monkeypatch.setattr(czengine, "spectral_flow", lambda family, order=None: real(family, order) + 1)
+
+
+def _return_map_form_doubled(monkeypatch):
+    # both crossing forms are quadratic in the kernel vector, so a negated
+    # vector leaves them as they are; a doubled one quadruples the
+    # return-map form and breaks the magnitude agreement
+    real = czengine._eval_loop_at_zero
+    monkeypatch.setattr(czengine, "_eval_loop_at_zero", lambda *args: 2.0 * real(*args))
+
+
+def _orientable_saddle(monkeypatch):
+    _patch_critical_points(monkeypatch, "Saddle",
+                           lambda c: dataclasses.replace(c, orientable=True))
+
+
+@pytest.mark.parametrize("argv, inject, reason", [
+    (("cz-engine", "-g", "C:3"), _rotation_index_off_by_two, "C:3/SouthPole^1: crossing 1, rotation 3"),
+    (("spectral-flow",), _spectral_flow_off_by_one, "canonical: flow 2 (K=32) / 2 (K=64)"),
+    (("sign-lemma",), _return_map_form_doubled, "canonical: [{"),
+    (("morse", "-g", "D:3"), _orientable_saddle, "D:3: homology ranks (1, 1, 1)"),
+], ids=["cz-engine", "spectral-flow", "sign-lemma", "morse"])
+def test_battery_fault_is_a_violation(capsys, monkeypatch, argv, inject, reason):
+    # each battery's own check fires on an injected fault: exit 1, one FAIL line
+    inject(monkeypatch)
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 1
+    fails = [line for line in out.splitlines() if ": FAIL (" in line]
+    assert len(fails) == 1 and fails[0].startswith(f"{argv[0]}: FAIL ({reason}"), out
+    assert f"verify {argv[0]}: VIOLATION" in out
+    assert err == ""  # no traceback
+
+
 @pytest.mark.parametrize("command", ["orbits", "homology"])
 def test_library_assertion_is_violation(capsys, monkeypatch, command):
     # a library check of a mathematical statement (an AssertionError

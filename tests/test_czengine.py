@@ -486,6 +486,16 @@ def test_non_finite_samples_exceed_the_drift_guard():
         czengine.SymplecticPath(values, path.generator)
 
 
+def _lapack_cofactors(m):
+    """Cofactor matrix of a stack of square matrices from LAPACK
+    determinants of its (d - 1)-minors, the reference for the closed form."""
+    d = m.shape[-1]
+    keep = np.array([[j for j in range(d) if j != i] for i in range(d)])
+    minors = m[..., keep[:, None, :, None], keep[None, :, None, :]]
+    signs = (-1.0) ** np.add.outer(np.arange(d), np.arange(d))
+    return signs * np.linalg.det(minors)
+
+
 def _sp4_stacks():
     """Random 4x4 stacks of full rank and of rank deficiency 1 and 2."""
     rng = np.random.default_rng(5)
@@ -501,7 +511,7 @@ def test_sp4_laplace_kernel_matches_lapack(stack):
     cof = np.moveaxis(np.array(czengine._cofactors4(e, top, bottom)), (0, 1), (-2, -1))
     size = np.max(np.abs(stack), axis=(1, 2))
     assert np.all(np.abs(det - np.linalg.det(stack)) <= 1e-12 * size**4)
-    reference = czengine._cofactors(stack)
+    reference = _lapack_cofactors(stack)
     assert np.all(np.abs(cof - reference) <= 1e-12 * size[:, None, None] ** 3)
     for m, d_row, c_row in zip(stack, det, cof):
         entries = czengine._entries(m)
@@ -524,7 +534,7 @@ def test_one_matrix_reads_the_bits_of_its_stack_row(n):
     if n == 1:
         jacobi = -(phi_dot[:, 0, 0] + phi_dot[:, 1, 1])
     else:
-        jacobi = np.sum(czengine._cofactors(path.values - np.eye(4)) * phi_dot, axis=(-2, -1))
+        jacobi = np.sum(_lapack_cofactors(path.values - np.eye(4)) * phi_dot, axis=(-2, -1))
     assert np.max(np.abs(slope - jacobi)) <= 1e-12 * np.max(np.abs(jacobi))
 
 
@@ -580,18 +590,25 @@ def test_small_form_signature_matches_eigvalsh():
     assert outcomes == {-2, -1, 0, 1, 2, "dead zone"}
 
 
-def test_sp6_crossing_form_uses_the_lapack_route():
-    # no local model or suite path reaches d >= 6; a direct sum of three
-    # local models on the finest of their default grids does, and its index
-    # is the sum 5 + 7 + 7
-    total = path_direct_sum(
-        path_direct_sum(local_model_path(-1.0, np.eye(2), k=Fraction(5, 4), samples=1408),
-                        local_model_path(0.0, np.diag([1.0, -1.0]), k=Fraction(7, 4),
-                                         samples=1408)),
-        local_model_path(1.0, -np.eye(2), k=Fraction(3, 2), samples=1408),
-    )
+def test_sp6_crossing_form_is_rejected():
+    # no return map or suite path reaches Sp(6); a direct sum of three local
+    # models does, and the crossing-form kernels refuse it
+    p = local_model_path(-1.0, np.eye(2))
+    total = path_direct_sum(p, path_direct_sum(p, p))
     assert total.n == 3
-    assert cz_crossing_form(total) == 19
+    with pytest.raises(ValueError, match=r"Sp\(2\) and Sp\(4\), not Sp\(6\)"):
+        cz_crossing_form(total)
+
+
+def test_rotation_route_needs_a_nondegenerate_path_in_sp2():
+    with pytest.raises(ValueError, match="requires a path in Sp"):
+        rotation_cz_sp2(_constant_path(np.diag([1.0, -1.0, 2.0, 3.0])))
+    # the zero generator ends at the identity, where no index is defined
+    identity = _constant_path(np.zeros((2, 2)))
+    with pytest.raises(czengine.DegenerateEndpoint):
+        rotation_cz_sp2(identity)
+    with pytest.raises(czengine.DegenerateEndpoint):
+        crossing_records(identity)
 
 
 def _slope_paths():
@@ -962,6 +979,12 @@ def test_axiom_suite_clean():
     assert report["failures"] == []
     assert report["instances"] >= 12
     assert report["max_residual"] < 1e-8
+
+
+def test_axiom_suite_catches_an_inverse_that_returns_its_argument(monkeypatch):
+    monkeypatch.setattr(czengine, "path_inverse", lambda p: p)
+    with pytest.raises(czengine.AxiomViolation, match="'axiom': 'inverse'"):
+        cz_axiom_suite(seed=11, instances=10)
 
 
 @pytest.mark.parametrize("seed", [484553450, 348387268, 4002431733])

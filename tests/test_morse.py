@@ -183,6 +183,44 @@ def test_scan_with_no_point_outside_the_mask_certifies_nothing(monkeypatch):
     assert morse._scan_critical_set(func) == "mask covered the whole scan lattice"
 
 
+def _nan_values(monkeypatch):
+    monkeypatch.setattr(morse.InvariantMorseFunction, "value",
+                        lambda self, x: np.full(np.shape(x)[:-1], np.nan))
+
+
+def _nan_gradient_off_fix(monkeypatch):
+    # NaN outside the scan mask, exact near Fix(H), so the classification's
+    # Newton refinement from the fixed points still converges
+    real = morse.InvariantMorseFunction.gradient
+
+    def gradient(self, x):
+        g = real(self, x)
+        fixed = morse._all_fixed_point_array(self.fixed_orbits)
+        g[np.max(np.asarray(x) @ fixed.T, axis=-1) < 1.0 - 0.5 * morse.MASK_RADIUS ** 2] = np.nan
+        return g
+
+    monkeypatch.setattr(morse.InvariantMorseFunction, "gradient", gradient)
+
+
+@pytest.mark.parametrize("label", ["C:5", "T"])
+@pytest.mark.parametrize("inject, reason", [
+    (_nan_values, "invariance residual nan"),
+    (_nan_gradient_off_fix, "gradient floor nan"),
+], ids=["value", "gradient"])
+def test_nan_fails_the_certificate(monkeypatch, label, inject, reason):
+    inject(monkeypatch)
+    with pytest.raises(morse.SpuriousCriticalPoint, match=reason):
+        build_invariant_morse(label)
+
+
+def test_nan_rotation_image_fails_the_permutation_certificate():
+    func = build_invariant_morse("T")
+    crits = find_critical_points(func)
+    func.rotations = np.full((1, 3, 3), np.nan)
+    with pytest.raises(morse.SpuriousCriticalPoint, match="failed to permute"):
+        morse._critical_permutations(func, crits)
+
+
 #: traced allocation bound of one orbifold complex; evaluated whole, the
 #: certification kernels peaked at 46 MB for I and 25 MB for D:64
 PEAK_BOUND_MB = 12

@@ -2,6 +2,7 @@
 numbers, index formulas, type classification, free homotopy classes, and
 action monotonicity within a class."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -41,12 +42,16 @@ def test_formal_scalar_is_ordered_lexicographically():
     assert FormalScalar(1, 5) < FormalScalar(2, -5)
     assert FormalScalar(2, -1) < FormalScalar(2, 0) < FormalScalar(2, 1)
     assert FormalScalar(Fraction(1, 3), 0) < FormalScalar(Fraction(1, 2), -100)
-    # the derived comparisons, also against int and Fraction on either side
+    # the derived comparisons
     a, b = FormalScalar(2, -1), FormalScalar(2, 1)
     assert a <= b and a <= a and not b <= a
     assert b > a and not a > a and b >= b and not a >= b
-    assert a < 2 < b and 2 > a and Fraction(5, 2) >= b and not 2 >= b
-    assert FormalScalar(2) <= 2 <= FormalScalar(2) and FormalScalar(2) == 2
+    assert FormalScalar(2) == FormalScalar(Fraction(2), 0)
+    assert hash(FormalScalar(2, 1)) == hash(FormalScalar(Fraction(2), Fraction(1)))
+    # a formal scalar is compared with formal scalars only
+    assert FormalScalar(2) != 2 and FormalScalar(2) != (2, 0)
+    with pytest.raises(TypeError):
+        FormalScalar(2) < 3
 
 
 def test_formal_floor_and_ceil():
@@ -370,6 +375,32 @@ def test_monotonicity_reports_clean(label):
 
 def test_monotonicity_violation_is_assertion_error():
     assert issubclass(MonotonicityViolation, AssertionError)
+
+
+def _swap_actions(first, last):
+    return (dataclasses.replace(first, action=last.action),
+            dataclasses.replace(last, action=first.action))
+
+
+def _share_cz(first, last):
+    return first, dataclasses.replace(last, cz=first.cz)
+
+
+@pytest.mark.parametrize("corrupt, reason", [
+    (_swap_actions, "has cz"), (_share_cz, "share class"),
+], ids=["swapped-actions", "duplicated-cz"])
+def test_monotonicity_catches_a_corrupted_class(monkeypatch, corrupt, reason):
+    # the lowest- and highest-cz orbits of one class: no neighbour
+    # comparison of the unsorted list sees them side by side
+    records = list(enumerate_orbits("D:3", 3))
+    members = [i for i, o in enumerate(records) if o.class_label == records[0].class_label]
+    lo = min(members, key=lambda i: records[i].cz)
+    hi = max(members, key=lambda i: records[i].cz)
+    assert len(members) > 2 and records[lo].cz < records[hi].cz
+    records[lo], records[hi] = corrupt(records[lo], records[hi])
+    monkeypatch.setattr(orbits_module, "enumerate_orbits", lambda spec, N: records)
+    with pytest.raises(MonotonicityViolation, match=reason):
+        verify_monotonicity("D:3", 3)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Property-based tests for the structural invariants: formal-scalar
-arithmetic and order, quaternion projection, orbit index identities, and
+order, quaternion projection, orbit index identities, and
 closed-form rank structure."""
 
 import math
@@ -61,22 +61,6 @@ def test_formal_order_is_lexicographic(a1, b1, a2, b2):
     x, y = FormalScalar(a1, b1), FormalScalar(a2, b2)
     assert (x < y) == ((a1, b1) < (a2, b2))
     assert (x == y) == ((a1, b1) == (a2, b2))
-
-
-@SETTINGS
-@given(fractions, fractions, fractions, fractions)
-def test_formal_addition_is_componentwise(a1, b1, a2, b2):
-    x, y = FormalScalar(a1, b1), FormalScalar(a2, b2)
-    total = x + y
-    assert (total.a, total.b) == (a1 + a2, b1 + b2)
-
-
-@SETTINGS
-@given(fractions, fractions, fractions, fractions)
-def test_formal_product_truncates_second_order(a1, b1, a2, b2):
-    x, y = FormalScalar(a1, b1), FormalScalar(a2, b2)
-    prod = x * y
-    assert (prod.a, prod.b) == (a1 * a2, a1 * b2 + a2 * b1)
 
 
 @SETTINGS
