@@ -36,7 +36,9 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
+import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -75,21 +77,23 @@ DEFAULT_TOLERANCE = 1e-3
 
 def format_formal(x):
     """Render a formal scalar as 'a', 'a + b·eps', or 'a - b·eps'."""
-    # str(abs(b)) built from b's integer parts: this runs twice per table row
+    # str(a) and str(abs(b)) built from their integer parts: this runs twice
+    # per table row
+    num, den = x.a.numerator, x.a.denominator
+    head = f"{num}" if den == 1 else f"{num}/{den}"
     num, den = x.b.numerator, x.b.denominator
     if num == 0:
-        return str(x.a)
+        return head
     sign, num = ("+", num) if num > 0 else ("-", -num)
     mag = num if den == 1 else f"{num}/{den}"
-    return f"{x.a} {sign} {mag}·eps"
+    return f"{head} {sign} {mag}·eps"
 
 
 def _markdown_table(headers, rows):
-    def fmt(row):
-        return "| " + " | ".join(str(c) for c in row) + " |"
-
-    lines = [fmt(headers), "|" + "|".join(" --- " for _ in headers) + "|"]
-    lines.extend(fmt(row) for row in rows)
+    # one format template per table: format(c, "") is str(c) for its cells
+    line = "| " + " | ".join(["{}"] * len(headers)) + " |"
+    lines = [line.format(*headers), "|" + "|".join(" --- " for _ in headers) + "|"]
+    lines.extend(itertools.starmap(line.format, rows))
     return "\n".join(lines)
 
 
@@ -101,10 +105,45 @@ def _csv_text(headers, rows):
     return buf.getvalue().rstrip("\n")
 
 
+#: the types json encodes as scalars; a subclass takes the general route
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.cache
+def _row_encoder(level):
+    """The C encoder of a list of flat dicts whose fields sit `level` deep:
+    its item separator carries the newline and indent of ``indent=2``."""
+    return json.JSONEncoder(separators=(",\n" + "  " * level, ": ")).encode
+
+
+def _json_value(value, level):
+    """``json.dumps(value, indent=2)`` for a value nested `level` deep.
+
+    An encoded string never holds a raw newline, so every newline in the
+    text is layout.  A non-empty list of non-empty dicts of scalars (the
+    rows of a table) is one call of the C encoder, whose separator is the
+    newline and indent of the rows' fields; after it only the row
+    boundaries ``},{`` are laid out again.  Anything else is
+    ``json.dumps(value, indent=2)`` shifted right.
+    """
+    if (type(value) is list and value and set(map(type, value)) == {dict} and all(value)
+            and set(map(type, itertools.chain.from_iterable(map(dict.values, value)))) <= _SCALARS):
+        outer, inner, deep = ("\n" + "  " * n for n in (level, level + 1, level + 2))
+        text = _row_encoder(level + 2)(value)[2:-2]
+        rows = text.replace("}," + deep + "{", inner + "}," + inner + "{" + deep)
+        return "[" + inner + "{" + deep + rows + inner + "}" + outer + "]"
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * level)
+
+
 def _json_text(command, **fields):
-    """One JSON document: the schema envelope, then ``fields`` in order."""
+    """One JSON document: the schema envelope, then ``fields`` in order.
+
+    The text is ``json.dumps(document, indent=2)``, byte for byte, written
+    field by field by ``_json_value``.
+    """
     document = {"schema": SCHEMA, "version": __version__, "command": command, **fields}
-    return json.dumps(document, indent=2)
+    items = (f"{json.dumps(key)}: {_json_value(value, 1)}" for key, value in document.items())
+    return "{\n  " + ",\n  ".join(items) + "\n}"
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +155,7 @@ def cmd_orbits(group, levels, fmt):
     spec = parse_group_spec(group)
     # enumerate_orbits lists base by base, then by multiplicity, so a stable
     # sort by grading orders the rows by (grading, base, k)
-    rows = sorted(orbits.enumerate_orbits(spec, levels), key=lambda o: o.grading)
+    rows = sorted(orbits.enumerate_orbits(spec, levels), key=operator.attrgetter("grading"))
     if fmt == "json":
         return _json_text("orbits", group=spec.label, levels=levels, count=len(rows),
                           rows=[orbits.orbit_row(o) for o in rows]), 0

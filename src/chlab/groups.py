@@ -6,18 +6,20 @@ their conjugacy classes with stable labels, the 2-to-1 projection to
 rotations, the fiber projection S^3 -> S^2, the fixed-point orbits of the
 rotation image on S^2, and the ADE type attached to each group.
 
-The closure matches every generator times every element it finds; those
-matches (the left Cayley graph) give each group's multiplication table
-exactly, with no further product of quaternions.  Inverses, element orders,
-powers, conjugacy classes and the pairs +-g that share a rotation are read
-off the table with array operations.  One group is built per spec per
-process (``build_group`` is memoized), and its classes, rotation image and
-fixed orbits are cached on it.
+The closure matches every generator times every element it finds, by a
+lookup in an index of cells 1e-6 wide rather than a scan of every element
+found so far; those matches (the left Cayley graph) give each group's
+multiplication table exactly, with no further product of quaternions.
+Inverses, element orders, powers, conjugacy classes and the pairs +-g that
+share a rotation are read off the table with array operations.  One group
+is built per spec per process (``build_group`` is memoized), and its
+classes, rotation image and fixed orbits are cached on it.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -28,6 +30,7 @@ import numpy as np
 TOL_EQ = 1e-9       # element equality, max component difference
 TOL_NORM = 1e-12    # unit norm drift
 TOL_POINT = 1e-6    # fixed point clustering on S^2
+CELL = 1e-6         # width of the cells of the closure's element index
 
 CYCLIC = "cyclic"
 BINARY_DIHEDRAL = "binary_dihedral"
@@ -108,16 +111,8 @@ class Quaternion:
         # unit quaternion: inverse is the conjugate
         return self.conjugate()
 
-    def trace(self):
-        # trace of the corresponding SU(2) matrix
-        return 2.0 * self.a
-
     def __mul__(self, other):
-        a1, b1 = self.alpha, self.beta
-        a2, b2 = other.alpha, other.beta
-        alpha = a1 * a2 - b1.conjugate() * b2
-        beta = b1 * a2 + a1.conjugate() * b2
-        return Quaternion.from_complex_pair(alpha, beta)
+        return Quaternion(*_product(self.components(), other.components()))
 
     def __neg__(self):
         return Quaternion(-self.a, -self.b, -self.c, -self.d)
@@ -233,21 +228,84 @@ def _generators(spec):
     return [omega, t]
 
 
-def _match(coords, x):
-    """Index of the row of coords within TOL_EQ of x in every component, or None."""
-    dist = np.max(np.abs(coords - x), axis=-1)
-    i = int(np.argmin(dist))
-    return i if dist[i] <= TOL_EQ else None
+def _product(p, q):
+    """Components of p * q for component tuples p and q.
+
+    The matrix product is alpha = a1 a2 - conj(b1) b2 and
+    beta = b1 a2 + conj(a1) b2 in alpha = a + ib, beta = c + id; each
+    complex product is written out in real arithmetic in the order Python's
+    complex multiplication rounds it, so the bits are those of the complex
+    route.
+    """
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return ((a1 * a2 - b1 * b2) - (c1 * c2 + d1 * d2),
+            (a1 * b2 + b1 * a2) - (c1 * d2 - d1 * c2),
+            (c1 * a2 - d1 * b2) + (a1 * c2 + b1 * d2),
+            (c1 * b2 + d1 * a2) + (a1 * d2 - b1 * c2))
+
+
+class _CellIndex:
+    """Component 4-tuples filed by the cell of width CELL each lies in.
+
+    Cells are centred on the multiples of CELL, so the components 0, 1/2
+    and 1 that recur across the groups lie far from any cell boundary.
+    ``find(x)`` probes every cell that a row within TOL_EQ of x in every
+    component can lie in (the margin doubled, so the rounding of the cell
+    bounds cannot drop one) and returns the nearest such row by the largest
+    component difference, the first on ties, or None: the answer of a scan
+    of every row, from the few rows filed near x.
+    """
+
+    __slots__ = ("rows", "cells")
+
+    def __init__(self, rows=()):
+        self.rows = []
+        self.cells = {}
+        for x in rows:
+            self.add(x)
+
+    def add(self, x):
+        a, b, c, d = x
+        key = (math.floor(a / CELL + 0.5), math.floor(b / CELL + 0.5),
+               math.floor(c / CELL + 0.5), math.floor(d / CELL + 0.5))
+        self.cells.setdefault(key, []).append(len(self.rows))
+        self.rows.append(x)
+
+    def find(self, x):
+        a, b, c, d = x
+        m = 2.0 * TOL_EQ
+        lo = (math.floor((a - m) / CELL + 0.5), math.floor((b - m) / CELL + 0.5),
+              math.floor((c - m) / CELL + 0.5), math.floor((d - m) / CELL + 0.5))
+        hi = (math.floor((a + m) / CELL + 0.5), math.floor((b + m) / CELL + 0.5),
+              math.floor((c + m) / CELL + 0.5), math.floor((d + m) / CELL + 0.5))
+        if lo == hi:
+            hits = self.cells.get(lo, ())
+        else:
+            spans = [range(low, high + 1) for low, high in zip(lo, hi)]
+            hits = [i for key in itertools.product(*spans) for i in self.cells.get(key, ())]
+        best = None
+        for i in hits:
+            r = self.rows[i]
+            dist = max(abs(r[0] - a), abs(r[1] - b), abs(r[2] - c), abs(r[3] - d))
+            if dist <= TOL_EQ and (best is None or (dist, i) < best):
+                best = (dist, i)
+        return None if best is None else best[1]
 
 
 def _element_orders(mul):
-    """Order of every element, by walking all powers through the table at once."""
+    """Order of every element, by walking the powers g^k = g^(k-1) g of all
+    elements through the table at once, each dropped when it reaches 1."""
     n = len(mul)
-    orders = np.zeros(n, dtype=np.int64)
-    power, k = np.arange(n), 1
-    while not orders.all():
-        orders[(power == 0) & (orders == 0)] = k
-        power, k = mul[power, np.arange(n)], k + 1
+    flat = mul.ravel().astype(np.intp)
+    orders = np.ones(n, dtype=np.int64)
+    active = power = np.arange(1, n)
+    k = 1
+    while active.size:
+        power, k = flat[power * n + active], k + 1
+        done = power == 0
+        orders[active[done]] = k
+        active, power = active[~done], power[~done]
     return orders
 
 
@@ -298,16 +356,18 @@ class FiniteSubgroup:
     ``coords[i]`` holds the components of ``elements[i]`` and ``mul[i, j]``
     the index of ``elements[i] * elements[j]``, the exact table that
     ``_closed_group`` derives from its closure; the identity is element 0,
-    and ``inverses`` and ``orders`` are read off the table.
+    and ``inverses`` and ``orders`` are read off the table.  ``index`` is
+    the closure's cell index of the components, which ``index_of`` asks.
     """
 
     identity = 0
 
-    def __init__(self, spec, elements, coords, mul):
+    def __init__(self, spec, elements, coords, mul, index):
         self.spec = spec
         self.elements = elements
         self.coords = coords
         self.mul = mul
+        self._index = index
         self.inverses = np.argmax(mul == 0, axis=1)
         self.orders = _element_orders(mul)
         self._classes = None
@@ -320,20 +380,13 @@ class FiniteSubgroup:
         return len(self.elements)
 
     def index_of(self, q):
-        idx = _match(self.coords, q.components())
+        idx = self._index.find(q.components())
         if idx is None:
             raise NonClosure(f"element {q!r} not in the group {self.spec}")
         return idx
 
     def element_order(self, idx):
         return int(self.orders[idx])
-
-    def power_index(self, idx, k):
-        """Index of elements[idx] raised to the k-th power (k >= 0)."""
-        out = self.identity
-        for _ in range(k % self.element_order(idx)):
-            out = self.mul[out, idx]
-        return int(out)
 
     @property
     def classes(self):
@@ -378,49 +431,60 @@ def build_group(spec):
 def _closed_group(spec):
     """Close the hard-coded generators under multiplication, breadth first.
 
-    Every generator times every element found is matched against the
-    elements so far; with all of them matched and exactly ``spec.order``
-    elements found, the set is closed.  The matches form the left Cayley
-    graph ``left[k, x]`` (the index of ``gens[k] * elements[x]``), and each
-    new element e is ``gens[k] * elements[parent]`` for the pair that found
-    it, so row e of the table is row parent sent through ``left[k]``.
+    Every generator times every element found, normalized, is matched
+    against the elements so far through their cell index; with all of them
+    matched and exactly ``spec.order`` elements found, the set is closed.
+    The matches form the left Cayley graph ``left[k][x]`` (the index of
+    ``gens[k] * elements[x]``), and each new element e is
+    ``gens[k] * elements[parent]`` for the pair that found it, so row e of
+    the table is row parent sent through ``left[k]``; the parents of one
+    breadth-first level all sit in the levels before it, so the rows are
+    filled a level at a time.
     """
-    gens = _generators(spec)
+    gens = [g.components() for g in _generators(spec)]
     expected = spec.order
-    elements = [Quaternion.identity()]
-    coords = np.zeros((expected + 1, 4))  # one spare row for an overflowing element
-    coords[0, 0] = 1.0
-    left = np.empty((len(gens), expected), dtype=np.int16)  # group orders stay far below 2**15
+    index = _CellIndex([(1.0, 0.0, 0.0, 0.0)])
+    rows = index.rows
+    left = [[0] * expected for _ in gens]
     found_by = []   # (k, parent) of elements 1, 2, ...
+    level_ends = []
     frontier = [0]
     while frontier:
         fresh = []
         for x in frontier:
             for k, g in enumerate(gens):
-                y = (g * elements[x]).normalized()
-                if abs(y.norm() - 1.0) > TOL_NORM:
+                a, b, c, d = _product(g, rows[x])
+                r = math.sqrt(a * a + b * b + c * c + d * d)
+                y = (a / r, b / r, c / r, d / r)
+                a, b, c, d = y
+                if not abs(math.sqrt(a * a + b * b + c * c + d * d) - 1.0) <= TOL_NORM:
                     raise NonClosure(f"norm drift beyond {TOL_NORM} while closing {spec.label}")
-                hit = _match(coords[:len(elements)], y.components())
+                hit = index.find(y)
                 if hit is None:
-                    hit = len(elements)
-                    coords[hit] = y.components()
-                    elements.append(y)
+                    hit = len(rows)
+                    index.add(y)
                     found_by.append((k, x))
                     fresh.append(hit)
-                    if len(elements) > expected:
+                    if len(rows) > expected:
                         raise NonClosure(
                             f"closure of {spec.label} exceeded expected order {expected}; "
                             "generator set or tolerance is wrong")
-                left[k, x] = hit
+                left[k][x] = hit
         frontier = fresh
-    if len(elements) != expected:
+        level_ends.append(len(rows))
+    if len(rows) != expected:
         raise NonClosure(
-            f"closure of {spec.label} stopped at {len(elements)}, expected {expected}")
+            f"closure of {spec.label} stopped at {len(rows)}, expected {expected}")
+    left = np.array(left, dtype=np.int16)  # group orders stay far below 2**15
+    ks, parents = np.array(found_by, dtype=np.intp).reshape(-1, 2).T
     mul = np.empty((expected, expected), dtype=np.int16)
     mul[0] = np.arange(expected)
-    for e, (k, parent) in enumerate(found_by, start=1):
-        mul[e] = left[k, mul[parent]]
-    return FiniteSubgroup(spec, elements, coords[:expected], mul)
+    start = 1
+    for end in level_ends:
+        mul[start:end] = left[ks[start - 1:end - 1, None], mul[parents[start - 1:end - 1]]]
+        start = end
+    elements = [Quaternion(*y) for y in rows]
+    return FiniteSubgroup(spec, elements, np.array(rows), mul, index)
 
 
 def _so3_stack(coords):
@@ -491,14 +555,17 @@ def fiber_isotropy_generator(group, p):
     w2 = be * z[0] + al.conj() * z[1]
     w = w1.conj() * w2
     img = np.stack([np.abs(w1) ** 2 - np.abs(w2) ** 2, -2.0 * w.imag, -2.0 * w.real], axis=1)
-    best = None
-    for i in np.flatnonzero(np.max(np.abs(img - np.asarray(p, dtype=float)), axis=1) <= TOL_POINT):
-        theta = fiber_phase(group.elements[i], z)
-        if theta > 1e-9 and (best is None or theta < best[0]):
-            best = (theta, int(i))
-    if best is None:
+    fixing = np.flatnonzero(np.max(np.abs(img - np.asarray(p, dtype=float)), axis=1) <= TOL_POINT)
+    # the phase of each fixing element, as fiber_phase takes it
+    inner = w1[fixing] * z[0].conjugate() + w2[fixing] * z[1].conjugate()
+    if np.any(np.abs(np.abs(inner) - 1.0) > 1e-8):
+        raise AmbiguousLabel("element does not preserve the fiber")
+    theta = np.angle(inner) % (2.0 * math.pi)
+    moving = np.flatnonzero(theta > 1e-9)
+    if moving.size == 0:
         raise AmbiguousLabel(f"no nontrivial fiber isotropy over {p}")
-    return best[1], best[0]
+    best = moving[np.argmin(theta[moving])]   # the first of equal phases
+    return int(fixing[best]), float(theta[best])
 
 
 def _rotation_image(group):
@@ -569,12 +636,8 @@ def fixed_points(group):
     # a point is registered unless an earlier one lies within TOL_POINT
     axes = _rotation_axes(rots[np.max(np.abs(rots - np.eye(3)), axis=(1, 2)) > 1e-8])
     cand = np.stack([axes, -axes], axis=1).reshape(-1, 3)
-    close = _within(cand[:, None, :], cand[None, :, :])
-    registered = []
-    for i in range(len(cand)):
-        if not close[i, registered].any():
-            registered.append(i)
-    pts = cand[registered]
+    close = np.tril(_within(cand[:, None, :], cand[None, :, :]), -1)
+    pts = cand[~close.any(axis=1)]
 
     # partition into rotation orbits, each seeded by its first point
     orbits = []
@@ -632,23 +695,34 @@ def fixed_points(group):
 
 
 def _raw_classes(group):
-    """Conjugation orbits as sorted index tuples, ordered by their smallest member."""
+    """Conjugation orbits as sorted index tuples, ordered by their smallest
+    member, each with its element order and mean trace.
+
+    Every class must hold one element order and traces within TOL_EQ of
+    each other, or AmbiguousLabel is raised for the first that does not.
+    """
     mul = group.mul
     conj = mul[mul, group.inverses[:, None]]   # conj[x, g] = x g x^-1
     smallest = conj.min(axis=0)
-    # the class minima are the elements that are their own class's minimum
-    minima = np.flatnonzero(smallest == np.arange(len(smallest)))
-    return [tuple(np.flatnonzero(smallest == m).tolist()) for m in minima]
-
-
-def _validate_class(group, members):
-    orders = {group.element_order(j) for j in members}
-    if len(orders) != 1:
-        raise AmbiguousLabel(f"class {members} mixes element orders {sorted(orders)}")
-    traces = [group.elements[j].trace() for j in members]
-    if max(traces) - min(traces) > TOL_EQ:
-        raise AmbiguousLabel(f"class {members} mixes traces beyond {TOL_EQ}")
-    return orders.pop(), sum(traces) / len(traces)
+    # a stable sort by class minimum lists each class's members in order
+    by_class = np.argsort(smallest, kind="stable")
+    _, starts = np.unique(smallest[by_class], return_index=True)
+    ends = np.append(starts[1:], len(by_class))
+    orders = group.orders[by_class]
+    traces = 2.0 * group.coords[by_class, 0]
+    mixed_orders = np.minimum.reduceat(orders, starts) != np.maximum.reduceat(orders, starts)
+    spread = np.maximum.reduceat(traces, starts) - np.minimum.reduceat(traces, starts)
+    members = [tuple(by_class[s:e].tolist()) for s, e in zip(starts, ends)]
+    bad = np.flatnonzero(mixed_orders | (spread > TOL_EQ))
+    if bad.size:
+        c = bad[0]
+        if mixed_orders[c]:
+            found = sorted(set(orders[starts[c]:ends[c]].tolist()))
+            raise AmbiguousLabel(f"class {members[c]} mixes element orders {found}")
+        raise AmbiguousLabel(f"class {members[c]} mixes traces beyond {TOL_EQ}")
+    traces = traces.tolist()
+    return [(m, int(orders[s]), sum(traces[s:e]) / (e - s))
+            for m, s, e in zip(members, starts, ends)]
 
 
 def _power_tower(group, gen_idx, raw):
@@ -671,8 +745,8 @@ def conjugacy_classes(group):
     (first one reached gets suffix A).
     """
     spec = group.spec
-    raw = _raw_classes(group)
-    meta = {members: _validate_class(group, members) for members in raw}
+    meta = {members: (order, trace) for members, order, trace in _raw_classes(group)}
+    raw = list(meta)
 
     labels = {}
     ident = (group.identity,)

@@ -155,8 +155,15 @@ class IndexCorrespondenceFailure(AssertionError):
     """Morse index differences disagree with covering-orbit index differences."""
 
 
+def _row_norms(v, keepdims=False):
+    """``np.linalg.norm(v, axis=-1)`` of a real array: the same sum of
+    squares and square root, without the argument handling that every
+    stage of a flow step would pay."""
+    return np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=keepdims))
+
+
 def _normalize(x):
-    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+    return x / _row_norms(x, keepdims=True)
 
 
 @cache
@@ -212,6 +219,7 @@ class InvariantMorseFunction:
         self.centers_min = centers_min
         self.sharpness = sharpness
         self._critical_cache = None
+        self._permutation_cache = None   # (critical points, their permutations)
 
     @property
     def kind(self):
@@ -243,7 +251,7 @@ class InvariantMorseFunction:
         """Spherical gradient: the ambient gradient projected to the tangent plane."""
         x = np.asarray(x, dtype=float)
         g = self.gradient_ambient(x)
-        return g - np.sum(g * x, axis=-1, keepdims=True) * x
+        return g - np.add.reduce(g * x, axis=-1, keepdims=True) * x
 
     def hessian_ambient(self, x):
         x = np.asarray(x, dtype=float)
@@ -398,37 +406,34 @@ def _scan_critical_set(func):
     """Certify that the critical set is exactly Fix(H).
 
     Scans a quasi-uniform lattice; outside MASK_RADIUS neighborhoods of
-    Fix(H) the tangent gradient norm must exceed GRADIENT_FLOOR, and every
-    scan point below CANDIDATE_THRESHOLD must Newton-refine back into a
-    Fix(H) neighborhood.  The lattice is evaluated BLOCK points at a time,
-    each block reduced to its floor, its nearest distance and its candidates.
-    Returns None on success, else a failure reason.
+    Fix(H) (``_fixed_distances``, one band of the lattice per fixed point)
+    the tangent gradient norm must exceed GRADIENT_FLOOR, and every scan point
+    below CANDIDATE_THRESHOLD must Newton-refine back into a Fix(H)
+    neighborhood.  The gradient is evaluated BLOCK points at a time, each
+    block reduced to its floor and its candidates.  Returns None on success,
+    else a failure reason.
     """
     pts = _fibonacci_sphere(SCAN_POINTS)
     fixed = _all_fixed_point_array(func.fixed_orbits)
-    floors, distances, candidates = [], [], []
+    # the mask needs the distances up to MASK_RADIUS; twice that against rounding
+    outside = _fixed_distances(pts, fixed, 2.0 * MASK_RADIUS) > MASK_RADIUS
+    floors, candidates = [], []
     for lo in range(0, len(pts), BLOCK):
-        block = pts[lo:lo + BLOCK]
-        norms = np.linalg.norm(func.gradient(block), axis=-1)
-        # chordal distance to the nearest fixed point, from a running maximum
-        # of the cosines so no points x fixed-points matrix is formed
-        cosine = np.full(len(block), -np.inf)
-        for p in fixed:
-            np.maximum(cosine, block @ p, out=cosine)
-        nearest = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * cosine))
-        outside = nearest > MASK_RADIUS
-        if np.any(outside):
-            floors.append(np.min(norms[outside]))
-            distances.append(np.min(nearest[outside]))
-            # a NaN norm is not above the threshold, so it is a candidate
-            candidates.append(lo + np.nonzero(outside & ~(norms >= CANDIDATE_THRESHOLD))[0])
+        out = outside[lo:lo + BLOCK]
+        if not np.any(out):
+            continue
+        norms = np.linalg.norm(func.gradient(pts[lo:lo + BLOCK]), axis=-1)
+        floors.append(np.min(norms[out]))
+        # a NaN norm is not above the threshold, so it is a candidate
+        candidates.append(lo + np.nonzero(out & ~(norms >= CANDIDATE_THRESHOLD))[0])
     # np.min over the block minima propagates a NaN as one whole-lattice
     # np.min would, where Python's min would drop it; a NaN floor fails
     if not floors:
         return "mask covered the whole scan lattice"
     floor = float(np.min(floors))
     if not (floor > GRADIENT_FLOOR):
-        return f"gradient floor {floor:.3e} at distance {np.min(distances):.3e}"
+        nearest = np.min(_fixed_distances(pts, fixed, 2.0)[outside])
+        return f"gradient floor {floor:.3e} at distance {nearest:.3e}"
     candidates = np.concatenate(candidates)
     if candidates.size == 0:
         return None
@@ -440,6 +445,26 @@ def _scan_critical_set(func):
         i = off[0]
         return f"refined critical point at {tuple(np.round(refined[i], 6))} off Fix(H) by {gaps[i]:.3e}"
     return None
+
+
+def _fixed_distances(pts, fixed, reach):
+    """Chordal distance from each lattice point to the nearest fixed point,
+    among those whose first coordinate lies within `reach` of its own.
+
+    Only that band of the lattice is compared with each fixed point p: the
+    lattice's first coordinate falls strictly with the index, so the band
+    is one slice, found by bisection.  A point in no band gets inf.  A point
+    within chordal distance d of p has its first coordinate within d of p's,
+    so every distance up to `reach` is exact; a `reach` of 2 compares every
+    point with every fixed point.
+    """
+    cosine = np.full(len(pts), -np.inf)
+    falling = -pts[:, 0]
+    lows = np.searchsorted(falling, -fixed[:, 0] - reach, side="left")
+    highs = np.searchsorted(falling, -fixed[:, 0] + reach, side="right")
+    for p, lo, hi in zip(fixed, lows, highs):
+        np.maximum(cosine[lo:hi], pts[lo:hi] @ p, out=cosine[lo:hi])
+    return np.sqrt(np.maximum(0.0, 2.0 - 2.0 * cosine))
 
 
 def _classify_critical_points(func, expected_indices):
@@ -612,11 +637,12 @@ def _integrate_batch(func, seeds, sign, target_points):
     a step is accepted when its embedded error estimate is at most TOL_STEP,
     and it never exceeds a quarter of the remaining distance to the nearest
     target (floored at 1e-2 STEP_BASE), so a trajectory cannot hop over its
-    destination.  Once a seed comes within SNAP_RADIUS of a target it is
-    finished by Newton iteration (the linear basin), which must land within
-    TOL_CONVERGENCE of that target.  Returns the endpoint indices.  Raises
+    destination.  Once a seed comes within SNAP_RADIUS of a target it stops
+    there; after the march every stopped row is finished by one batch of
+    Newton iterations (the linear basin), each of which must land within
+    TOL_CONVERGENCE of its target.  Returns the endpoint indices.  Raises
     NonConvergentTrajectory when STEP_LIMIT attempted steps run out or a
-    snap lands elsewhere.
+    snap lands elsewhere, the earliest snap first.
     """
     x = np.array(seeds, dtype=float)
     targets = np.asarray(target_points, dtype=float)
@@ -624,13 +650,28 @@ def _integrate_batch(func, seeds, sign, target_points):
 
     def field_at(pts):
         g = func.gradient(pts)
-        speed = np.linalg.norm(g, axis=-1, keepdims=True)
+        speed = _row_norms(g, keepdims=True)
         return sign * g / np.maximum(speed, 1e-15)
 
     def nearest(pts):
         dist = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * pts @ targets.T))
         which = np.argmin(dist, axis=1)
         return which, dist[np.arange(len(pts)), which]
+
+    # the rows stopped within SNAP_RADIUS, in the order they stopped, and
+    # their targets
+    snapped, snapped_to = [], []
+
+    def check_snaps():
+        if not snapped:
+            return
+        tgt = targets[np.concatenate(snapped_to)]
+        refined, converged = _newton_refine(func, np.concatenate(snapped), iters=30)
+        missed = ~converged | (np.linalg.norm(refined - tgt, axis=-1) > TOL_CONVERGENCE)
+        if np.any(missed):
+            raise NonConvergentTrajectory(
+                f"{func.spec.label}: endpoint snap near {tuple(np.round(tgt[np.argmax(missed)], 6))} "
+                f"failed to converge")
 
     # the rows still moving: their seed index, position, first stage, next
     # step size and distance to the nearest target
@@ -641,6 +682,7 @@ def _integrate_batch(func, seeds, sign, target_points):
     steps = 0
     while idx.size:
         if steps >= STEP_LIMIT:
+            check_snaps()
             stuck = [tuple(np.round(row, 6)) for row in x][:3]
             raise NonConvergentTrajectory(
                 f"{func.spec.label}: {idx.size} trajectories unresolved after "
@@ -653,7 +695,7 @@ def _integrate_batch(func, seeds, sign, target_points):
             moved = _normalize(x + step[:, None] * (row @ flat[:j]).reshape(-1, 3))
             stages[j] = field_at(moved)
         # `moved` is now the fifth-order point and stages[6] the field there
-        error = step * np.linalg.norm((_DP_E @ flat).reshape(-1, 3), axis=-1)
+        error = step * _row_norms((_DP_E @ flat).reshape(-1, 3))
         h = step * np.clip(0.9 * (TOL_STEP / np.maximum(error, 1e-300)) ** 0.2, 0.2, 5.0)
         accepted = error <= TOL_STEP
         x[accepted] = moved[accepted]
@@ -663,16 +705,12 @@ def _integrate_batch(func, seeds, sign, target_points):
         snap = near < SNAP_RADIUS
         if not np.any(snap):
             continue
-        refined, converged = _newton_refine(func, x[snap], iters=30)
-        tgt = targets[which[snap]]
-        missed = ~converged | (np.linalg.norm(refined - tgt, axis=-1) > TOL_CONVERGENCE)
-        if np.any(missed):
-            raise NonConvergentTrajectory(
-                f"{func.spec.label}: endpoint snap near {tuple(np.round(tgt[np.argmax(missed)], 6))} "
-                f"failed to converge")
+        snapped.append(x[snap])
+        snapped_to.append(which[snap])
         endpoints[idx[snap]] = which[snap]
         keep = ~snap
         idx, x, k_first, h, near = idx[keep], x[keep], k_first[keep], h[keep], near[keep]
+    check_snaps()
     return endpoints
 
 
@@ -733,7 +771,10 @@ def count_flow_lines(func, source, target):
     # quotient the trajectory set by the H-action: R maps the trajectory
     # seeded at (saddle, w) to the one seeded at (R.saddle, R.w), one of the
     # two seeds at R.saddle
-    perms = _critical_permutations(func, crits)
+    # both flow counts of one complex permute the same critical points
+    if func._permutation_cache is None or func._permutation_cache[0] is not crits:
+        func._permutation_cache = (crits, _critical_permutations(func, crits))
+    perms = func._permutation_cache[1]
     first_seed = np.zeros(len(crits), dtype=int)
     first_seed[saddles] = 2 * np.arange(len(saddles))
     first = first_seed[perms[:, seed_crit]]

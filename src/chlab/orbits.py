@@ -289,9 +289,11 @@ def _validate_class_tables(kind, n):
             raise LiftMismatch(
                 f"{spec.label}/{base.name}: generator phase {phase} "
                 f"is not 2*pi/{base.cov}")
+        power = group.identity
         for k in range(1, base.cov + 1):
+            power = int(group.mul[power, gi])   # gi to the k-th power
             want = _class_label(spec, base.name, k)
-            got = group.class_of(group.power_index(gi, k)).label
+            got = group.class_of(power).label
             if got != want:
                 raise LiftMismatch(
                     f"{spec.label}: {base.name}^{k} lifts into [{got}], "
@@ -303,7 +305,7 @@ def _validate_class_tables(kind, n):
 def make_orbit(spec, base, k):
     """The orbit record for the k-th iterate over a base, built afresh.
 
-    Validates the lift tables like ``enumerate_orbits`` but keeps nothing:
+    Validates the lift tables like ``enumerate_orbits`` but keeps no record:
     its callers want a handful of single records, and tables come from the
     per-(group, base) lists that ``enumerate_orbits`` keeps.
     """
@@ -313,43 +315,59 @@ def make_orbit(spec, base, k):
     if k < 1:
         raise ValueError(f"multiplicity must be >= 1, got {k}")
     _validate_class_tables(spec.kind, spec.n)
-    return _orbit_record(spec, base, OrbifoldPointKind(base.name, base.isotropy), k)
+    kind, labels, _records = _orbit_family(spec, base)
+    return _orbit_record(spec, base, kind, labels, k)
 
 
-def _orbit_record(spec, base, kind, k):
-    """The exact arithmetic of one orbit record; kind is the base's point kind."""
-    rotation = _rotation_of(base, k)
-    cz = formal_floor(rotation) + formal_ceil(rotation)
+_ZERO = Fraction(0)
+
+
+def _orbit_record(spec, base, kind, labels, k):
+    """The exact arithmetic of one orbit record.
+
+    kind is the base's point kind and labels[r] the class label of the
+    iterates k = r mod cov.  With 2k = q*cov + r the rotation number is
+    2k/cov + (sign*k/cov)*eps: off the integers (r > 0) its floor and
+    ceiling are q and q + 1, on them the sign of the eps-part moves one of
+    the two; the action shares the rational part and carries sign*2k/cov.
+    """
+    cov, sign = base.cov, base.sign
+    q, r = divmod(2 * k, cov)
+    cz = 2 * q + 1 if r else 2 * q + sign
     closed = _cz_closed(base, k)
     if cz != closed:
         raise AssertionError(
             f"{spec.label} {base.name}^{k}: floor+ceil gives {cz}, "
             f"closed formula gives {closed}")
+    a = Fraction(2 * k, cov)
     orbit_type, good = _classify(base, k)
     return ReebOrbit(
         group=spec,
         base=kind,
         k=k,
-        action=_action_of(base, k),
-        rotation=rotation,
+        action=FormalScalar(a, a if sign > 0 else -a if sign < 0 else _ZERO),
+        rotation=FormalScalar(a, Fraction(sign * k, cov) if sign else _ZERO),
         cz=cz,
         grading=cz - 1,
         orbit_type=orbit_type,
         good=good,
-        class_label=_class_label(spec, base.name, k),
-        contractible=(k % base.cov == 0),
+        class_label=labels[k % cov],
+        contractible=(k % cov == 0),
     )
 
 
 @lru_cache(maxsize=None)
 def _orbit_family(spec, base):
-    """The base's point kind and its orbit records for k = 1, 2, ..., in order.
+    """The base's point kind, its class labels by k mod cov, and its orbit
+    records for k = 1, 2, ..., in order.
 
-    One list per (group, base), kept for the life of the process;
-    ``enumerate_orbits`` grows it to the largest multiplicity asked for so
-    far and hands out copies of its prefixes, so every record is built once.
+    One entry per (group, base), kept for the life of the process;
+    ``enumerate_orbits`` grows the record list to the largest multiplicity
+    asked for so far and hands out copies of its prefixes, so every record
+    is built once.
     """
-    return OrbifoldPointKind(base.name, base.isotropy), []
+    labels = tuple(_class_label(spec, base.name, r) for r in range(base.cov))
+    return OrbifoldPointKind(base.name, base.isotropy), labels, []
 
 
 def _max_multiplicity(spec, base, N):
@@ -394,8 +412,8 @@ def enumerate_orbits(spec, N):
             raise AssertionError(
                 f"{spec.label}/{base.name}: the threshold does not fall between "
                 f"k={k_max} and k={k_max + 1}, the closed range's end")
-        kind, family = _orbit_family(spec, base)
-        family.extend(_orbit_record(spec, base, kind, k)
+        kind, labels, family = _orbit_family(spec, base)
+        family.extend(_orbit_record(spec, base, kind, labels, k)
                       for k in range(len(family) + 1, k_max + 1))
         out.extend(family[:k_max])
     return out

@@ -600,23 +600,152 @@ def test_format_formal():
     assert cli.format_formal(FormalScalar(-3, 0)) == "-3"
 
 
-# sha256 of the stdout of `chlab orbits`, recorded before the orbit records
-# and their rendering were last reworked; any change to a byte shows here
+# sha256 of the stdout of `chlab orbits` and `chlab homology`, keyed by
+# (command, group, level, format) and recorded before the orbit records,
+# the group closure and the json writer were last reworked; any change to
+# a byte shows here
 ORBIT_TABLE_DIGESTS = {
-    ("D:7", "3", "markdown"): "105ca8527bb99872750beed8762e866e42fb8bacbe87ebc30187021cab88d50d",
-    ("D:7", "3", "csv"): "53382afe5c5c36cbeaa85c7cbbc7f1d8524faa933f86d1b86ff531b23d4cfbca",
-    ("D:7", "3", "json"): "916e546e60cca264a805475d6f4917b06365e271d461a99cabb67a4d71a1f7cf",
-    ("T", "2", "markdown"): "1b57810db6472cbaced8c0a4b7f7862d4fb469fa6b5aeccecf4ce1935363648a",
-    ("T", "2", "csv"): "e7a6c4480c5b4605fa421ec499631aebc571f62313b5cf9f83c4344ab9525ba7",
-    ("T", "2", "json"): "1144993f8426c37beaf8809df67192c5eb0e6e3a1cb6fac09ef4249aec3a4c1c",
+    ("orbits", "D:7", "3", "markdown"): "105ca8527bb99872750beed8762e866e42fb8bacbe87ebc30187021cab88d50d",
+    ("orbits", "D:7", "3", "csv"): "53382afe5c5c36cbeaa85c7cbbc7f1d8524faa933f86d1b86ff531b23d4cfbca",
+    ("orbits", "D:7", "3", "json"): "916e546e60cca264a805475d6f4917b06365e271d461a99cabb67a4d71a1f7cf",
+    ("orbits", "T", "2", "markdown"): "1b57810db6472cbaced8c0a4b7f7862d4fb469fa6b5aeccecf4ce1935363648a",
+    ("orbits", "T", "2", "csv"): "e7a6c4480c5b4605fa421ec499631aebc571f62313b5cf9f83c4344ab9525ba7",
+    ("orbits", "T", "2", "json"): "1144993f8426c37beaf8809df67192c5eb0e6e3a1cb6fac09ef4249aec3a4c1c",
+    ("orbits", "C:7", "1", "markdown"): "5504c3e41ae822f08a55b70a04b3555b6cd606dbc365428f34f9e31123ccc5dd",
+    ("orbits", "C:7", "1", "csv"): "ce1cbc1f45baba6f0c1362948b9b3d4053b682bf19b002d872ab3823abe3dd31",
+    ("orbits", "C:7", "1", "json"): "d0bf90422454285aef9d5f9a7a8a05081359bee4a959030febbc7a6be5a57044",
+    ("orbits", "C:7", "3", "markdown"): "a396f42069caeccd3f366c04b2a67866139595758a80521e5459d67d47645e73",
+    ("orbits", "C:7", "3", "csv"): "aad9e0589c442614c177c7371a57ffb10261a45b50e89cc24f6e713ea93126dd",
+    ("orbits", "C:7", "3", "json"): "0d0406399d2808e5de33306b9c6d570cc27e51cd11f04392ee17bd8a07234c8f",
+    ("orbits", "C:7", "8", "markdown"): "9e6e7e100d5e28c501416a37df2039373473e93547b771bc1dd13f6ec534f179",
+    ("orbits", "C:7", "8", "csv"): "acd0cc60aa72679e6ab24e80b7d602b1d9bc0bd2087bef302638c4ae3438ba25",
+    ("orbits", "C:7", "8", "json"): "42051bcbae03cf9c6b582bee0a3661b5b831090bb5e7f9b856a4663f9affacf1",
+    ("orbits", "C:64", "1", "markdown"): "8354e4b74aca26f1d5d12360322249388ec23226d5082360e3b67d8d71c4cb97",
+    ("orbits", "C:64", "1", "csv"): "fe7bc86ad117603437e50f2031f10e893df3d4535bdb824390c4e99245ad44d9",
+    ("orbits", "C:64", "1", "json"): "3abc0a3731a71280630d9d5335c9b11a056d5d5b941b2864814b57d0004c1a6c",
+    ("orbits", "C:64", "3", "markdown"): "69f0863296f3d99c204a3526da5db9a6162d7df7b813d64e7459d07f69df7d62",
+    ("orbits", "C:64", "3", "csv"): "217dafc54376b9035203615b85ad94ffdaf780c346037877e29765e067e02506",
+    ("orbits", "C:64", "3", "json"): "4afee909b87a657b17b87537aa762a8e22794d0d28a391ea7720791980509b2b",
+    ("orbits", "C:64", "8", "markdown"): "ba26879bfe3f1c3478bbf841143305f8dae7d9b58a2d1f377677f793402dcb28",
+    ("orbits", "C:64", "8", "csv"): "4039057de5e8071723c4b21641a465bf6197ddec8d3d0552cdd7ca7b7692b071",
+    ("orbits", "C:64", "8", "json"): "44f510902f05c574ce3f6d7f125781ac774360d1b903773ed1ed4eaaa3d6df97",
+    ("orbits", "D:5", "1", "markdown"): "f4e8deacfc647e9d43ecd0d4fc1d1864d52588986c5166b25dbcecfaf0c2fadf",
+    ("orbits", "D:5", "1", "csv"): "c811383c7a423ff785e81128e7aa89f419b96e36874c08836c2c964fa818c160",
+    ("orbits", "D:5", "1", "json"): "d65e4281b55d4d3e81d55e5fe6b53e3af5e73db1fb1c45b88d6c0f40ff8d46ae",
+    ("orbits", "D:5", "3", "markdown"): "ed720c1a0cb330b7d5a055328f13d9712e4fd8a84d727f0907c45706467b8b16",
+    ("orbits", "D:5", "3", "csv"): "a258a29ff37a5c223361bce838b0bcbddfc6ba7c8c355e131d5fd6b19955f93e",
+    ("orbits", "D:5", "3", "json"): "88aedfcb6e5af8b3f9966908281624d907ae8d3d8eb1459ec94df801487479c1",
+    ("orbits", "D:5", "8", "markdown"): "b4bc1a09edbf5a15a6e604cd91832c4676c0bb551fc58fec0c166187801f6cb2",
+    ("orbits", "D:5", "8", "csv"): "8aa9ae0bbc6bf757e6607257b9dcca5d1a464baedf6b9971d5042b996717033d",
+    ("orbits", "D:5", "8", "json"): "da68a0180d85f741b20721253365670248f7e1cf2812b08571201740dd5fba4f",
+    ("orbits", "D:64", "1", "markdown"): "d2f3d536a3031736b8c6b819c8e760d6c8815876755bd46113bd12c31538ea42",
+    ("orbits", "D:64", "1", "csv"): "fcc396197e4615e25551f3a11685e54229dbac77e0c951a9dd8f4776963e0b60",
+    ("orbits", "D:64", "1", "json"): "c5bf763418164944b45764260afd17489762c7b1f080f8e23988b10d858bb8c9",
+    ("orbits", "D:64", "3", "markdown"): "1009d5e823ab56f9cc86b321ddc1eb053d13c0f30d38e1d668287077fc6bdaa3",
+    ("orbits", "D:64", "3", "csv"): "b7648b8f9a0859faed7e26717d1e4611a0c142c91fe670fff0ceea59252351d5",
+    ("orbits", "D:64", "3", "json"): "f84cd5d731e173892727ea07cf75d8228ce3250e241bf9e557cadfea1fd0744e",
+    ("orbits", "D:64", "8", "markdown"): "164b32d92d2e62b16a1acfc597acd283f60123bd248cfed1ce25ff207be98b54",
+    ("orbits", "D:64", "8", "csv"): "76e7d6fefb97c47c62543daeb30a5db7738e76554e37ac24ffacaffbf5dd3f89",
+    ("orbits", "D:64", "8", "json"): "40fef65247d4c940e04b0fd2b9557f5867a27b1e32b05f45caf6850e2873559b",
+    ("orbits", "T", "1", "markdown"): "d66a22cbe9ed80227998313c55a4a8a8e0b8608693f85a0a047ddd44c837addf",
+    ("orbits", "T", "1", "csv"): "5af329128c619f3c9657789f1e18df541d497e5044f45b42ff864d505b754990",
+    ("orbits", "T", "1", "json"): "897e923486ba407feddf40974f4ba63479e47231afa46f8111b770f9958c9892",
+    ("orbits", "T", "3", "markdown"): "600e1368d27c0e63970dfe0a685573769fa9e28a8eaf11e40a68cdffd7c2d63e",
+    ("orbits", "T", "3", "csv"): "58486ca2cfc386dcdb2fa3e1ed073fdd16b323e9bd2550ef05076215dedc5fef",
+    ("orbits", "T", "3", "json"): "3abbd460d84138de0674f37d73fce37c0a831ff285cce49a4efffd6c8f6a8fec",
+    ("orbits", "T", "8", "markdown"): "82c0e82344c90a247499f5077c610a97a396c89959ca2d978640a2c192c94057",
+    ("orbits", "T", "8", "csv"): "32bbd0fc3e29bb599134112bf526e0722c096f630946153b54eac7c58649b79c",
+    ("orbits", "T", "8", "json"): "4db8a45a0276256a9b5a3d3e7d6f93d14992764b346ea23380f8cde96966b24f",
+    ("orbits", "O", "1", "markdown"): "c667c6beee5844a1099484cba5f9de9f8cdff9176534ab8caf1f6074fc22edd5",
+    ("orbits", "O", "1", "csv"): "0cd899e5da8448947e4027dc57cda5dbe9ba2bdf95b51f2772085fe882c44882",
+    ("orbits", "O", "1", "json"): "38bb0de8c356410378fc6c9709d96c9e13cd72bf07c9191f0bc1f6178d70dfb0",
+    ("orbits", "O", "3", "markdown"): "40cc385874021abbfb3d72d9eb1bc87e7a8c2570ee9be5f5fb6d295a6bb13e43",
+    ("orbits", "O", "3", "csv"): "a3a18b54d69e45523e3df8ddd11609d775d9ff13399b56ea34718b731967dcee",
+    ("orbits", "O", "3", "json"): "96c93703eab3167b4edeb5eb14fd2ad2c8fd0da259b372c050cccd1ea88acb4c",
+    ("orbits", "O", "8", "markdown"): "f5dd63b3f5f50f8158bfd1bd726abb0febca0890b1a9c5d335cfa6df0dc70e68",
+    ("orbits", "O", "8", "csv"): "f6f557bb6f1160f420a5a02b35c9680574e0c8afdf69d1268fda74dedeb9a3b9",
+    ("orbits", "O", "8", "json"): "9e3f5d7670c1431c541d76c896ac37a8fce27b6a558d0b322fa27addf55d3bac",
+    ("orbits", "I", "1", "markdown"): "4a26c81fe4404911073f3dc481be51b32670f77d72b057eb4762f25198508ae0",
+    ("orbits", "I", "1", "csv"): "0035b9f113c836b609894dd979971a05d3dccf106af45827434001ac5bcb6646",
+    ("orbits", "I", "1", "json"): "f9be18b739975fe1939fe0d2e1533bc8185120a40ebc814acaf3d564f2b7124c",
+    ("orbits", "I", "3", "markdown"): "ffdf7fca3cf2f47b614eba41e66d2d74380917423c3df36a738adfecaeb0ed29",
+    ("orbits", "I", "3", "csv"): "ddde667ad60f799c61a4ab4503e982e78a33317ed89b5ef74b906f805c23d525",
+    ("orbits", "I", "3", "json"): "95bc472f6fbc8e3111ab7d07aef6735af968ac588ccdf6600aa601699bca533b",
+    ("orbits", "I", "8", "markdown"): "8c7435544e3a9970688b75a0bbb206630c8698eb50514d45c2ec43f836f36ad1",
+    ("orbits", "I", "8", "csv"): "834dae0a4e72cb2b5b01d3aa082d67ef264c6aef8a57804fd8c79874ee13850f",
+    ("orbits", "I", "8", "json"): "e231a866acd560c0dab3bd677159c8b8131647c10f7d3fab7274d83def8a6946",
+    ("homology", "C:7", "1", "markdown"): "42a0018475bb7637359b83af4aa2264cb2b4f1138dfc8cd62f950b5cf9fdcad0",
+    ("homology", "C:7", "1", "csv"): "15852112efe716b43aeaa2aba17ecc8b28e9165b2712f29281dacdda3c42086d",
+    ("homology", "C:7", "1", "json"): "02b2784af0d688ffb2f8ff082c020a8697947c948d6421eacca09b531e8f7a29",
+    ("homology", "C:7", "3", "markdown"): "e4ee99741e975d6e65d4fbb23be168f4bbbb57f300fe5d0da136840b6d5b40fc",
+    ("homology", "C:7", "3", "csv"): "8f85ed1b62f3196d1ebc1eb1f86e16386f8e0c9c9232687804a84de67ea1bdc5",
+    ("homology", "C:7", "3", "json"): "2fec2cef954ceb75b0331c3cac24f21d72d56f51434c98954cc21f98f7726274",
+    ("homology", "C:7", "8", "markdown"): "5b51922c45d6d9929b4c11f72a7d4b4db23ee8c28345c110ba23cb237adf58fb",
+    ("homology", "C:7", "8", "csv"): "de852b0f1004c3f543ac3e2a2bcfd0f71b484671bbdc56fd3b95212cdbda5a9e",
+    ("homology", "C:7", "8", "json"): "4d697226e84526578d4dbd50c1167b3ffeb2a2f118d4ea9046275e70221a7959",
+    ("homology", "C:64", "1", "markdown"): "d7df163330dda9e0a94efc693c2c6a8c84cb8316bd979acd4ef26ea8b7d1d176",
+    ("homology", "C:64", "1", "csv"): "c4bf1d52f5063b29c6fcac5feaca0cef7e5d7e799cf07c7790f43b0ae7730d7d",
+    ("homology", "C:64", "1", "json"): "64274e845666d23c2783b284b0071a6daaec29e05f113b163256596dce49da4a",
+    ("homology", "C:64", "3", "markdown"): "c083659b74ef1e3eb29a0d8c37e158093d548ff6de101b1a0c5258fac4000986",
+    ("homology", "C:64", "3", "csv"): "ae0bf7892cdbb72bba81c94a83641f7e92e0924bbce343dcd19f585037a4b483",
+    ("homology", "C:64", "3", "json"): "a34ae3ac03d23fd183f1fe314a8d9923683f08cb9684a75e4f1b7b85fdf1499a",
+    ("homology", "C:64", "8", "markdown"): "f38dacc2a43f4dafa1707e811307b8145ef97c11b885a6fddae74df4e6da67ea",
+    ("homology", "C:64", "8", "csv"): "f775ff1627a5ec0b7c18339e384b3d780d39b816d56ba79b439767037ef12940",
+    ("homology", "C:64", "8", "json"): "84b1e9790c8b819c0f1da9a12d5c7b3194520f814e28a8091ff7f1fb6de018b8",
+    ("homology", "D:5", "1", "markdown"): "aea728a25d8da0e4332eb02d7b7d6c5654d164492397dd368a96c6efcb33d5fe",
+    ("homology", "D:5", "1", "csv"): "be11121a78071db82ed13d3a1d2553153780b20f77034a233477e11838af5307",
+    ("homology", "D:5", "1", "json"): "8a08a2ad5da3771cc7a9f6f3034340b698c4b2a608caccaff7d63f19bbc60a20",
+    ("homology", "D:5", "3", "markdown"): "a407c48722e2820cd4a70d3105eeeed675ae3640fe16cf3bde999343a0ed98c1",
+    ("homology", "D:5", "3", "csv"): "2189054515d692961e00cc037543d412befb348858e7cbc2a3620ec09b5e829d",
+    ("homology", "D:5", "3", "json"): "8ccfe702d08919dde48a309218ae5e4978fe595be0838ffa776e4bc0377ca9fd",
+    ("homology", "D:5", "8", "markdown"): "42e4f9785814a003ae5b9ddf0bfb74176ce8e24a201f63469cc3476b57cd5f86",
+    ("homology", "D:5", "8", "csv"): "958598275fac19c37872749c853f2219e999a769ccf751a5f22f6e0b076e1947",
+    ("homology", "D:5", "8", "json"): "53d8995474f69d34918097f7d276365a206614a5afaedd725c7e659dc208203c",
+    ("homology", "D:64", "1", "markdown"): "9ec3f2bfb05126b79e213c8da74194809c2a322a6840b8428f953016f539fd13",
+    ("homology", "D:64", "1", "csv"): "3fb1b81c96e610cbe612ceedcd3151336f90a25f10c71c809a6ce0f1f7b460af",
+    ("homology", "D:64", "1", "json"): "4ac80c516c690438388cacbe7d7fd0942079ab39b4a26b91f70c618d420a60e5",
+    ("homology", "D:64", "3", "markdown"): "2516360738a9e884f7f356a40a77abcf2c1ad2dff6f7d8169c09706353bb460a",
+    ("homology", "D:64", "3", "csv"): "de2149adb6f922616412454b98d75bc75a194a6154ee206ec694c97f8d80b898",
+    ("homology", "D:64", "3", "json"): "c5d23d5d20590a4d78112918a8533f4f401e74fd5ef9f1d56bbd7e7b3c6cd9bc",
+    ("homology", "D:64", "8", "markdown"): "1e7bd4144209320b0a3515055adfbefbe44e102a92d817b44b14e4c2e3199fc0",
+    ("homology", "D:64", "8", "csv"): "70ccda6ba17200c8bbaa24b990eaf5d4cb0a35ef25b4f5acfa5c5af05d7bf86c",
+    ("homology", "D:64", "8", "json"): "b75d234725922d8a60457464ff2c21a1c529f9b4c1d5fd73ad9dc41a81d6fbf6",
+    ("homology", "T", "1", "markdown"): "4713dd66a9a6ee0876a1a60145ead8ddc9d951cd74fca75af705fc40257b9c98",
+    ("homology", "T", "1", "csv"): "15852112efe716b43aeaa2aba17ecc8b28e9165b2712f29281dacdda3c42086d",
+    ("homology", "T", "1", "json"): "8fea0a5487efafb8ab2de3d430bd60c2396d1573041f787a90a5276e88bf1cde",
+    ("homology", "T", "3", "markdown"): "462ea6a5d91e9c5789f265acd5c92d2d35ce452996097f0bea670336f4bbf23e",
+    ("homology", "T", "3", "csv"): "8f85ed1b62f3196d1ebc1eb1f86e16386f8e0c9c9232687804a84de67ea1bdc5",
+    ("homology", "T", "3", "json"): "1f5c8114b1bb2d5f4cd0474a2efa39b8701b77927a378ae90eb4d2eb82062249",
+    ("homology", "T", "8", "markdown"): "a4fbb12d9d6729e3c84b59395d7e13d5a46c6f798aa1c7fa3c747f81b6ddda38",
+    ("homology", "T", "8", "csv"): "de852b0f1004c3f543ac3e2a2bcfd0f71b484671bbdc56fd3b95212cdbda5a9e",
+    ("homology", "T", "8", "json"): "15392fc1ef61ac9af5155469278dd0a5e7787bd219f2fae974808b9601476ed9",
+    ("homology", "O", "1", "markdown"): "b5386aaada719d5e84495be40b3056801b74025132529eea58233ad1fe039d4b",
+    ("homology", "O", "1", "csv"): "be11121a78071db82ed13d3a1d2553153780b20f77034a233477e11838af5307",
+    ("homology", "O", "1", "json"): "35f0d6433628de62f5c9ab5926566934dd6e623c68120465064004ab1a6f002c",
+    ("homology", "O", "3", "markdown"): "08bff7006a1d22309f89e6314c3f3035ca1d8466f87c0c2dbc767313041c7355",
+    ("homology", "O", "3", "csv"): "2189054515d692961e00cc037543d412befb348858e7cbc2a3620ec09b5e829d",
+    ("homology", "O", "3", "json"): "2e4d47914999e98b73a080132b1bde40e84b1d3def595b09ac438e155e136124",
+    ("homology", "O", "8", "markdown"): "886bcc450f76580697d7d20454107adea8c57eb0568403fc4711321f55e3668a",
+    ("homology", "O", "8", "csv"): "958598275fac19c37872749c853f2219e999a769ccf751a5f22f6e0b076e1947",
+    ("homology", "O", "8", "json"): "5716ca33f80f04b8e027d423d4d99a982bcfbeb95c54df9ccfe3a9f744f3861e",
+    ("homology", "I", "1", "markdown"): "61ab4e3398303a0bd1dc2dbc4e38c246e0e321ec05afa500990321d529a8f6ea",
+    ("homology", "I", "1", "csv"): "3bbdbdda29fe65a06917838673ba54064375bcd3a1434717dcc77c4de9324cb1",
+    ("homology", "I", "1", "json"): "7716760d1e91bcd001ff83c8250ff57c8182589e16b15220bb1dff0ab56562ab",
+    ("homology", "I", "3", "markdown"): "aef647959dffc0d668792834800cf154d7a14b1a33f4f1ff888fc6a862148e89",
+    ("homology", "I", "3", "csv"): "50b494f8e5d9f21abc5c0d01e3fea32521d26829c896dec814b42fd1cae6717d",
+    ("homology", "I", "3", "json"): "d6e164d6e27147c51c48b75bf721250b3574142eea2d67bc20b9f5216056f554",
+    ("homology", "I", "8", "markdown"): "e03b50ea2cc85d0841c88e4b18c6d56175d8c4f648739cbb64651ad21dd1865e",
+    ("homology", "I", "8", "csv"): "e8d28b2684f5d9eb7fdfdb03453337dcd2606d82fc2e6c4ec5c4b7f9960c4699",
+    ("homology", "I", "8", "json"): "c1ed03176aaa3a3b623ddf4d5572dd8986d8ad609dbf482ecc82899222a3e23e",
 }
 
 
 def test_orbit_tables_match_pinned_digests(capsys):
-    for (group, levels, fmt), digest in ORBIT_TABLE_DIGESTS.items():
-        code, out, err = run_cli(capsys, "orbits", "-g", group, "-N", levels, "-f", fmt)
+    for key, digest in ORBIT_TABLE_DIGESTS.items():
+        command, group, levels, fmt = key
+        code, out, err = run_cli(capsys, command, "-g", group, "-N", levels, "-f", fmt)
         assert (code, err) == (0, "")
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, (group, levels, fmt)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, key
 
 
 def test_version_flag(capsys):
@@ -689,6 +818,33 @@ def test_output_does_not_depend_on_the_blas_thread_count():
         assert (proc.returncode, proc.stderr) == (0, ""), extra
         outputs.append(proc.stdout)
     assert outputs == [outputs[0]] * 4
+
+
+#: prints OpenBLAS's thread count after importing chlab.cli first, as the
+#: benchmark worker does, read through the library numpy ships, or "none"
+BLAS_THREAD_PROBE = """
+import chlab.cli
+import ctypes, glob, os, numpy
+libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs")
+for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+    lib = ctypes.CDLL(path)
+    for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                   "openblas_get_num_threads"):
+        if hasattr(lib, symbol):
+            print(getattr(lib, symbol)())
+            raise SystemExit
+print("none")
+"""
+
+
+def test_cli_import_pins_openblas_to_one_thread():
+    # the pin must hold against an environment that asks for more threads
+    proc = subprocess.run([sys.executable, "-c", BLAS_THREAD_PROBE], capture_output=True,
+                          text=True, env=_child_env(OPENBLAS_NUM_THREADS="2"))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    if proc.stdout.strip() == "none":
+        pytest.skip("numpy ships no OpenBLAS library to ask")
+    assert proc.stdout.strip() == "1"
 
 
 def test_orbit_tables_leave_numpy_ma_unloaded():

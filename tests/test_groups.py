@@ -2,7 +2,10 @@
 rotations, fiber geometry, fixed-point orbits, conjugacy classes, and the
 Dynkin labelling."""
 
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -344,6 +347,82 @@ def test_every_supported_group_has_its_classes_lifts_and_fixed_orbits(label):
         assert o.size * o.kind.isotropy == image_order
 
 
+#: sha256 of ``coords.tobytes()`` and of ``mul.tobytes()`` for every supported
+#: group, recorded before the closure was last reworked
+CLOSURE_DIGESTS = json.loads(
+    (Path(__file__).parent / "data" / "closure_digests.json").read_text())
+
+
+def test_closure_bits_match_pinned_digests():
+    assert sorted(CLOSURE_DIGESTS) == sorted(SUPPORTED)
+    for label, (coords_digest, mul_digest) in CLOSURE_DIGESTS.items():
+        group = build_group(label)
+        assert hashlib.sha256(group.coords.tobytes()).hexdigest() == coords_digest, label
+        assert hashlib.sha256(group.mul.tobytes()).hexdigest() == mul_digest, label
+
+
+# ---------------------------------------------------------------------------
+# the closure's products and its cell index
+# ---------------------------------------------------------------------------
+
+
+def test_product_matches_the_complex_matrix_product_bit_for_bit():
+    rng = np.random.default_rng(7)
+    special = (0.0, -0.0, 1.0, -1.0, 0.5, math.sqrt(0.5))
+    for _ in range(2000):
+        p, q = (Quaternion(*(special[int(rng.integers(6))] if rng.random() < 0.3 else x
+                             for x in rng.normal(size=4))) for _ in range(2))
+        a1, b1, a2, b2 = p.alpha, p.beta, q.alpha, q.beta
+        alpha = a1 * a2 - b1.conjugate() * b2
+        beta = b1 * a2 + a1.conjugate() * b2
+        want = np.array([alpha.real, alpha.imag, beta.real, beta.imag])
+        assert np.array((p * q).components()).tobytes() == want.tobytes()
+
+
+#: a cell boundary: cells are centred on the multiples of CELL
+BOUNDARY = 0.2500005
+REST = (0.5, 0.0, -0.5)
+
+
+def _home(x):
+    """The one cell an index of the single row x files it in."""
+    (key,) = groups._CellIndex([x]).cells
+    return key
+
+
+def test_cell_lookup_finds_a_row_across_a_cell_boundary():
+    row = (BOUNDARY - 0.4 * groups.TOL_EQ,) + REST
+    query = (BOUNDARY + 0.4 * groups.TOL_EQ,) + REST
+    assert _home(row) != _home(query)
+    assert groups._CellIndex([row]).find(query) == 0
+
+
+def test_cell_lookup_rejects_a_row_beyond_tol_eq_in_any_component():
+    row = (BOUNDARY - 0.4 * groups.TOL_EQ,) + REST
+    index = groups._CellIndex([row])
+    near = (BOUNDARY + 0.4 * groups.TOL_EQ,) + REST
+    assert _home(row) != _home(near)
+    assert index.find(near) == 0
+    for c in range(4):
+        far = list(near)
+        far[c] += (1.5 if c else 0.7) * groups.TOL_EQ   # beyond TOL_EQ in component c alone
+        assert index.find(tuple(far)) is None, c
+
+
+def test_cell_lookup_returns_the_nearest_row_first_on_ties():
+    h = 2.0 ** -31   # below TOL_EQ, and exact in every difference below
+    query = (BOUNDARY + h / 4,) + REST
+    below = (query[0] - h,) + REST           # across the boundary
+    above = (query[0] + h,) + REST           # in the query's own cell
+    nearer = (query[0] - h / 2,) + REST      # across the boundary, nearer
+    assert _home(below) == _home(nearer) != _home(query) == _home(above)
+    # of two rows the nearer is found, though the farther shares the query's cell
+    assert groups._CellIndex([above, nearer]).find(query) == 1
+    # at equal distance the first row is found, wherever it is filed
+    assert groups._CellIndex([below, above]).find(query) == 0
+    assert groups._CellIndex([above, below]).find(query) == 0
+
+
 # ---------------------------------------------------------------------------
 # table-derived group data against a per-element reference
 # ---------------------------------------------------------------------------
@@ -520,10 +599,10 @@ def test_table_derived_data_matches_per_element_reference(label):
     assert [group.element_order(i) for i in range(group.order)] == orders
     rng = np.random.default_rng(0)
     for i, k in zip(rng.integers(group.order, size=20), rng.integers(0, 300, size=20)):
-        p = Quaternion.identity()
+        p, power = Quaternion.identity(), group.identity
         for _ in range(k):
-            p = p * elements[i]
-        assert group.power_index(int(i), int(k)) == find.index(p)
+            p, power = p * elements[i], group.mul[power, i]
+        assert power == find.index(p)
 
     classes = _reference_classes(elements, find)
     table_classes = conjugacy_classes(group)

@@ -132,6 +132,25 @@ def test_scan_lattice_is_built_once_and_read_only():
     assert np.array_equal(pts, morse._fibonacci_sphere.__wrapped__(morse.SCAN_POINTS))
 
 
+def test_scan_lattice_first_coordinate_falls_strictly():
+    # the premise of the scan's bands: each mask is one slice of the lattice
+    pts = morse._fibonacci_sphere(morse.SCAN_POINTS)
+    assert np.all(np.diff(pts[:, 0]) < 0.0)
+
+
+@pytest.mark.parametrize("label", ["C:7", "D:64", "T", "I"])
+def test_banded_mask_is_the_whole_lattice_mask(label):
+    pts = morse._fibonacci_sphere(morse.SCAN_POINTS)
+    fixed = morse._all_fixed_point_array(build_group(label).fixed_orbits)
+    # every lattice point against every fixed point, a block at a time
+    whole = []
+    for lo in range(0, len(pts), 10_000):
+        cosine = np.max(pts[lo:lo + 10_000] @ fixed.T, axis=1)
+        whole.append(np.sqrt(np.maximum(0.0, 2.0 - 2.0 * cosine)) > morse.MASK_RADIUS)
+    banded = morse._fixed_distances(pts, fixed, 2.0 * morse.MASK_RADIUS) > morse.MASK_RADIUS
+    assert np.array_equal(banded, np.concatenate(whole))
+
+
 @pytest.mark.parametrize("label", ["C:7", "D:64", "I"])
 def test_block_size_changes_no_certificate(monkeypatch, label):
     func = build_invariant_morse(label)
@@ -315,6 +334,45 @@ def test_step_budget_exhaustion_is_nonconvergent(monkeypatch):
     monkeypatch.setattr(morse, "STEP_LIMIT", 1)
     with pytest.raises(morse.NonConvergentTrajectory, match="unresolved after 1 steps"):
         count_flow_lines(func, "Saddle", "Minus")
+
+
+def test_snaps_are_refined_in_one_batch_and_a_miss_names_the_earliest(monkeypatch):
+    func = build_invariant_morse("D:3")
+    crits = find_critical_points(func)
+    saddle = next(c for c in crits if c.index == 1)
+    targets = np.array([c.point for c in crits if c.index == 0])
+    w = saddle.eigendirection(0)
+    seeds = morse._normalize(np.array(saddle.point) + morse.SEED_DISPLACEMENT * np.stack([w, -w]))
+    assert np.all(morse._integrate_batch(func, seeds, -1.0, targets) >= 0)
+
+    batches = []
+    refine = morse._newton_refine
+
+    def spy(f, starts, iters=60):
+        batches.append(np.array(starts))
+        return refine(f, starts, iters)
+
+    monkeypatch.setattr(morse, "_newton_refine", spy)
+    monkeypatch.setattr(morse, "TOL_CONVERGENCE", -1.0)  # every snap misses
+    with pytest.raises(morse.NonConvergentTrajectory, match="endpoint snap near") as err:
+        morse._integrate_batch(func, seeds, -1.0, targets)
+    (rows,) = batches   # one Newton batch, after the march, of both seeds
+    assert len(rows) == 2
+    first = targets[np.argmin(np.linalg.norm(targets - rows[0], axis=1))]
+    assert f"near {tuple(np.round(first, 6))} failed" in str(err.value)
+
+
+def test_one_complex_permutes_its_critical_points_once(monkeypatch):
+    calls = []
+    permutations = morse._critical_permutations
+
+    def spy(func, crits):
+        calls.append(len(crits))
+        return permutations(func, crits)
+
+    monkeypatch.setattr(morse, "_critical_permutations", spy)
+    orbifold_complex("D:3")
+    assert len(calls) == 1   # both flow counts read the same permutations
 
 
 # ---------------------------------------------------------------------------

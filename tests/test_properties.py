@@ -1,7 +1,8 @@
 """Property-based tests for the structural invariants: formal-scalar
-order, quaternion projection, orbit index identities, and
-closed-form rank structure."""
+order, quaternion projection, orbit index identities, closed-form rank
+structure, and the CLI's JSON writer."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from chlab.orbits import (
     make_orbit,
     rotation_number,
 )
+from chlab import cli
 from chlab.czengine import building_index
 from chlab.groups import parse_group_spec
 
@@ -179,3 +181,33 @@ def test_closed_form_profile(label, N):
 )
 def test_building_index_formula(top, bottoms):
     assert building_index(top, bottoms) == len(bottoms) - 1 + top - sum(bottoms)
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer
+# ---------------------------------------------------------------------------
+
+# strings (non-ASCII and control characters among them), and some that hold
+# the brackets, separators and escapes the writer lays out
+texts = st.text(max_size=8) | st.sampled_from(['},{', '"\\', "\n  ", "é\x00\x1f", "[]"])
+scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(min_value=-10**20, max_value=10**20),
+    st.floats() | st.sampled_from([1.349e-11, -0.0, 1e300]), texts)
+# rows like the orbit table's: flat dicts of str, int and bool
+row_keys = st.sampled_from(["base", "k", "action_a", "cz", "good", "class", "é", "a\tb"])
+rows = st.lists(st.dictionaries(row_keys, texts | st.integers() | st.booleans(),
+                                min_size=1, max_size=5), max_size=5)
+nested = st.recursive(
+    scalars,
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(texts | st.integers(-5, 5), inner, max_size=4)),
+    max_leaves=12)
+documents = st.dictionaries(st.sampled_from(["group", "rows", "ranks", "checks", "ö\n", "schema"]),
+                            rows | nested, max_size=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(documents)
+def test_json_writer_is_json_dumps_with_indent(fields):
+    document = {"schema": cli.SCHEMA, "version": cli.__version__, "command": "orbits", **fields}
+    assert cli._json_text("orbits", **fields) == json.dumps(document, indent=2)
