@@ -231,15 +231,14 @@ def canonical_flow_family():
 
 
 def seeded_flow_families(seed, count):
-    """Deterministic interpolation families with nondegenerate endpoints."""
-    rng = np.random.default_rng(seed)
+    """Deterministic interpolation families with nondegenerate endpoints;
+    the 2·count endpoint paths are drawn ahead and solved in one march."""
+    ends = czengine._random_nondegenerate_paths(np.random.default_rng(seed), 1, 2 * count)
     out = []
-    while len(out) < count:
-        path0 = czengine._random_nondegenerate_path(rng, 1)
-        path1 = czengine._random_nondegenerate_path(rng, 1)
+    for (path0, cz0), (path1, cz1) in zip(ends[0::2], ends[1::2]):
         fam = czengine.AsymptoticFamily(
             _family_from_paths(path0.generator.at, path1.generator.at), n=1)
-        out.append((fam, czengine.cz_crossing_form(path0), czengine.cz_crossing_form(path1)))
+        out.append((fam, cz0, cz1))
     return out
 
 

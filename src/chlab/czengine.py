@@ -81,6 +81,8 @@ MIN_SAMPLES = 512
 DEFAULT_SAMPLES = 1024
 DEFAULT_EPSILON = 1e-3
 MAX_EPSILON = 1e-2
+_BLOCK = 128                # grid cells whose RK4 increments a march builds at once
+_DRAW_AHEAD = 80            # random data a draw-ahead plan draws and marches at once
 
 
 class DriftExceeded(ArithmeticError):
@@ -472,36 +474,53 @@ def solve_paths(generators):
     for every generator of a list, all on one grid and of one dimension
     (``ValueError`` otherwise); returns the paths in order.
 
-    The increments of all grid cells of all paths are built in one batched
-    expression from the node and midpoint samples of S; only chaining them,
-    ``Phi_{i+1} = Phi_i + D_i Phi_i``, runs step by step, once for the
-    whole stack of paths, in place on one node's block of the result at a
-    time.  A stacked matrix product computes each matrix as the single
-    product does, so every path is bit for bit the one solved alone.  No
-    re-orthonormalization is applied: the symplecticity drift is kept as an
-    accuracy witness and ``DriftExceeded`` is raised if it passes
-    ``TOL_DRIFT``.
+    The paths are the columns of one march (``_march``), each checked by
+    ``SymplecticPath`` as it is built.  No re-orthonormalization is
+    applied: the symplecticity drift is kept as an accuracy witness and
+    ``DriftExceeded`` is raised if it passes ``TOL_DRIFT``.
     """
     generators = list(generators)
     if not generators:
         return []
+    values = _march(generators)
+    return [SymplecticPath(np.ascontiguousarray(values[:, k]), g)
+            for k, g in enumerate(generators)]
+
+
+def _march(generators):
+    """The node-major stack ``values[i, k] = Phi_k(t_i)`` of the paths of a
+    nonempty list of generators on one grid and of one dimension
+    (``ValueError`` otherwise); no path is built, so no guard runs.
+
+    The Runge-Kutta increments ``D_i`` are built from the node and midpoint
+    samples of S for ``_BLOCK`` grid cells of all paths at a time, and
+    chained, ``Phi_{i+1} = Phi_i + D_i Phi_i``, once for the whole stack of
+    paths, in place on one node's block of the result at a time.  A stacked
+    matrix product computes each matrix as the single product does, so
+    every path is bit for bit the one solved alone, whatever the blocks.
+    """
     first = generators[0]
     if any(g.samples != first.samples or g.dim != first.dim for g in generators):
         raise ValueError("paths solved together must share one grid and one dimension")
     j0 = standard_j(first.dim // 2)
-    # node-major stacks: row i holds node i of every path, so each step of
-    # the chain reads and writes contiguous blocks
-    a = j0 @ np.stack([g.values for g in generators], axis=1)
-    mids = j0 @ np.stack([g.midpoints() for g in generators], axis=1)
+    nodes = [g.values for g in generators]
+    mids = [g.midpoints() for g in generators]
     h = first.ts[1] - first.ts[0]
-    increments = _rk4_increment(a[:-1], mids, a[1:], h)
-    values = np.empty_like(a)
+    cells = first.samples - 1
+    values = np.empty((first.samples, len(generators), first.dim, first.dim))
     values[0] = _identity(first.dim)
-    for step, node, following in zip(increments, values, values[1:]):
-        np.matmul(step, node, out=following)
-        np.add(node, following, out=following)
-    return [SymplecticPath(np.ascontiguousarray(values[:, k]), g)
-            for k, g in enumerate(generators)]
+    for start in range(0, cells, _BLOCK):
+        stop = min(start + _BLOCK, cells)
+        # node-major blocks: row i holds node start + i of every path, so
+        # each step of the chain reads and writes contiguous blocks
+        a = j0 @ np.stack([v[start:stop + 1] for v in nodes], axis=1)
+        a_mid = j0 @ np.stack([v[start:stop] for v in mids], axis=1)
+        increments = _rk4_increment(a[:-1], a_mid, a[1:], h)
+        for step, node, following in zip(increments, values[start:stop],
+                                         values[start + 1:stop + 1]):
+            np.matmul(step, node, out=following)
+            np.add(node, following, out=following)
+    return values
 
 
 def solve_path(generator):
@@ -1349,40 +1368,127 @@ def _random_generator(rng, n, scale=1.0):
     a0 = sym(scale)
     coeffs = [(sym(scale / (m + 1)), sym(scale / (m + 1))) for m in (1, 2)]
 
-    def series(t, cos, sin):
-        s = a0
-        for m, (c, dcoef) in enumerate(coeffs, start=1):
-            s = s + c * cos(2.0 * math.pi * m * t) + dcoef * sin(2.0 * math.pi * m * t)
-        return s
-
     def evaluate(t):
         # Arrays of times (the grid, the solver midpoints, family ends) are
         # summed with array cos/sin; a single time (crossing refinement)
-        # takes the scalar route, much cheaper per point than numpy.
-        if np.ndim(t):
-            return series(_times(t), np.cos, np.sin)
-        return series(t, math.cos, math.sin)
+        # takes the scalar route below.
+        if not np.ndim(t):
+            return evaluate_at(t)
+        t = _times(t)
+        s = a0
+        for m, (c, dcoef) in enumerate(coeffs, start=1):
+            s = s + c * np.cos(2.0 * math.pi * m * t) + dcoef * np.sin(2.0 * math.pi * m * t)
+        return s
+
+    (c1, d1), (c2, d2) = coeffs
+    entries = list(zip(*(m.ravel().tolist() for m in (a0, c1, d1, c2, d2))))
+
+    def evaluate_at(t):
+        # the array route's sum entry by entry in Python floats, each
+        # operation in its order (4.0 * pi is 2.0 * pi * 2 exactly), with
+        # math.cos/sin: far cheaper per point
+        u, v = 2.0 * math.pi * t, 4.0 * math.pi * t
+        cu, su, cv, sv = math.cos(u), math.sin(u), math.cos(v), math.sin(v)
+        return np.array([a + b * cu + c * su + e * cv + f * sv
+                         for a, b, c, e, f in entries]).reshape(d, d)
 
     # the coefficients are symmetric, so every sum is exactly symmetric
     ts = _grid(DEFAULT_SAMPLES)
     return SymmetricPath(evaluate(ts), func=evaluate, mids=evaluate(_midpoint_times(ts)))
 
 
-def _random_nondegenerate_path(rng, n, scale=1.0, tries=40):
-    for _ in range(tries):
-        gen = _random_generator(rng, n, scale=scale)
-        path = solve_path(gen)
+class _DrawAhead:
+    """Random data drawn ahead of their use, bit for bit as a sequential
+    draw that accepts every datum takes them.
+
+    ``draw(rng, key, data)`` draws the datum of ``key`` from ``rng``, and
+    may read the data of earlier keys; the data are drawn in the order of
+    ``keys``, and read in that order too (``draws[key]``, ``path(key)``).
+    Reading past the drawn keys draws the next ``_DRAW_AHEAD`` of them, and
+    every generator path among those (a ``SymmetricPath``) is solved in one
+    march per grid and dimension.  ``path(key)`` builds the solved path of
+    ``key`` and lets go of its generator, so a guard of ``SymplecticPath``
+    raises when the path is used, not when it is marched.
+    ``redraw(key)`` replaces a rejected datum as a sequential retry draws
+    it: from the generator state right after the datum's last draw, which
+    is kept for every key, then every later drawn key again, marched again.
+    """
+
+    __slots__ = ("_rng", "_keys", "_draw", "_position", "_after", "_drawn", "_data",
+                 "_marched")
+
+    def __init__(self, rng, keys, draw):
+        self._rng = rng
+        self._keys = list(keys)
+        self._draw = draw
+        self._position = {key: i for i, key in enumerate(self._keys)}
+        self._after = [None] * len(self._keys)
+        self._drawn = 0
+        self._data = {}
+        self._marched = {}
+
+    def __getitem__(self, key):
+        while self._position[key] >= self._drawn:
+            self._plan(self._drawn, self._drawn + _DRAW_AHEAD)
+        return self._data[key]
+
+    def _plan(self, start, stop):
+        stop = min(stop, len(self._keys))
+        groups = {}
+        for i in range(start, stop):
+            key = self._keys[i]
+            datum = self._data[key] = self._draw(self._rng, key, self._data)
+            self._after[i] = self._rng.bit_generator.state
+            if isinstance(datum, SymmetricPath):
+                groups.setdefault((datum.samples, datum.dim), []).append(key)
+        self._drawn = stop
+        for keys in groups.values():
+            values = _march([self._data[key] for key in keys])
+            for column, key in enumerate(keys):
+                self._marched[key] = (values, column)
+
+    def path(self, key):
+        """The solved path of the generator drawn for ``key``."""
+        generator = self[key]
+        del self._data[key]
+        values, column = self._marched.pop(key)
+        return SymplecticPath(np.ascontiguousarray(values[:, column]), generator)
+
+    def redraw(self, key):
+        """Draw the datum of ``key`` again, and every later drawn one."""
+        position = self._position[key]
+        self._rng.bit_generator.state = self._after[position]
+        self._plan(position, self._drawn)
+
+
+def _nondegenerate_draw(draws, key, tries=40):
+    """The solved path of the generator drawn for ``key`` and its
+    crossing-form index, the generator redrawn until the path has a
+    nondegenerate endpoint, an invertible S(0) and regular crossings, at
+    most ``tries`` draws in all (``IrregularCrossing`` otherwise)."""
+    for attempt in range(tries):
+        if attempt:
+            draws.redraw(key)
+        path = draws.path(key)
         if not path.endpoint_nondegenerate:
             continue
-        s0_eigs = np.linalg.eigvalsh(gen.at(0.0))
+        s0_eigs = np.linalg.eigvalsh(path.generator.at(0.0))
         if np.min(np.abs(s0_eigs)) < 1e-6:
             continue
         try:
-            cz_crossing_form(path)
+            return path, cz_crossing_form(path)
         except IrregularCrossing:
             continue
-        return path
     raise IrregularCrossing(f"could not draw a nondegenerate random path in {tries} tries")
+
+
+def _random_nondegenerate_paths(rng, n, count, scale=1.0, tries=40):
+    """``count`` random nondegenerate paths in Sp(2n), each with its
+    crossing-form index, drawn consecutively from ``rng`` and solved in one
+    march (see ``_DrawAhead`` and ``_nondegenerate_draw``)."""
+    draws = _DrawAhead(rng, range(count),
+                       lambda rng, key, data: _random_generator(rng, n, scale=scale))
+    return [_nondegenerate_draw(draws, key, tries) for key in range(count)]
 
 
 def _times(t):
@@ -1426,6 +1532,45 @@ def _check(report, name, detail, ok, failures):
         failures.append({"axiom": name, **detail})
 
 
+# what one path of the axiom suite draws, in order; the 12 zero-axiom and
+# the 12 signature-axiom constants follow all paths
+_INSTANCE_DRAWS = ("scale", "path", "homotopy", "naturality", "loop")
+
+
+def _draw_suite_datum(rng, key, data):
+    """The axiom suite's datum ``key = (kind, i)``, drawn from ``rng``."""
+    kind, i = key
+    n = 1 if i % 3 != 2 else 2
+    if kind == "scale":
+        return 1.0 + 1.5 * rng.random()
+    if kind == "path":
+        return _random_generator(rng, n, scale=data["scale", i])
+    if kind == "homotopy":
+        lam = 0.35 * (1.0 + rng.random())
+        stilde = rng.normal(0.0, 1.0, size=(2 * n, 2 * n))
+        return lam, 0.5 * (stilde + stilde.T)
+    if kind == "naturality":
+        return _random_generator(rng, n, scale=0.7)
+    if kind == "loop":
+        return int(rng.integers(-2, 3))
+    if kind == "zero":
+        # a constant generator with hyperbolic spectrum
+        n = 1 if i % 2 == 0 else 2
+        while True:
+            s = rng.normal(0.0, 1.0, size=(2 * n, 2 * n))
+            s = 0.5 * (s + s.T)
+            eigs = np.linalg.eigvals(standard_j(n) @ s)
+            if np.max(np.abs(eigs.imag)) < 1e-12 and np.min(np.abs(eigs.real)) > 0.05:
+                return _constant_generator(s)
+    # "signature": a constant generator with norm below 2 pi
+    while True:
+        s = rng.normal(0.0, 1.5, size=(2, 2))
+        s = 0.5 * (s + s.T)
+        eigs = np.linalg.eigvalsh(s)
+        if np.max(np.abs(eigs)) < 0.95 * 2.0 * math.pi and np.min(np.abs(eigs)) > 0.05:
+            return _constant_generator(s)
+
+
 def cz_axiom_suite(seed, instances=50):
     """Randomized verification of the index axioms on nondegenerate paths.
 
@@ -1435,18 +1580,24 @@ def cz_axiom_suite(seed, instances=50):
     and loop composition; plus product additivity on path pairs, the zero
     axiom on hyperbolic-spectrum paths, and the signature axiom on constant
     generators.  Raises ``AxiomViolation`` if any check fails.
+
+    All random data are drawn from the seed ahead of the checks, in the
+    order of ``_INSTANCE_DRAWS`` (``_draw_suite_datum``), and every drawn
+    generator is solved in one march per dimension (``_DrawAhead``); a
+    rejected path or an irregular homotopy perturbation is redrawn as a
+    sequential retry draws it, so the report depends only on the seed.
     """
-    rng = np.random.default_rng(seed)
+    n_paths = max(10, int(instances))
+    keys = ([(kind, i) for i in range(n_paths) for kind in _INSTANCE_DRAWS]
+            + [("zero", i) for i in range(12)] + [("signature", i) for i in range(12)])
+    draws = _DrawAhead(np.random.default_rng(seed), keys, _draw_suite_datum)
     report = {"check": "cz_axioms", "instances": 0, "failures": [], "max_residual": 0.0}
     failures = report["failures"]
     sp2_pool = []
-    n_paths = max(10, int(instances))
     for i in range(n_paths):
-        n = 1 if i % 3 != 2 else 2
-        scale = 1.0 + 1.5 * rng.random()
-        path = _random_nondegenerate_path(rng, n, scale=scale)
+        path, mu = _nondegenerate_draw(draws, ("path", i))
+        n = path.n
         report["max_residual"] = max(report["max_residual"], path.drift)
-        mu = cz_crossing_form(path)
         end = path.endpoint()
         det_end = float(np.linalg.det(end - _identity(2 * n)))
         _check(
@@ -1476,11 +1627,10 @@ def cz_axiom_suite(seed, instances=50):
         )
         # Homotopy invariance: endpoint-fixing perturbation Phi * exp(lambda sin(pi t) J0 Stilde).
         for attempt in range(8):
-            lam = 0.35 * (1.0 + rng.random())
-            stilde = rng.normal(0.0, 1.0, size=(2 * n, 2 * n))
-            stilde = 0.5 * (stilde + stilde.T)
-            j0 = standard_j(n)
-            m0 = j0 @ stilde
+            if attempt:
+                draws.redraw(("homotopy", i))
+            lam, stilde = draws["homotopy", i]
+            m0 = standard_j(n) @ stilde
 
             def bfunc(t, lam=lam, m0=m0):
                 return _expm(lam * np.sin(math.pi * _times(t)) * m0)
@@ -1504,8 +1654,7 @@ def cz_axiom_suite(seed, instances=50):
             failures,
         )
         # Naturality: conjugation by a path N(t).
-        n_gen = _random_generator(rng, n, scale=0.7)
-        n_path = solve_path(n_gen)
+        n_path = draws.path(("naturality", i))
         conj = path_product(path_product(n_path, path), path_inverse(n_path))
         mu_conj = cz_crossing_form(conj)
         _check(
@@ -1516,7 +1665,7 @@ def cz_axiom_suite(seed, instances=50):
             failures,
         )
         # Loop composition: mu(L Phi) = 2 maslov(L) + mu(Phi).
-        k = int(rng.integers(-2, 3))
+        k = draws["loop", i]
         if k != 0:
             loop = _rotation_loop(k, n=n)
             wind = maslov_loop(loop)
@@ -1540,37 +1689,15 @@ def cz_axiom_suite(seed, instances=50):
         )
     # Zero axiom: constant generators with hyperbolic spectrum have index
     # zero.  Signature axiom: constant generators with norm below 2 pi have
-    # index half their signature.  All 24 are drawn first (solving draws no
-    # random numbers), then solved in one march per dimension.
-    constants = []
-    for i in range(12):
-        n = 1 if i % 2 == 0 else 2
-        while True:
-            s = rng.normal(0.0, 1.0, size=(2 * n, 2 * n))
-            s = 0.5 * (s + s.T)
-            j0 = standard_j(n)
-            eigs = np.linalg.eigvals(j0 @ s)
-            if np.max(np.abs(eigs.imag)) < 1e-12 and np.min(np.abs(eigs.real)) > 0.05:
-                break
-        constants.append(s)
-    signature_eigs = []
-    for i in range(12):
-        while True:
-            s = rng.normal(0.0, 1.5, size=(2, 2))
-            s = 0.5 * (s + s.T)
-            eigs = np.linalg.eigvalsh(s)
-            if np.max(np.abs(eigs)) < 0.95 * 2.0 * math.pi and np.min(np.abs(eigs)) > 0.05:
-                break
-        constants.append(s)
-        signature_eigs.append(eigs)
-    gens = [_constant_generator(s) for s in constants]
-    marches = {d: iter(solve_paths(g for g in gens if g.dim == d)) for d in (2, 4)}
-    paths = [next(marches[g.dim]) for g in gens]
-    for i, path in enumerate(paths[:12]):
+    # index half their signature.
+    zero = [draws.path(("zero", i)) for i in range(12)]
+    signature = [draws.path(("signature", i)) for i in range(12)]
+    for i, path in enumerate(zero):
         mu = cz_crossing_form(path)
         _check(report, "zero", {"instance": i, "mu": mu}, mu == 0, failures)
-    for i, (path, eigs) in enumerate(zip(paths[12:], signature_eigs)):
+    for i, path in enumerate(signature):
         mu = cz_crossing_form(path)
+        eigs = np.linalg.eigvalsh(path.generator.values[0])
         expected = int(np.sum(eigs > 0) - np.sum(eigs < 0)) // 2
         _check(
             report,

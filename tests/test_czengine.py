@@ -2,8 +2,11 @@
 numbers, loop indices, local models, path algebra, spectral flow, the
 crossing-sign relation, and building index bookkeeping."""
 
+import json
 import math
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,6 +39,13 @@ from chlab.orbits import covering_multiplicity, enumerate_orbits
 def _constant_path(s_matrix, samples=257):
     s = np.asarray(s_matrix, dtype=float)
     return solve_path(SymmetricPath.from_callable(lambda t: s, samples=samples))
+
+
+def _nondegenerate_path(rng, n, scale=1.0):
+    """One random nondegenerate path drawn from ``rng`` as the axiom suite
+    draws its paths."""
+    ((path, _mu),) = czengine._random_nondegenerate_paths(rng, n, 1, scale=scale)
+    return path
 
 
 def _rot2(angle):
@@ -73,7 +83,7 @@ def test_shear_generator_gives_hyperbolic_path():
 def test_solver_preserves_symplectic_form():
     rng = np.random.default_rng(0)
     for n in (1, 2):
-        path = czengine._random_nondegenerate_path(rng, n)
+        path = _nondegenerate_path(rng, n)
         j0 = standard_j(n)
         for t in (0.33, 1.0):
             phi = path.at(t)
@@ -166,6 +176,24 @@ def test_one_march_needs_one_grid_and_one_dimension():
     with pytest.raises(ValueError, match="one grid and one dimension"):
         solve_paths([czengine._constant_generator(s), czengine._constant_generator(np.eye(4))])
     assert solve_paths([]) == []
+
+
+@pytest.mark.parametrize("samples", [512, 1025, 1408, 2049])
+def test_march_is_bit_identical_across_block_boundaries(monkeypatch, samples):
+    # the increments are built _BLOCK cells at a time; any block size,
+    # one block for the whole grid included, gives the same bits
+    fam = _seeded_family()
+    random4 = czengine._random_generator(np.random.default_rng(7), 2)
+    marches = [[fam.path_at(-0.6, samples), fam.path_at(0.2, samples),
+                czengine._constant_generator(np.diag([2.0, -1.0]), samples)],
+               [SymmetricPath.from_callable(random4.func, samples=samples)]]
+    for gens in marches:
+        blocked = solve_paths(gens)
+        for block in (samples, 7):
+            monkeypatch.setattr(czengine, "_BLOCK", block)
+            for path, other in zip(blocked, solve_paths(gens)):
+                assert np.array_equal(path.values, other.values)
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("d", [2, 4])
@@ -425,7 +453,7 @@ def test_sp2_trace_gap_is_within_drift(seed):
     # up to the rounding of the LU determinant, a few ulps of max|Phi|^2
     rng = np.random.default_rng(seed)
     for _ in range(4):
-        path = czengine._random_nondegenerate_path(rng, 1, scale=1.0 + 1.5 * rng.random())
+        path = _nondegenerate_path(rng, 1, scale=1.0 + 1.5 * rng.random())
         by_trace = czengine._det_minus_id_values(path.values)
         by_lu = np.linalg.det(path.values - np.eye(2))
         rounding = 4.0 * np.finfo(float).eps * np.max(np.abs(path.values), axis=(1, 2)) ** 2
@@ -440,9 +468,9 @@ def _drift_stacks():
     """Solved Sp(2) and Sp(4) paths, Sp(2) products with large entries among
     them."""
     rng = np.random.default_rng(8)
-    stacks = [czengine._random_nondegenerate_path(rng, 2, scale=2.5).values]
+    stacks = [_nondegenerate_path(rng, 2, scale=2.5).values]
     for _ in range(2):
-        p = czengine._random_nondegenerate_path(rng, 1, scale=2.5)
+        p = _nondegenerate_path(rng, 1, scale=2.5)
         stacks += [p.values, path_product(p, path_product(p, p)).values]
     stacks.append(local_model_for(enumerate_orbits("D:3", 2)[0]).values)
     for scale in (0.5, 2.0):  # constant hyperbolic generators, entries up to ~e^4
@@ -524,7 +552,7 @@ def test_sp4_laplace_kernel_matches_lapack(stack):
 def test_one_matrix_reads_the_bits_of_its_stack_row(n):
     # the per-point reads of the refinement and the node scan agree bit for
     # bit, and the Sp(4) slope is Jacobi's formula with the product by Phi
-    path = czengine._random_nondegenerate_path(np.random.default_rng(40 + n), n)
+    path = _nondegenerate_path(np.random.default_rng(40 + n), n)
     g, slope = czengine._det_and_slope_values(path.values, path.generator.values)
     for i in range(0, path.samples, 31):
         value, one_slope = czengine._det_and_slope_values(path.values[i], path.generator.values[i])
@@ -615,8 +643,8 @@ def _slope_paths():
     rng = np.random.default_rng(23)
     return [
         local_model_path(-1.0, np.eye(2), k=2),
-        czengine._random_nondegenerate_path(rng, 1),
-        czengine._random_nondegenerate_path(rng, 2),
+        _nondegenerate_path(rng, 1),
+        _nondegenerate_path(rng, 2),
     ]
 
 
@@ -676,7 +704,7 @@ def test_rotation_index_agrees_with_crossing_form_on_random_paths():
     rng = np.random.default_rng(42)
     checked = 0
     for _ in range(12):
-        path = czengine._random_nondegenerate_path(rng, 1)
+        path = _nondegenerate_path(rng, 1)
         try:
             theta, mu = rotation_cz_sp2(path)
         except czengine.UnwrapFailure:
@@ -864,8 +892,8 @@ def operand_paths():
     """Two solved random paths and a path with an exact evaluator, all on
     the default 1024-node grid."""
     rng = np.random.default_rng(5)
-    p = czengine._random_nondegenerate_path(rng, 1)
-    q = czengine._random_nondegenerate_path(rng, 1)
+    p = _nondegenerate_path(rng, 1)
+    q = _nondegenerate_path(rng, 1)
     exact = path_product(czengine._rotation_loop(1),
                          _constant_path(np.diag([1.0, -1.0]), samples=czengine.DEFAULT_SAMPLES))
     return p, q, exact
@@ -992,6 +1020,126 @@ def test_axiom_suite_known_first_cell_misses(seed):
     # each of these draws a path with a crossing in (0, ts[1])
     report = cz_axiom_suite(seed, instances=10)
     assert report["failures"] == []
+
+
+#: instances, ``max_residual.hex()`` and failure count of ``cz_axiom_suite``
+#: reports, recorded while the suite still drew and solved one path at a time
+SUITE_DIGESTS = json.loads(
+    (Path(__file__).parent / "data" / "axiom_suite_digests.json").read_text())
+
+
+def _digest(seed, report):
+    return [seed, report["instances"], report["max_residual"].hex(), len(report["failures"])]
+
+
+@pytest.mark.parametrize("instances", ["10", "50"])
+def test_axiom_suite_reports_match_recorded_digests(instances):
+    recorded = SUITE_DIGESTS["suites"][instances]
+    assert [_digest(seed, cz_axiom_suite(seed, int(instances))) for seed, *_ in recorded] == recorded
+
+
+def _reject_first_draw_of_path(instance):
+    """A ``_random_generator`` that draws as usual, but swaps the first
+    generator drawn for the suite's path ``instance`` for a zero one, whose
+    path ends at the identity and is rejected; naturality generators
+    (scale 0.7) are not counted."""
+    real, drawn = czengine._random_generator, []
+
+    def draw(rng, n, scale=1.0):
+        gen = real(rng, n, scale=scale)
+        if scale != 0.7:
+            drawn.append(scale)
+            if len(drawn) == instance + 1:
+                return czengine._constant_generator(np.zeros((2 * n, 2 * n)))
+        return gen
+    return draw
+
+
+def _irregular_first_homotopy(instance):
+    """A ``path_product`` that raises ``IrregularCrossing`` on the first
+    homotopy product of path ``instance``: the homotopy products are the
+    ones of a solved path (no evaluator) by a perturbation (one)."""
+    real, seen = czengine.path_product, []
+
+    def product(p, q):
+        if p.func is None and q.func is not None:
+            seen.append(q)
+            if len(seen) == instance + 1:
+                raise czengine.IrregularCrossing("injected irregular homotopy")
+        return real(p, q)
+    return product
+
+
+FORCED_REDRAWS = {
+    "reject_path_3": ("_random_generator", lambda: _reject_first_draw_of_path(3)),
+    "irregular_homotopy_5": ("path_product", lambda: _irregular_first_homotopy(5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORCED_REDRAWS))
+def test_axiom_suite_redraw_replays_the_sequential_draw(monkeypatch, name):
+    # a redraw takes the next draw of the sequential stream, not of the
+    # data already drawn ahead
+    attribute, patched = FORCED_REDRAWS[name]
+    for seed, *digest in SUITE_DIGESTS["forced_redraws"][name]:
+        with monkeypatch.context() as mp:
+            mp.setattr(czengine, attribute, patched())
+            assert _digest(seed, cz_axiom_suite(seed, 10)) == [seed, *digest]
+
+
+def test_nondegenerate_paths_drawn_ahead_equal_one_at_a_time(monkeypatch):
+    # the third draw is rejected once, so one redraw replays the stream
+    monkeypatch.setattr(czengine, "_random_generator", _reject_first_draw_of_path(2))
+    together = czengine._random_nondegenerate_paths(np.random.default_rng(12), 1, 5)
+    monkeypatch.setattr(czengine, "_random_generator", _reject_first_draw_of_path(2))
+    rng = np.random.default_rng(12)
+    for path, mu in together:
+        ((alone, mu_alone),) = czengine._random_nondegenerate_paths(rng, 1, 1)
+        assert np.array_equal(path.values, alone.values)
+        assert mu == mu_alone == cz_crossing_form(path)
+
+
+def test_a_path_drawn_ahead_raises_its_guard_only_when_used():
+    gens = [czengine._constant_generator(np.diag([1.0, -1.0])),
+            czengine._constant_generator(50.0 * np.eye(2))]  # RK4 drift about 2e-7
+    draws = czengine._DrawAhead(np.random.default_rng(0), [0, 1],
+                                lambda rng, key, data: gens[key])
+    assert draws.path(0).drift < czengine.TOL_DRIFT
+    with pytest.raises(czengine.DriftExceeded):
+        draws.path(1)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_random_generator_single_time_route_is_the_array_sum(n):
+    # the single-time evaluator sums in Python floats what the array route
+    # sums in arrays, with math.cos/sin: bit for bit that sum at one time
+    scale = 1.7
+    gen = czengine._random_generator(np.random.default_rng(23 + n), n, scale=scale)
+    rng = np.random.default_rng(23 + n)  # the generator's five coefficient draws
+    a0, c1, d1, c2, d2 = (0.5 * (m + m.T) for m in (
+        rng.normal(0.0, amp, size=(2 * n, 2 * n))
+        for amp in (scale, scale / 2, scale / 2, scale / 3, scale / 3)))
+    for t in [0.0, 0.5, 1.0, *np.random.default_rng(5).random(40)]:
+        u, v = 2.0 * math.pi * 1 * t, 2.0 * math.pi * 2 * t
+        expected = a0 + c1 * math.cos(u) + d1 * math.sin(u)
+        expected = expected + c2 * math.cos(v) + d2 * math.sin(v)
+        assert np.array_equal(gen.at(t), expected)
+
+
+SUITE_PEAK_BOUND_MB = 10
+
+
+def test_axiom_suite_traced_peak_is_bounded():
+    # the march builds its increments a block of grid cells at a time, so
+    # its temporaries do not grow with the paths drawn ahead
+    cz_axiom_suite(0, 10)  # grids and other process-lifetime caches
+    tracemalloc.start()
+    try:
+        cz_axiom_suite(1, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < SUITE_PEAK_BOUND_MB * 1e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 # ---------------------------------------------------------------------------
