@@ -18,7 +18,6 @@ classes, rotation image and fixed orbits are cached on it.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 import re
@@ -28,7 +27,6 @@ from functools import lru_cache
 import numpy as np
 
 TOL_EQ = 1e-9       # element equality, max component difference
-TOL_NORM = 1e-12    # unit norm drift
 TOL_POINT = 1e-6    # fixed point clustering on S^2
 CELL = 1e-6         # width of the cells of the closure's element index
 
@@ -60,10 +58,6 @@ class AmbiguousLabel(ArithmeticError):
     """Conjugacy classes could not be separated into stable labels."""
 
 
-class EquivarianceViolation(AssertionError):
-    """Fiber projection failed to intertwine the two group actions."""
-
-
 class Quaternion:
     """Unit quaternion a + bi + cj + dk, identified with the 2x2 matrix
     [[alpha, -conj(beta)], [beta, conj(alpha)]] where alpha = a + ib and
@@ -81,10 +75,6 @@ class Quaternion:
     @staticmethod
     def identity():
         return Quaternion(1.0, 0.0, 0.0, 0.0)
-
-    @staticmethod
-    def from_complex_pair(alpha, beta):
-        return Quaternion(alpha.real, alpha.imag, beta.real, beta.imag)
 
     @property
     def alpha(self):
@@ -107,15 +97,8 @@ class Quaternion:
     def conjugate(self):
         return Quaternion(self.a, -self.b, -self.c, -self.d)
 
-    def inverse(self):
-        # unit quaternion: inverse is the conjugate
-        return self.conjugate()
-
     def __mul__(self, other):
         return Quaternion(*_product(self.components(), other.components()))
-
-    def __neg__(self):
-        return Quaternion(-self.a, -self.b, -self.c, -self.d)
 
     def apply(self, z1, z2):
         """Act on (z1, z2) in C^2 by the SU(2) matrix."""
@@ -125,9 +108,6 @@ class Quaternion:
     def close_to(self, other, tol=TOL_EQ):
         return (abs(self.a - other.a) <= tol and abs(self.b - other.b) <= tol
                 and abs(self.c - other.c) <= tol and abs(self.d - other.d) <= tol)
-
-    def is_identity(self, tol=TOL_EQ):
-        return self.close_to(Quaternion.identity(), tol)
 
     def __repr__(self):
         return f"Quaternion({self.a:+.6f}, {self.b:+.6f}, {self.c:+.6f}, {self.d:+.6f})"
@@ -312,7 +292,7 @@ def _element_orders(mul):
 @dataclass(frozen=True)
 class ConjugacyClass:
     label: str
-    members: tuple          # element indices into FiniteSubgroup.elements
+    members: tuple          # element indices, rows of FiniteSubgroup.coords
     element_order: int
     trace: float
 
@@ -353,8 +333,8 @@ class FixedOrbit:
 class FiniteSubgroup:
     """A finite subgroup of the unit quaternions with its class data.
 
-    ``coords[i]`` holds the components of ``elements[i]`` and ``mul[i, j]``
-    the index of ``elements[i] * elements[j]``, the exact table that
+    ``coords[i]`` holds the components of element i and ``mul[i, j]`` the
+    index of the product of elements i and j, the exact table that
     ``_closed_group`` derives from its closure; the identity is element 0,
     and ``inverses`` and ``orders`` are read off the table.  ``index`` is
     the closure's cell index of the components, which ``index_of`` asks.
@@ -362,9 +342,8 @@ class FiniteSubgroup:
 
     identity = 0
 
-    def __init__(self, spec, elements, coords, mul, index):
+    def __init__(self, spec, coords, mul, index):
         self.spec = spec
-        self.elements = elements
         self.coords = coords
         self.mul = mul
         self._index = index
@@ -377,7 +356,7 @@ class FiniteSubgroup:
 
     @property
     def order(self):
-        return len(self.elements)
+        return len(self.coords)
 
     def index_of(self, q):
         idx = self._index.find(q.components())
@@ -456,9 +435,6 @@ def _closed_group(spec):
                 a, b, c, d = _product(g, rows[x])
                 r = math.sqrt(a * a + b * b + c * c + d * d)
                 y = (a / r, b / r, c / r, d / r)
-                a, b, c, d = y
-                if not abs(math.sqrt(a * a + b * b + c * c + d * d) - 1.0) <= TOL_NORM:
-                    raise NonClosure(f"norm drift beyond {TOL_NORM} while closing {spec.label}")
                 hit = index.find(y)
                 if hit is None:
                     hit = len(rows)
@@ -483,8 +459,7 @@ def _closed_group(spec):
     for end in level_ends:
         mul[start:end] = left[ks[start - 1:end - 1, None], mul[parents[start - 1:end - 1]]]
         start = end
-    elements = [Quaternion(*y) for y in rows]
-    return FiniteSubgroup(spec, elements, np.array(rows), mul, index)
+    return FiniteSubgroup(spec, np.array(rows), mul, index)
 
 
 def _so3_stack(coords):
@@ -510,18 +485,11 @@ def _so3_stack(coords):
     return r
 
 
-def project_so3(q):
-    """The 2-to-1 projection to SO(3); P(-g) = P(g)."""
-    return _so3_stack([q.components()])[0]
-
-
-def hopf(z1, z2=None):
-    """Fiber projection S^3 -> S^2 in coordinates."""
-    if z2 is None:
-        z1, z2 = z1
-    al, be = complex(z1), complex(z2)
-    w = al.conjugate() * be
-    return np.array([abs(al) ** 2 - abs(be) ** 2, -2.0 * w.imag, -2.0 * w.real])
+def hopf(z1, z2):
+    """Fiber projection S^3 -> S^2 of the points (z1, z2), elementwise over
+    arrays of them; the coordinates are the last axis of the result."""
+    w = np.conj(z1) * z2
+    return np.stack([np.abs(z1) ** 2 - np.abs(z2) ** 2, -2.0 * w.imag, -2.0 * w.real], axis=-1)
 
 
 def fiber_point(p):
@@ -534,29 +502,20 @@ def fiber_point(p):
     return (al, be)
 
 
-def fiber_phase(g, z):
-    """Phase theta in [0, 2pi) with g.z = e^{i theta} z, for g fixing the fiber of z."""
-    w1, w2 = g.apply(*z)
-    inner = w1 * z[0].conjugate() + w2 * z[1].conjugate()
-    if abs(abs(inner) - 1.0) > 1e-8:
-        raise AmbiguousLabel("element does not preserve the fiber")
-    return cmath.phase(inner) % (2.0 * math.pi)
-
-
 def fiber_isotropy_generator(group, p):
     """The fiber isotropy element over p with smallest positive phase.
 
     The elements fixing the fiber through p form a cyclic group; the
-    returned index generates it.
+    returned index generates it, with its phase theta in (0, 2pi):
+    g.z = e^{i theta} z for z on the fiber.
     """
     z = fiber_point(p)
     al, be = group.coords.view(np.complex128).T
     w1 = al * z[0] - be.conj() * z[1]
     w2 = be * z[0] + al.conj() * z[1]
-    w = w1.conj() * w2
-    img = np.stack([np.abs(w1) ** 2 - np.abs(w2) ** 2, -2.0 * w.imag, -2.0 * w.real], axis=1)
+    img = hopf(w1, w2)
     fixing = np.flatnonzero(np.max(np.abs(img - np.asarray(p, dtype=float)), axis=1) <= TOL_POINT)
-    # the phase of each fixing element, as fiber_phase takes it
+    # g.z = e^{i theta} z, so theta is the phase of <g.z, z>
     inner = w1[fixing] * z[0].conjugate() + w2[fixing] * z[1].conjugate()
     if np.any(np.abs(np.abs(inner) - 1.0) > 1e-8):
         raise AmbiguousLabel("element does not preserve the fiber")
@@ -828,20 +787,3 @@ def dynkin_type(spec):
     if spec.kind == BINARY_DIHEDRAL:
         return DynkinType("D", spec.n + 2)
     return DynkinType("E", {BINARY_TETRAHEDRAL: 6, BINARY_OCTAHEDRAL: 7, BINARY_ICOSAHEDRAL: 8}[spec.kind])
-
-
-def check_equivariance(group, pairs=100, seed=0, tol=TOL_EQ):
-    """Random check that hopf(A.z) = P(A).hopf(z)."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(pairs):
-        v = rng.normal(size=4)
-        v /= np.linalg.norm(v)
-        z = (complex(v[0], v[1]), complex(v[2], v[3]))
-        g = group.elements[int(rng.integers(group.order))]
-        lhs = hopf(*g.apply(*z))
-        rhs = project_so3(g) @ hopf(*z)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    if worst > tol:
-        raise EquivarianceViolation(f"fiber equivariance residual {worst:.3e} exceeds {tol:.1e}")
-    return {"check": "equivariance", "instances": pairs, "failures": 0, "max_residual": worst}

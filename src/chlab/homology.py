@@ -5,10 +5,11 @@ that level's action threshold.  Their gradings are all even, so the
 differential vanishes for parity reasons and homology equals the graded
 generator count.  The complex stores no differential: ``build_complex``
 raises ``ParityViolation`` if two good generators ever land in adjacent
-gradings, the only way a nonzero differential could arise.  Inclusions
-between levels pair orbits with the same base and multiplicity, and the
-direct limit is compared degreewise against the closed form and the
-Dynkin diagram of the group.
+gradings, the only way a nonzero differential could arise.  The direct
+limit checks that each level includes into the next, pairing orbits with
+the same base and multiplicity and the same grading, and compares its
+ranks degreewise against the closed form; the degree-0 rank is also
+compared with the Dynkin diagram of the group.
 """
 
 from __future__ import annotations
@@ -41,10 +42,6 @@ class GradedVectorSpace:
     def rank(self, degree):
         return self.ranks.get(degree, 0)
 
-    @property
-    def total(self):
-        return sum(self.ranks.values())
-
     def __eq__(self, other):
         if not isinstance(other, GradedVectorSpace):
             return NotImplemented
@@ -73,13 +70,6 @@ class FilteredComplex:
     @property
     def degrees(self):
         return sorted(self.generators)
-
-
-@dataclass(frozen=True)
-class InclusionMap:
-    source: int
-    target: int
-    pairing: dict   # source orbit -> target orbit
 
 
 def build_complex(spec, N):
@@ -114,39 +104,46 @@ def closed_form(spec, N):
     return GradedVectorSpace(ranks)
 
 
-def inclusion_map(spec, N, M):
-    """Pair each good orbit below L_N with its twin below L_M (N <= M)."""
-    spec = parse_group_spec(spec)
-    if N > M:
-        raise ValueError(f"inclusion requires N <= M, got {N} > {M}")
-    source = [o for o in enumerate_orbits(spec, N) if o.good]
-    target = [o for o in enumerate_orbits(spec, M) if o.good]
+def _keyed(complex):
+    """The good orbits of one level by (base name, multiplicity), each key once."""
     index = {}
-    for orbit in target:
-        key = (orbit.base.name, orbit.k)
-        if key in index:
-            raise PairingFailure(f"{spec.label} N={M}: duplicate orbit {key}")
-        index[key] = orbit
+    for generators in complex.generators.values():
+        for orbit in generators:
+            key = (orbit.base.name, orbit.k)
+            if key in index:
+                raise PairingFailure(f"{complex.spec.label} N={complex.N}: duplicate orbit {key}")
+            index[key] = orbit
+    return index
+
+
+def _inclusion(source, target):
+    """The inclusion of a level's complex into a higher one's, as a dict
+    pairing each good orbit with its twin of the same base and multiplicity.
+
+    Every key occurs once in each level, so distinct orbits have distinct
+    twins: the pairing is injective.
+    """
+    index = _keyed(target)
     pairing = {}
-    for orbit in source:
-        twin = index.get((orbit.base.name, orbit.k))
+    for key, orbit in _keyed(source).items():
+        twin = index.get(key)
         if twin is None:
             raise PairingFailure(
-                f"{spec.label}: {orbit.name} below L_{N} has no match below L_{M}")
+                f"{source.spec.label}: {orbit.name} below L_{source.N} has no match "
+                f"below L_{target.N}")
         if twin.grading != orbit.grading:
             raise PairingFailure(
-                f"{spec.label}: {orbit.name} changes grading "
+                f"{source.spec.label}: {orbit.name} changes grading "
                 f"{orbit.grading} -> {twin.grading} under inclusion")
         pairing[orbit] = twin
-    if len(set(pairing.values())) != len(pairing):
-        raise PairingFailure(f"{spec.label}: inclusion {N}->{M} not injective")
-    return InclusionMap(source=N, target=M, pairing=pairing)
+    return pairing
 
 
 def direct_limit(spec, N_max):
     """Stabilized graded ranks up to degree 4*N_max - 4, plus a report.
 
-    For each even degree the rank as a function of N is eventually
+    Each level's complex must include into the next (``_inclusion``).  For
+    each even degree the rank as a function of N is eventually
     constant; the report records the first level at which it reaches its
     final value and the stabilized value is checked against the closed
     form (m - 1 in degree 0, m in even degrees >= 2).
@@ -155,7 +152,10 @@ def direct_limit(spec, N_max):
     if N_max < 2:
         raise ValueError(f"direct limit needs N_max >= 2, got {N_max}")
     m = spec.class_count
-    levels = {N: homology_ranks(build_complex(spec, N)) for N in range(1, N_max + 1)}
+    complexes = [build_complex(spec, N) for N in range(1, N_max + 1)]
+    for source, target in zip(complexes, complexes[1:]):
+        _inclusion(source, target)
+    levels = {cx.N: homology_ranks(cx) for cx in complexes}
     top_stable = 4 * N_max - 4
     limit = {}
     first_stable = {}

@@ -348,10 +348,6 @@ class CriticalPoint:
     frame: tuple = field(repr=False, default=())
     eigenvectors: tuple = field(repr=False, default=())
 
-    @property
-    def location(self):
-        return np.array(self.point)
-
     def eigendirection(self, which):
         """The 3-vector tangent eigen-direction for eigenvalue slot `which`."""
         u, v = (np.array(b) for b in self.frame)
@@ -845,9 +841,6 @@ class OrbifoldComplex:
     excluded: tuple
     flow_counts: dict
     ranks: tuple
-
-    def homology_ranks(self):
-        return self.ranks
 
 
 def orbifold_complex(spec):

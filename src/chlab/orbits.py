@@ -6,8 +6,8 @@ function) and is an iterate of the embedded orbit there.  For each group
 and threshold level this module enumerates those iterates with exact
 actions and rotation numbers, carried as first-order jets a + b*eps in a
 formal infinitesimal, and attaches Conley-Zehnder indices, good/bad flags
-and free homotopy classes.  Index formulas are computed twice, once by
-formal floor+ceiling of the rotation number and once per closed family
+and free homotopy classes.  Each record's index is computed twice, once as
+the floor plus ceiling of the rotation number and once by the closed family
 formula, and the homotopy lookup tables are validated against the
 group-theoretic lift computation.
 """
@@ -37,10 +37,6 @@ NEGATIVE_HYPERBOLIC = "NegativeHyperbolic"
 #: before enumerating, since every orbit is one row of output and the
 #: count grows linearly with the level, without bound
 MAX_ORBITS = 4096
-
-
-class DegenerateRotation(ArithmeticError):
-    """Rotation number of an elliptic orbit landed exactly on an integer."""
 
 
 class MonotonicityViolation(AssertionError):
@@ -186,10 +182,6 @@ def action_threshold(spec, N):
 
 def _action_of(base, k):
     return FormalScalar(Fraction(2 * k, base.cov), Fraction(2 * base.sign * k, base.cov))
-
-
-def _rotation_of(base, k):
-    return FormalScalar(Fraction(2 * k, base.cov), Fraction(base.sign * k, base.cov))
 
 
 def _cz_closed(base, k):
@@ -419,28 +411,6 @@ def enumerate_orbits(spec, N):
     return out
 
 
-def cz_index(orbit):
-    """Conley-Zehnder index from the closed per-family formula."""
-    base = _base_by_name(orbit.group, orbit.base.name)
-    return _cz_closed(base, orbit.k)
-
-
-def rotation_number(orbit):
-    """Rotation number as a formal scalar; floor+ceil recovers cz_index."""
-    base = _base_by_name(orbit.group, orbit.base.name)
-    theta = _rotation_of(base, orbit.k)
-    if base.sign != 0 and theta.b == 0 and theta.a.denominator == 1:
-        raise DegenerateRotation(
-            f"{orbit.name}: elliptic rotation number {theta} is an exact integer")
-    return theta
-
-
-def classify(orbit):
-    """(orbit_type, good) recomputed from the base kind and multiplicity."""
-    base = _base_by_name(orbit.group, orbit.base.name)
-    return _classify(base, orbit.k)
-
-
 def covering_multiplicity(spec, base):
     """Iteration order at which orbits over the base become contractible."""
     spec = parse_group_spec(spec)
@@ -451,13 +421,6 @@ def covering_multiplicity(spec, base):
         raise AssertionError(
             f"{spec.label}/{name}: stored covering {data.cov} != {expected}")
     return data.cov
-
-
-def homotopy_class(orbit):
-    """Free homotopy class label, from the validated lookup tables."""
-    spec = parse_group_spec(orbit.group)
-    _validate_class_tables(spec.kind, spec.n)
-    return _class_label(spec, orbit.base.name, orbit.k)
 
 
 def degree_census(spec, N):

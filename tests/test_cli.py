@@ -315,7 +315,7 @@ LIBRARY_ASSERTIONS = _library_errors(AssertionError) + [AssertionError]
 
 def test_library_error_lists_are_complete():
     names = {cls.__name__ for cls in LIBRARY_NUMERIC_ERRORS}
-    assert {"DegenerateRotation", "NonClosure", "AmbiguousLabel", "DriftExceeded",
+    assert {"UnwrapFailure", "NonClosure", "AmbiguousLabel", "DriftExceeded",
             "SpuriousCriticalPoint", "NonConvergentTrajectory"} <= names
     names = {cls.__name__ for cls in LIBRARY_ASSERTIONS}
     assert {"AxiomViolation", "ParityViolation", "IndexMismatch", "LiftMismatch"} <= names
@@ -818,6 +818,26 @@ def test_output_does_not_depend_on_the_blas_thread_count():
         assert (proc.returncode, proc.stderr) == (0, ""), extra
         outputs.append(proc.stdout)
     assert outputs == [outputs[0]] * 4
+
+
+#: the expected stdout of two ``verify all`` runs, checked in as text; a
+#: change that means to alter them regenerates both from the repository root:
+#:     PYTHONPATH=src python -m chlab.cli verify all -f json --seed 2026 \
+#:         > tests/golden/verify_all_seed2026.json
+#:     PYTHONPATH=src python -m chlab.cli verify all --seed 1 \
+#:         > tests/golden/verify_all_seed1.md
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("verify_all_seed2026.json", ("-f", "json", "--seed", "2026")),
+    ("verify_all_seed1.md", ("--seed", "1")),
+], ids=["json-seed2026", "markdown-seed1"])
+def test_verify_all_matches_golden_output(name, argv):
+    proc = subprocess.run([sys.executable, "-m", "chlab.cli", "verify", "all", *argv],
+                          capture_output=True, text=True, env=_child_env())
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (GOLDEN / name).read_text()
 
 
 #: prints OpenBLAS's thread count after importing chlab.cli first, as the

@@ -2,6 +2,7 @@
 rotations, fiber geometry, fixed-point orbits, conjugacy classes, and the
 Dynkin labelling."""
 
+import cmath
 import hashlib
 import json
 import math
@@ -19,21 +20,29 @@ from chlab.groups import (
     ParseError,
     Quaternion,
     build_group,
-    check_equivariance,
     conjugacy_classes,
     dynkin_type,
-    fiber_phase,
+    fiber_isotropy_generator,
     fiber_point,
     fixed_points,
     hopf,
     parse_group_spec,
-    project_so3,
 )
 from chlab.orbits import _validate_class_tables, base_table
 
 BATTERY = tuple(f"C:{n}" for n in range(2, 13)) + tuple(
     f"D:{n}" for n in range(2, 9)
 ) + ("T", "O", "I")
+
+
+def _elements(group):
+    """The group's elements as quaternions, in the order of its coords."""
+    return [Quaternion(*row) for row in group.coords]
+
+
+def _so3(q):
+    """The rotation of one quaternion, through the engine's stacked projection."""
+    return groups._so3_stack([q.components()])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -67,22 +76,23 @@ def test_parse_error_is_a_value_error():
 def test_build_group_orders(label, order):
     group = build_group(label)
     assert group.order == order
-    assert len(group.elements) == order
+    assert group.coords.shape == (order, 4)
 
 
 def test_group_closure_inverses_identity():
     for label in ("C:6", "D:4", "T"):
         group = build_group(label)
+        elements = _elements(group)
         ident = group.index_of(Quaternion.identity())
-        for q in group.elements:
+        for q in elements:
             # inverse present
-            group.index_of(q.inverse())
+            group.index_of(q.conjugate())
         # spot-check closure on a few products
         rng = np.random.default_rng(3)
         for _ in range(25):
             i, j = rng.integers(group.order, size=2)
-            group.index_of(group.elements[int(i)] * group.elements[int(j)])
-        assert group.elements[ident].components() == (1.0, 0.0, 0.0, 0.0)
+            group.index_of(elements[int(i)] * elements[int(j)])
+        assert elements[ident].components() == (1.0, 0.0, 0.0, 0.0)
 
 
 def test_minus_identity_membership_tracks_parity():
@@ -100,15 +110,15 @@ def test_minus_identity_membership_tracks_parity():
 
 
 def test_projection_of_center_is_identity():
-    assert np.allclose(project_so3(Quaternion.identity()), np.eye(3))
-    assert np.allclose(project_so3(Quaternion(-1.0, 0.0, 0.0, 0.0)), np.eye(3))
+    assert np.allclose(_so3(Quaternion.identity()), np.eye(3))
+    assert np.allclose(_so3(Quaternion(-1.0, 0.0, 0.0, 0.0)), np.eye(3))
 
 
 @pytest.mark.parametrize("n", [3, 5, 8])
 def test_projection_of_diagonal_generator_is_axis_rotation(n):
     zeta = complex(math.cos(2 * math.pi / n), math.sin(2 * math.pi / n))
-    q = Quaternion.from_complex_pair(zeta, 0j)
-    r = project_so3(q)
+    q = Quaternion(zeta.real, zeta.imag, 0.0, 0.0)
+    r = _so3(q)
     assert np.allclose(r @ r.T, np.eye(3), atol=1e-12)
     assert abs(np.linalg.det(r) - 1.0) < 1e-12
     # fixes the first axis and rotates by 2*pi * (2/n) ... the square of the
@@ -124,16 +134,16 @@ def test_projection_is_a_homomorphism_with_kernel_pm_one():
         v, w = rng.normal(size=4), rng.normal(size=4)
         q = Quaternion(*v).normalized()
         r = Quaternion(*w).normalized()
-        assert np.allclose(project_so3(q * r), project_so3(q) @ project_so3(r), atol=1e-10)
+        assert np.allclose(_so3(q * r), _so3(q) @ _so3(r), atol=1e-10)
         neg = Quaternion(-q.a, -q.b, -q.c, -q.d)
-        assert np.allclose(project_so3(neg), project_so3(q), atol=1e-12)
+        assert np.allclose(_so3(neg), _so3(q), atol=1e-12)
 
 
 @pytest.mark.parametrize("label,image_order", [("C:6", 3), ("C:5", 5), ("D:3", 6), ("T", 12)])
 def test_rotation_image_order(label, image_order):
     group = build_group(label)
     seen = {
-        tuple(np.round(project_so3(q), 9).ravel()) for q in group.elements
+        tuple(np.round(_so3(q), 9).ravel()) for q in _elements(group)
     }
     assert len(seen) == image_order
 
@@ -172,18 +182,36 @@ def test_fiber_point_inverts_projection():
 
 @pytest.mark.parametrize("label", ["C:6", "D:5", "T", "O", "I"])
 def test_equivariance_battery(label):
-    report = check_equivariance(build_group(label))
-    assert report["failures"] == 0
-    assert report["instances"] == 100
-    assert report["max_residual"] < 1e-9
+    # the fibration is equivariant: hopf(g.z) = P(g) hopf(z), for random
+    # points z of S^3 and random elements g
+    group = build_group(label)
+    rng = np.random.default_rng(0)
+    worst = 0.0
+    for _ in range(100):
+        v = rng.normal(size=4)
+        v /= np.linalg.norm(v)
+        z = (complex(v[0], v[1]), complex(v[2], v[3]))
+        row = group.coords[int(rng.integers(group.order))]
+        lhs = hopf(*Quaternion(*row).apply(*z))
+        rhs = groups._so3_stack([row])[0] @ hopf(*z)
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    assert worst < groups.TOL_EQ
 
 
 def test_fiber_phase_of_pole_isotropy():
     group = build_group("C:4")
-    z = (1 + 0j, 0j)  # fiber over (1, 0, 0)
-    phases = sorted(fiber_phase(g, z) for g in group.elements)
-    expected = [2.0 * math.pi * k / 4 for k in range(4)]
-    assert np.allclose(phases, expected, atol=1e-9)
+    # the fiber over (1, 0, 0) is fixed by all of C:4; its generator turns
+    # it by pi/2, and the powers of the generator by 2 pi k / 4
+    gi, phase = fiber_isotropy_generator(group, (1.0, 0.0, 0.0))
+    assert abs(phase - math.pi / 2) < 1e-12
+    z = fiber_point((1.0, 0.0, 0.0))
+    power = group.identity
+    for k in range(1, 5):
+        power = int(group.mul[power, gi])
+        w = Quaternion(*group.coords[power]).apply(*z)
+        turn = complex(math.cos(2.0 * math.pi * k / 4), math.sin(2.0 * math.pi * k / 4))
+        assert np.allclose(w, (turn * z[0], turn * z[1]), atol=1e-12), k
+    assert power == group.identity
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +479,7 @@ class _ReferenceLookup:
 
 def _reference_order(q):
     p, k = q, 1
-    while not p.is_identity():
+    while not p.close_to(Quaternion.identity()):
         p, k = p * q, k + 1
     return k
 
@@ -460,7 +488,7 @@ def _reference_classes(elements, find):
     assigned, classes = set(), []
     for i, g in enumerate(elements):
         if i not in assigned:
-            orbit = tuple(sorted({find.index(x * g * x.inverse()) for x in elements}))
+            orbit = tuple(sorted({find.index(x * g * x.conjugate()) for x in elements}))
             assigned.update(orbit)
             classes.append(orbit)
     return classes
@@ -470,7 +498,7 @@ def _reference_rotations(elements):
     """P(q) of every element, each rotation kept at its first preimage."""
     rots, seen = [], set()
     for q in elements:
-        r = project_so3(q)
+        r = _so3(q)
         key = tuple(np.round(r, 6).ravel())
         if key not in seen:
             seen.add(key)
@@ -480,7 +508,7 @@ def _reference_rotations(elements):
 
 def _reference_fixed_orbits(group):
     """Fixed orbits by pairwise loops over per-element rotations."""
-    rots = _reference_rotations(group.elements)
+    rots = _reference_rotations(_elements(group))
 
     def isotropy(p):
         return sum(1 for r in rots if np.max(np.abs(r @ p - p)) < TOL_POINT)
@@ -535,7 +563,8 @@ def _reference_fixed_orbits(group):
 
 def _reference_labels(group, classes, orders):
     """Class labels from generator powers taken by quaternion multiplication."""
-    spec, find = group.spec, _ReferenceLookup(group.elements)
+    elements = _elements(group)
+    spec, find = group.spec, _ReferenceLookup(elements)
     class_of = {m: c for c in classes for m in c}
 
     def powers(q):
@@ -565,9 +594,11 @@ def _reference_labels(group, classes, orders):
     labels = {ident: f"{prefix}_Id", neg: f"{prefix}_-Id"}
     vertex = max(_reference_fixed_orbits(group)[0][2])
     z, best = fiber_point(vertex), None
-    for q in group.elements:
-        if np.max(np.abs(hopf(*q.apply(*z)) - np.asarray(vertex))) <= TOL_POINT:
-            theta = fiber_phase(q, z)
+    for q in elements:
+        w = q.apply(*z)
+        if np.max(np.abs(hopf(*w) - np.asarray(vertex))) <= TOL_POINT:
+            # q.z = e^{i theta} z on the fiber
+            theta = cmath.phase(w[0] * z[0].conjugate() + w[1] * z[1].conjugate()) % (2 * math.pi)
             if theta > 1e-9 and (best is None or theta < best[0]):
                 best = (theta, q)
     reached = {}
@@ -589,12 +620,12 @@ def _reference_labels(group, classes, orders):
 @pytest.mark.parametrize("label", ["C:64", "D:64", "T", "O", "I"])
 def test_table_derived_data_matches_per_element_reference(label):
     group = build_group(label)
-    elements = group.elements
+    elements = _elements(group)
     find = _ReferenceLookup(elements)
 
     assert group.mul.tolist() == [[find.index(p * q) for q in elements] for p in elements]
     assert np.array_equal(group.rotations, np.array(_reference_rotations(elements)))
-    assert group.inverses.tolist() == [find.index(q.inverse()) for q in elements]
+    assert group.inverses.tolist() == [find.index(q.conjugate()) for q in elements]
     orders = [_reference_order(q) for q in elements]
     assert [group.element_order(i) for i in range(group.order)] == orders
     rng = np.random.default_rng(0)
@@ -618,3 +649,129 @@ def test_table_derived_data_matches_per_element_reference(label):
         assert (orbit.kind.name, orbit.kind.isotropy, orbit.size) == (name, isotropy, len(points))
         assert orbit.points.index(orbit.representative) == points.index(max(points))
         assert np.max(np.abs(np.array(orbit.points) - np.array(points))) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# guards: library inputs, and faults injected into computed data
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind, n, message", [
+    (groups.CYCLIC, 1, "cyclic requires 2 <= n <= 64, got 1"),
+    (groups.BINARY_DIHEDRAL, None, "binary_dihedral requires 2 <= n <= 64, got None"),
+    (groups.BINARY_TETRAHEDRAL, 3, "binary_tetrahedral takes no parameter"),
+    ("cubic", None, "unknown group kind 'cubic'"),
+])
+def test_group_spec_rejects_bad_kinds_and_parameters(kind, n, message):
+    with pytest.raises(ValueError, match=message):
+        groups.GroupSpec(kind, n)
+
+
+def test_projection_of_a_non_unit_row_leaves_so3():
+    # |q|^2 = 1 + 1e-8 scales the rotation by it: det P = 1 + 3e-8
+    with pytest.raises(AssertionError, match="projection left SO"):
+        groups._so3_stack([(1.0, 1e-4, 0.0, 0.0)])
+
+
+def test_fiber_isotropy_needs_a_fixed_fiber():
+    # off the axis of C:5 only the identity fixes the fiber (a group of even
+    # order holds -1, which fixes every fiber)
+    p = np.array([1.0, 2.0, 3.0]) / math.sqrt(14.0)
+    with pytest.raises(groups.AmbiguousLabel, match="no nontrivial fiber isotropy"):
+        fiber_isotropy_generator(build_group("C:5"), p)
+
+
+def test_fiber_isotropy_rejects_an_element_that_moves_off_the_fiber(monkeypatch):
+    # a fiber point 1e-7 off the unit sphere: the images of the fixing
+    # elements still land within TOL_POINT of p, but <g.z, z> is no phase
+    real = groups.fiber_point
+    monkeypatch.setattr(groups, "fiber_point", lambda p: tuple(1.0000001 * z for z in real(p)))
+    with pytest.raises(groups.AmbiguousLabel, match="does not preserve the fiber"):
+        fiber_isotropy_generator(build_group("C:4"), (1.0, 0.0, 0.0))
+
+
+def test_dihedral_fixed_points_missing_an_axis_point(monkeypatch, fresh_groups):
+    # with a zero clustering tolerance no point is near (1, 0, 0)
+    monkeypatch.setattr(groups, "TOL_POINT", 0.0)
+    with pytest.raises(groups.AmbiguousLabel, match=r"expected fixed point \[1\. 0\. 0\.\] not found"):
+        fixed_points(build_group("D:3"))
+
+
+def test_tetrahedral_branch_needs_two_order_three_orbits(monkeypatch, fresh_groups):
+    # O taken for a group whose vertices have isotropy 3, as T's do: it has
+    # one order-3 orbit, not two
+    monkeypatch.setattr(groups.GroupSpec, "vertex_isotropy", property(lambda spec: 3))
+    with pytest.raises(groups.AmbiguousLabel, match="expected two order-3 orbits"):
+        fixed_points(build_group("O"))
+
+
+def _class_with_order(group, order):
+    """The members of the first conjugacy class of elements of the given order."""
+    return next(c.members for c in group.classes if c.element_order == order)
+
+
+def test_class_of_mixed_element_orders(monkeypatch, fresh_groups):
+    group = build_group("D:3")
+    members = _class_with_order(group, 4)
+    orders = group.orders.copy()
+    orders[members[-1]] = 2
+    monkeypatch.setattr(group, "orders", orders)
+    with pytest.raises(groups.AmbiguousLabel, match=r"mixes element orders \[2, 4\]"):
+        groups._raw_classes(group)
+
+
+def test_class_of_mixed_traces(monkeypatch, fresh_groups):
+    group = build_group("D:3")
+    members = _class_with_order(group, 4)
+    coords = group.coords.copy()
+    coords[members[-1], 0] += 1e-8
+    monkeypatch.setattr(group, "coords", coords)
+    with pytest.raises(groups.AmbiguousLabel, match="mixes traces beyond"):
+        groups._raw_classes(group)
+
+
+def test_second_central_order_two_class(monkeypatch, fresh_groups):
+    # the class of B relabelled as order 2, a second class beside -1
+    group = build_group("D:3")
+    orders = group.orders.copy()
+    orders[list(_class_with_order(group, 4))] = 2
+    monkeypatch.setattr(group, "orders", orders)
+    with pytest.raises(groups.AmbiguousLabel, match="single central order-2 class"):
+        conjugacy_classes(group)
+
+
+def test_dihedral_class_outside_the_towers(monkeypatch, fresh_groups):
+    monkeypatch.setattr(groups, "_power_tower", lambda group, gen_idx, raw: {})
+    with pytest.raises(groups.AmbiguousLabel, match="unlabeled dihedral class"):
+        conjugacy_classes(build_group("D:3"))
+
+
+def test_equal_order_classes_outside_the_vertex_tower(monkeypatch, fresh_groups):
+    monkeypatch.setattr(groups, "_power_tower", lambda group, gen_idx, raw: {})
+    with pytest.raises(groups.AmbiguousLabel, match="neither order-3 class lies in the vertex tower"):
+        conjugacy_classes(build_group("T"))
+
+
+def test_three_classes_of_one_element_order(monkeypatch, fresh_groups):
+    # T's order-4 class relabelled as order 6, a third class beside the two
+    group = build_group("T")
+    orders = group.orders.copy()
+    orders[list(_class_with_order(group, 4))] = 6
+    monkeypatch.setattr(group, "orders", orders)
+    with pytest.raises(groups.AmbiguousLabel, match="3 classes share element order 6"):
+        conjugacy_classes(group)
+
+
+def test_class_count_off_the_formula(monkeypatch, fresh_groups):
+    # the classes of g and g^-1 merged, as in the rotation image of a
+    # dihedral group: C:5 then has four classes
+    real = groups._raw_classes
+
+    def merged(group):
+        raw = real(group)
+        (first, order, trace), (last, _, _) = raw[1], raw[-1]
+        return [raw[0], (first + last, order, trace)] + raw[2:-1]
+
+    monkeypatch.setattr(groups, "_raw_classes", merged)
+    with pytest.raises(groups.AmbiguousLabel, match="C:5: found 4 classes, expected 5"):
+        conjugacy_classes(build_group("C:5"))

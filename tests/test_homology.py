@@ -9,15 +9,16 @@ import pytest
 from chlab import homology
 from chlab.homology import (
     GradedVectorSpace,
+    PairingFailure,
     ParityViolation,
     build_complex,
     closed_form,
     direct_limit,
     homology_ranks,
     homology_report,
-    inclusion_map,
     mckay_check,
 )
+from chlab import groups
 from chlab.groups import parse_group_spec
 from chlab.orbits import enumerate_orbits
 
@@ -113,39 +114,81 @@ def test_graded_vector_space_equality_ignores_zero_entries():
     assert GradedVectorSpace({0: 2}) != GradedVectorSpace({0: 3})
 
 
+@pytest.mark.parametrize("ranks", [{-2: 1}, {0: -1}], ids=["negative-degree", "negative-rank"])
+def test_graded_vector_space_rejects_negative_entries(ranks):
+    with pytest.raises(ValueError, match="bad graded rank"):
+        GradedVectorSpace(ranks)
+
+
 # ---------------------------------------------------------------------------
 # inclusions of filtration levels
 # ---------------------------------------------------------------------------
 
 
 def test_inclusion_same_level_is_identity():
-    inc = inclusion_map("C:4", 2, 2)
-    assert inc.source == inc.target == 2
-    assert all(src == dst for src, dst in inc.pairing.items())
+    cx = build_complex("C:4", 2)
+    pairing = homology._inclusion(cx, cx)
+    assert len(pairing) == sum(cx.degree_rank(d) for d in cx.degrees)
+    assert all(src == dst for src, dst in pairing.items())
 
 
 def test_inclusion_dihedral_injects_and_preserves_grading():
-    inc = inclusion_map("D:3", 1, 2)
-    assert len(inc.pairing) == 10
-    targets = list(inc.pairing.values())
+    pairing = homology._inclusion(build_complex("D:3", 1), build_complex("D:3", 2))
+    assert len(pairing) == 10
+    targets = list(pairing.values())
     assert len(set(targets)) == len(targets)  # injective
     target_cx = build_complex("D:3", 2)
     assert sum(target_cx.degree_rank(d) for d in target_cx.degrees) == 22
-    for src, dst in inc.pairing.items():
+    for src, dst in pairing.items():
         assert src.grading == dst.grading
 
 
 def test_inclusions_compose():
-    first = inclusion_map("D:3", 1, 2)
-    second = inclusion_map("D:3", 2, 3)
-    direct = inclusion_map("D:3", 1, 3)
-    for src, mid in first.pairing.items():
-        assert direct.pairing[src] == second.pairing[mid]
+    cx1, cx2, cx3 = (build_complex("D:3", N) for N in (1, 2, 3))
+    first = homology._inclusion(cx1, cx2)
+    second = homology._inclusion(cx2, cx3)
+    direct = homology._inclusion(cx1, cx3)
+    for src, mid in first.items():
+        assert direct[src] == second[mid]
 
 
 def test_inclusion_rejects_decreasing_levels():
-    with pytest.raises(ValueError):
-        inclusion_map("C:4", 2, 1)
+    # a level's orbits do not all lie below a lower threshold
+    with pytest.raises(PairingFailure, match="C:4: SouthPole\\^4 below L_2 has no match below L_1"):
+        homology._inclusion(build_complex("C:4", 2), build_complex("C:4", 1))
+
+
+def _levels_with(monkeypatch, change):
+    """Make each level N hold its good orbits as ``change(N, orbits)`` leaves them."""
+    real = homology.enumerate_orbits
+
+    def changed(spec, N):
+        return change(N, [o for o in real(spec, N) if o.good])
+
+    monkeypatch.setattr(homology, "enumerate_orbits", changed)
+
+
+def test_direct_limit_rejects_a_duplicated_orbit(monkeypatch):
+    _levels_with(monkeypatch, lambda N, orbits: orbits + orbits[-1:] if N == 3 else orbits)
+    with pytest.raises(PairingFailure, match=r"D:3 N=3: duplicate orbit \('Plus', 17\)"):
+        direct_limit("D:3", 3)
+
+
+def test_direct_limit_rejects_an_orbit_lost_by_the_next_level(monkeypatch):
+    _levels_with(monkeypatch, lambda N, orbits: orbits[1:] if N == 2 else orbits)
+    with pytest.raises(PairingFailure, match="Minus\\^1 below L_1 has no match below L_2"):
+        direct_limit("D:3", 3)
+
+
+def test_direct_limit_rejects_a_grading_change(monkeypatch):
+    def shift(N, orbits):
+        if N == 2:
+            orbits[0] = dataclasses.replace(orbits[0], grading=orbits[0].grading + 2)
+        return orbits
+
+    _levels_with(monkeypatch, shift)
+    with pytest.raises(PairingFailure, match="Minus\\^1 changes grading 0 -> 2"):
+        direct_limit("D:3", 3)
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +218,14 @@ def test_direct_limit_needs_two_levels():
         direct_limit("C:4", 1)
 
 
+def test_direct_limit_rejects_a_rank_off_the_closed_form(monkeypatch):
+    # one good orbit missing at every level: the levels still include, but
+    # degree 2 stabilizes one short
+    _levels_with(monkeypatch, lambda N, orbits: [o for o in orbits if o.name != "Plus^3"])
+    with pytest.raises(AssertionError, match="D:3: degree 2 stabilizes at 5, closed form says 6"):
+        direct_limit("D:3", 3)
+
+
 # ---------------------------------------------------------------------------
 # class-count correspondence
 # ---------------------------------------------------------------------------
@@ -186,6 +237,12 @@ def test_mckay_triple(label):
     m = parse_group_spec(label).class_count
     assert report["violations"] == 0
     assert tuple(report["triple"]) == (m - 1, m - 1, m - 1)
+
+
+def test_mckay_check_rejects_a_wrong_dynkin_rank(monkeypatch):
+    monkeypatch.setattr(homology, "dynkin_type", lambda spec: groups.DynkinType("E", 7))
+    with pytest.raises(AssertionError, match="T: Dynkin 7, classes-1 6, degree-0 rank 6 disagree"):
+        mckay_check("T")
 
 
 def test_mckay_examples():

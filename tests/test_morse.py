@@ -260,7 +260,7 @@ def test_orbifold_complex_traced_peak_is_bounded(label):
 @pytest.mark.parametrize("label", ["D:3", "O"])
 def test_critical_points_lie_on_sphere_with_clean_hessians(label):
     for cp in find_critical_points(build_invariant_morse(label)):
-        assert abs(np.linalg.norm(np.asarray(cp.location)) - 1.0) < 1e-9
+        assert abs(np.linalg.norm(np.asarray(cp.point)) - 1.0) < 1e-9
         eigs = np.asarray(cp.hessian_eigenvalues)
         assert np.min(np.abs(eigs)) > 1e-6
         assert int(np.sum(eigs < 0)) == cp.index
@@ -383,7 +383,7 @@ def test_one_complex_permutes_its_critical_points_once(monkeypatch):
 @pytest.mark.parametrize("label", ["C:3", "C:8", "D:2", "D:5", "T", "O", "I"])
 def test_orbifold_complex_ranks(label):
     cx = orbifold_complex(label)
-    assert cx.homology_ranks() == (1, 0, 1)
+    assert cx.ranks == (1, 0, 1)
 
 
 @pytest.mark.filterwarnings("error")

@@ -14,17 +14,13 @@ from chlab.orbits import (
     MonotonicityViolation,
     action_threshold,
     base_table,
-    classify,
     covering_multiplicity,
-    cz_index,
     degree_census,
     enumerate_orbits,
     formal_ceil,
     formal_floor,
-    homotopy_class,
     make_orbit,
     orbit_row,
-    rotation_number,
     verify_monotonicity,
 )
 
@@ -200,40 +196,40 @@ def test_all_enumerated_actions_lie_below_threshold():
 
 def test_rotation_number_dihedral_plus():
     for k in (1, 2, 5):
-        rot = rotation_number(make_orbit("D:3", "Plus", k))
+        rot = make_orbit("D:3", "Plus", k).rotation
         assert (rot.a, rot.b) == (Fraction(k, 3), Fraction(k, 6))
 
 
 def test_rotation_number_cyclic_north():
     for k in (1, 2, 4):
-        rot = rotation_number(make_orbit("C:3", "NorthPole", k))
+        rot = make_orbit("C:3", "NorthPole", k).rotation
         assert (rot.a, rot.b) == (Fraction(2 * k, 3), Fraction(k, 3))
 
 
 def test_rotation_number_saddle_is_exact():
     for k in (1, 2, 3, 4):
-        rot = rotation_number(make_orbit("D:5", "Saddle", k))
+        rot = make_orbit("D:5", "Saddle", k).rotation
         assert (rot.a, rot.b) == (Fraction(k, 2), 0)
 
 
 def test_cz_of_saddle_iterates_is_k():
     for n in (2, 3, 4):
         for k in range(1, 9):
-            assert cz_index(make_orbit(f"D:{n}", "Saddle", k)) == k
+            assert make_orbit(f"D:{n}", "Saddle", k).cz == k
 
 
 def test_cz_closed_formula_spot_values():
-    assert cz_index(make_orbit("C:3", "SouthPole", 2)) == 3  # 2*ceil(4/3) - 1
-    assert cz_index(make_orbit("T", "Vertex", 3)) == 1
-    assert cz_index(make_orbit("T", "Vertex", 4)) == 3
-    assert cz_index(make_orbit("I", "Face", 1)) == 1
+    assert make_orbit("C:3", "SouthPole", 2).cz == 3  # 2*ceil(4/3) - 1
+    assert make_orbit("T", "Vertex", 3).cz == 1
+    assert make_orbit("T", "Vertex", 4).cz == 3
+    assert make_orbit("I", "Face", 1).cz == 1
 
 
 def test_cz_equals_floor_plus_ceil_of_rotation():
     for label in ("C:5", "D:4", "T", "I"):
         for orbit in enumerate_orbits(label, 2):
-            rot = rotation_number(orbit)
-            assert cz_index(orbit) == formal_floor(rot) + formal_ceil(rot)
+            # the record takes floor and ceiling from divmod(2k, cov)
+            assert orbit.cz == formal_floor(orbit.rotation) + formal_ceil(orbit.rotation)
             assert orbit.grading == orbit.cz - 1
 
 
@@ -263,12 +259,10 @@ def test_lifted_multiples_obey_index_formula():
 def test_saddle_iterates_alternate_type_and_goodness():
     for k in range(1, 9):
         orbit = make_orbit("D:4", "Saddle", k)
-        kind, good = classify(orbit)
         if k % 2:
-            assert kind == "NegativeHyperbolic" and good
+            assert orbit.orbit_type == "NegativeHyperbolic" and orbit.good
         else:
-            assert kind == "PositiveHyperbolic" and not good
-        assert orbit.good == good and orbit.orbit_type == kind
+            assert orbit.orbit_type == "PositiveHyperbolic" and not orbit.good
 
 
 def test_elliptic_orbits_are_good():
@@ -309,20 +303,20 @@ def test_covering_multiplicities():
 
 def test_homotopy_class_saddle_even_n():
     for k in (1, 5, 9):
-        assert homotopy_class(make_orbit("D:4", "Saddle", k)) == "B"
+        assert make_orbit("D:4", "Saddle", k).class_label == "B"
 
 
 def test_homotopy_class_tetrahedral_face():
     for k in (5, 11, 17):
-        assert homotopy_class(make_orbit("T", "Face", k)) == "T_{6,A}"
+        assert make_orbit("T", "Face", k).class_label == "T_{6,A}"
 
 
 def test_homotopy_class_periodicity():
     for label, base in (("C:7", "SouthPole"), ("D:3", "Plus"), ("O", "Edge")):
         cov = covering_multiplicity(label, base)
         for k in range(1, cov + 1):
-            a = homotopy_class(make_orbit(label, base, k))
-            b = homotopy_class(make_orbit(label, base, k + cov))
+            a = make_orbit(label, base, k).class_label
+            b = make_orbit(label, base, k + cov).class_label
             assert a == b
 
 
@@ -333,7 +327,7 @@ def test_contractible_exactly_at_covering_multiples():
             orbit = make_orbit(label, base, k)
             assert orbit.contractible == (k % cov == 0)
             if orbit.contractible:
-                assert homotopy_class(orbit) in ("Id", "T_Id", "O_Id", "I_Id")
+                assert orbit.class_label in ("Id", "T_Id", "O_Id", "I_Id")
                 assert orbit.cz >= 3
 
 
@@ -422,3 +416,86 @@ def test_orbit_row_shape():
         "class": "A^2",
         "contractible": False,
     }
+
+
+# ---------------------------------------------------------------------------
+# guards: library inputs, and faults injected into computed data
+# ---------------------------------------------------------------------------
+
+
+def test_unknown_base_name_is_a_key_error():
+    with pytest.raises(KeyError, match="no base named 'Pole' for T"):
+        make_orbit("T", "Pole", 1)
+
+
+def test_multiplicity_below_one_is_refused():
+    with pytest.raises(ValueError, match="multiplicity must be >= 1, got 0"):
+        make_orbit("D:3", "Plus", 0)
+
+
+def test_monotonicity_needs_a_level():
+    with pytest.raises(ValueError, match="N_max must be >= 1, got 0"):
+        verify_monotonicity("C:3", 0)
+
+
+def _bases_changed(monkeypatch, name, **changes):
+    """Make base_table hand out the named base with the given fields changed."""
+    real = orbits_module.base_table
+    monkeypatch.setattr(orbits_module, "base_table", lambda spec: tuple(
+        dataclasses.replace(b, **changes) if b.name == name else b for b in real(spec)))
+
+
+def test_lift_check_rejects_a_base_off_its_fixed_orbit(monkeypatch, fresh_groups):
+    _bases_changed(monkeypatch, "Edge", isotropy=3)
+    with pytest.raises(orbits_module.LiftMismatch, match="T: fixed orbit .* does not match base"):
+        make_orbit("T", "Edge", 1)
+
+
+def test_lift_check_rejects_a_covering_off_the_lift_order(monkeypatch, fresh_groups):
+    _bases_changed(monkeypatch, "Vertex", cov=3)
+    with pytest.raises(orbits_module.LiftMismatch, match="T/Vertex: lift has order 6, expected 3"):
+        make_orbit("T", "Vertex", 1)
+
+
+def test_lift_check_rejects_a_generator_phase_off_2pi_over_cov(monkeypatch, fresh_groups):
+    real = orbits_module.fiber_isotropy_generator
+
+    def halved(group, p):
+        gi, phase = real(group, p)
+        return gi, phase / 2
+
+    monkeypatch.setattr(orbits_module, "fiber_isotropy_generator", halved)
+    with pytest.raises(orbits_module.LiftMismatch, match="T/Vertex: generator phase .* is not 2"):
+        make_orbit("T", "Vertex", 1)
+
+
+def test_lift_check_rejects_swapped_class_suffixes(monkeypatch, fresh_groups):
+    table = orbits_module._POLY_CLASS_TABLE[("T", "Vertex")]
+    swap = {"T_{6,A}": "T_{6,B}", "T_{6,B}": "T_{6,A}"}
+    monkeypatch.setitem(orbits_module._POLY_CLASS_TABLE, ("T", "Vertex"),
+                        {r: swap.get(label, label) for r, label in table.items()})
+    with pytest.raises(orbits_module.LiftMismatch,
+                       match=r"T: Vertex\^1 lifts into \[T_\{6,A\}\], table says \[T_\{6,B\}\]"):
+        make_orbit("T", "Vertex", 1)
+
+
+def test_record_rejects_an_index_off_the_closed_formula(monkeypatch):
+    real = orbits_module._cz_closed
+    monkeypatch.setattr(orbits_module, "_cz_closed", lambda base, k: real(base, k) + 2)
+    with pytest.raises(AssertionError, match="D:3 Plus\\^2: floor\\+ceil gives 1, closed formula gives 3"):
+        make_orbit("D:3", "Plus", 2)
+
+
+def test_enumeration_rejects_a_range_past_the_threshold(monkeypatch):
+    real = orbits_module._max_multiplicity
+    monkeypatch.setattr(orbits_module, "_max_multiplicity",
+                        lambda spec, base, N: real(spec, base, N) + 1)
+    with pytest.raises(AssertionError, match="C:3/SouthPole: the threshold does not fall between "
+                                             "k=3 and k=4"):
+        enumerate_orbits("C:3", 1)
+
+
+def test_stored_covering_off_twice_the_isotropy(monkeypatch):
+    _bases_changed(monkeypatch, "Face", cov=3)
+    with pytest.raises(AssertionError, match="O/Face: stored covering 3 != 6"):
+        covering_multiplicity("O", "Face")
