@@ -75,20 +75,6 @@ DEFAULT_TOLERANCE = 1e-3
 # rendering helpers
 
 
-def format_formal(x):
-    """Render a formal scalar as 'a', 'a + b·eps', or 'a - b·eps'."""
-    # str(a) and str(abs(b)) built from their integer parts: this runs twice
-    # per table row
-    num, den = x.a.numerator, x.a.denominator
-    head = f"{num}" if den == 1 else f"{num}/{den}"
-    num, den = x.b.numerator, x.b.denominator
-    if num == 0:
-        return head
-    sign, num = ("+", num) if num > 0 else ("-", -num)
-    mag = num if den == 1 else f"{num}/{den}"
-    return f"{head} {sign} {mag}·eps"
-
-
 def _markdown_table(headers, rows):
     # one format template per table: format(c, "") is str(c) for its cells
     line = "| " + " | ".join(["{}"] * len(headers)) + " |"
@@ -163,8 +149,7 @@ def cmd_orbits(group, levels, fmt):
                "action/pi", "rotation", "cz", "class", "contractible")
     table = [
         (o.grading, o.name, o.base.name, o.k, o.orbit_type,
-         "yes" if o.good else "no", format_formal(o.action),
-         format_formal(o.rotation), o.cz, o.class_label,
+         "yes" if o.good else "no", *o.jet_texts, o.cz, o.class_label,
          "yes" if o.contractible else "no")
         for o in rows
     ]

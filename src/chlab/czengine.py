@@ -1023,10 +1023,9 @@ def local_model_for(orbit, eps=DEFAULT_EPSILON):
     multiplicity divided by the covering multiplicity of its base.
     """
     cov = _orbits.covering_multiplicity(orbit.group, orbit.base)
-    b_part = orbit.rotation.b
-    if b_part < 0:
+    if orbit.sign < 0:
         f_value, hess = -1.0, np.diag([1.0, 1.0])
-    elif b_part == 0:
+    elif orbit.sign == 0:
         f_value, hess = 0.0, np.diag([1.0, -1.0])
     else:
         f_value, hess = 1.0, np.diag([-1.0, -1.0])

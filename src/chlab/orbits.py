@@ -3,13 +3,15 @@
 Every closed Reeb orbit sits over one of the exceptional points of the
 quotient sphere (a minimum, saddle or maximum of the invariant perturbing
 function) and is an iterate of the embedded orbit there.  For each group
-and threshold level this module enumerates those iterates with exact
-actions and rotation numbers, carried as first-order jets a + b*eps in a
-formal infinitesimal, and attaches Conley-Zehnder indices, good/bad flags
-and free homotopy classes.  Each record's index is computed twice, once as
-the floor plus ceiling of the rotation number and once by the closed family
-formula, and the homotopy lookup tables are validated against the
-group-theoretic lift computation.
+and threshold level this module enumerates those iterates as records of
+integers and strings: the multiplicity k, the base's covering multiplicity
+cov and sign, the Conley-Zehnder index and grading, the good/bad flag and
+the free homotopy class.  The exact action and rotation number, first-order
+jets a + b*eps in a formal infinitesimal, follow from (k, cov, sign) and are
+built only when read; table text is rendered from the same integers.  Each
+record's index is computed twice, once as the floor plus ceiling of the
+rotation number and once by the closed family formula, and the homotopy
+lookup tables are validated against the group-theoretic lift computation.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, total_ordering
+from functools import lru_cache, partial, total_ordering
+from typing import NamedTuple
 
 from .groups import (
     BINARY_DIHEDRAL,
@@ -145,15 +148,20 @@ def _base_by_name(spec, name):
     raise KeyError(f"no base named {name!r} for {parse_group_spec(spec).label}")
 
 
-@dataclass(frozen=True)
-class ReebOrbit:
-    """The k-th iterate of the embedded Reeb orbit over one base point."""
+class ReebOrbit(NamedTuple):
+    """The k-th iterate of the embedded Reeb orbit over one base point.
+
+    A tuple of integers and strings, with the group and the base point kind
+    shared by every record of one (group, base): cov and sign are the
+    base's covering multiplicity and sign, and the action and rotation
+    number are derived from (k, cov, sign) when read.
+    """
 
     group: GroupSpec
     base: OrbifoldPointKind
     k: int
-    action: FormalScalar        # in units of pi
-    rotation: FormalScalar
+    cov: int
+    sign: int
     cz: int
     grading: int
     orbit_type: str
@@ -164,6 +172,32 @@ class ReebOrbit:
     @property
     def name(self):
         return f"{self.base.name}^{self.k}"
+
+    @property
+    def action(self):
+        """2k/cov + (sign*2k/cov)*eps, in units of pi."""
+        return _action_of(self.cov, self.sign, self.k)
+
+    @property
+    def rotation(self):
+        """2k/cov + (sign*k/cov)*eps."""
+        return FormalScalar(Fraction(2 * self.k, self.cov), Fraction(self.sign * self.k, self.cov))
+
+    @property
+    def jet_texts(self):
+        """The action and the rotation number as table text, each 'a',
+        'a + b·eps' or 'a - b·eps'."""
+        k, cov, sign = self.k, self.cov, self.sign
+        head = format_ratio(2 * k, cov)
+        if not sign:
+            return head, head
+        # the action's eps-part is sign*2k/cov, the rotation's sign*k/cov
+        op = " + " if sign > 0 else " - "
+        return f"{head}{op}{head}·eps", f"{head}{op}{format_ratio(k, cov)}·eps"
+
+
+#: a record from the tuple of its fields, in one C-level call
+_new_record = partial(tuple.__new__, ReebOrbit)
 
 
 def action_threshold(spec, N):
@@ -180,8 +214,8 @@ def action_threshold(spec, N):
     return FormalScalar(2 * N - Fraction(1, d))
 
 
-def _action_of(base, k):
-    return FormalScalar(Fraction(2 * k, base.cov), Fraction(2 * base.sign * k, base.cov))
+def _action_of(cov, sign, k):
+    return FormalScalar(Fraction(2 * k, cov), Fraction(2 * sign * k, cov))
 
 
 def _cz_closed(base, k):
@@ -311,17 +345,14 @@ def make_orbit(spec, base, k):
     return _orbit_record(spec, base, kind, labels, k)
 
 
-_ZERO = Fraction(0)
-
-
 def _orbit_record(spec, base, kind, labels, k):
-    """The exact arithmetic of one orbit record.
+    """The integer arithmetic of one orbit record.
 
     kind is the base's point kind and labels[r] the class label of the
     iterates k = r mod cov.  With 2k = q*cov + r the rotation number is
     2k/cov + (sign*k/cov)*eps: off the integers (r > 0) its floor and
     ceiling are q and q + 1, on them the sign of the eps-part moves one of
-    the two; the action shares the rational part and carries sign*2k/cov.
+    the two.
     """
     cov, sign = base.cov, base.sign
     q, r = divmod(2 * k, cov)
@@ -331,21 +362,9 @@ def _orbit_record(spec, base, kind, labels, k):
         raise AssertionError(
             f"{spec.label} {base.name}^{k}: floor+ceil gives {cz}, "
             f"closed formula gives {closed}")
-    a = Fraction(2 * k, cov)
     orbit_type, good = _classify(base, k)
-    return ReebOrbit(
-        group=spec,
-        base=kind,
-        k=k,
-        action=FormalScalar(a, a if sign > 0 else -a if sign < 0 else _ZERO),
-        rotation=FormalScalar(a, Fraction(sign * k, cov) if sign else _ZERO),
-        cz=cz,
-        grading=cz - 1,
-        orbit_type=orbit_type,
-        good=good,
-        class_label=labels[k % cov],
-        contractible=(k % cov == 0),
-    )
+    m = k % cov
+    return _new_record((spec, kind, k, cov, sign, cz, cz - 1, orbit_type, good, labels[m], m == 0))
 
 
 @lru_cache(maxsize=None)
@@ -400,7 +419,8 @@ def enumerate_orbits(spec, N):
         k_max = _max_multiplicity(spec, base, N)
         # actions grow with k, so the threshold need only be checked at the
         # closed-form boundary: action(k_max) < L_N <= action(k_max + 1)
-        if not _action_of(base, k_max) < limit or _action_of(base, k_max + 1) < limit:
+        if (not _action_of(base.cov, base.sign, k_max) < limit
+                or _action_of(base.cov, base.sign, k_max + 1) < limit):
             raise AssertionError(
                 f"{spec.label}/{base.name}: the threshold does not fall between "
                 f"k={k_max} and k={k_max + 1}, the closed range's end")
@@ -474,13 +494,21 @@ def verify_monotonicity(spec, N_max):
             "orbits": len(orbits), "pairs": pairs, "violations": 0}
 
 
+def format_ratio(p, q):
+    """The rational p/q, q > 0, as text in lowest terms: 'p/q', or 'p'
+    when it is whole."""
+    g = math.gcd(p, q)
+    return f"{p // g}" if g == q else f"{p // g}/{q // g}"
+
+
 def orbit_row(orbit):
     """Flat serializable row for the CLI and file outputs."""
+    k, cov = orbit.k, orbit.cov
     return {
         "base": orbit.base.name,
-        "k": orbit.k,
-        "action_a": str(orbit.action.a),
-        "action_b": str(orbit.action.b),
+        "k": k,
+        "action_a": format_ratio(2 * k, cov),
+        "action_b": format_ratio(2 * orbit.sign * k, cov),
         "cz": orbit.cz,
         "grading": orbit.grading,
         "type": orbit.orbit_type,

@@ -582,22 +582,8 @@ def test_readme_lists_every_battery_in_order():
 
 
 # ---------------------------------------------------------------------------
-# formal-scalar rendering and entry point
+# table digests and entry point
 # ---------------------------------------------------------------------------
-
-
-def test_format_formal():
-    from fractions import Fraction
-    from chlab.orbits import FormalScalar
-
-    assert cli.format_formal(FormalScalar(Fraction(5, 3), 0)) == "5/3"
-    assert cli.format_formal(FormalScalar(2, Fraction(1, 6))) == "2 + 1/6·eps"
-    assert cli.format_formal(FormalScalar(2, Fraction(-1, 6))) == "2 - 1/6·eps"
-    assert cli.format_formal(FormalScalar(Fraction(1, 3), 1)) == "1/3 + 1·eps"
-    assert cli.format_formal(FormalScalar(Fraction(1, 3), -1)) == "1/3 - 1·eps"
-    assert cli.format_formal(FormalScalar(3, 4)) == "3 + 4·eps"
-    assert cli.format_formal(FormalScalar(Fraction(-7, 4), Fraction(-2, 5))) == "-7/4 - 2/5·eps"
-    assert cli.format_formal(FormalScalar(-3, 0)) == "-3"
 
 
 # sha256 of the stdout of `chlab orbits` and `chlab homology`, keyed by

@@ -79,6 +79,10 @@ def test_build_group_orders(label, order):
     assert group.coords.shape == (order, 4)
 
 
+def test_group_repr():
+    assert repr(build_group("D:3")) == "FiniteSubgroup(D:3, order=12)"
+
+
 def test_group_closure_inverses_identity():
     for label in ("C:6", "D:4", "T"):
         group = build_group(label)

@@ -2,8 +2,6 @@
 ranks, the closed-form answer, filtration inclusions, the direct limit, and
 the class-count correspondence."""
 
-import dataclasses
-
 import pytest
 
 from chlab import homology
@@ -46,7 +44,7 @@ def test_build_complex_rejects_adjacent_gradings(monkeypatch):
     # a good generator in odd grading next to an even one is the only way a
     # nonzero differential could arise; build_complex must refuse it
     even, other = [o for o in enumerate_orbits("D:3", 1) if o.good and o.grading == 2][:2]
-    odd = dataclasses.replace(other, grading=3)
+    odd = other._replace(grading=3)
     monkeypatch.setattr(homology, "enumerate_orbits", lambda spec, N: [even, odd])
     with pytest.raises(ParityViolation, match="adjacent gradings 2 and 3"):
         build_complex("D:3", 1)
@@ -183,7 +181,7 @@ def test_direct_limit_rejects_an_orbit_lost_by_the_next_level(monkeypatch):
 def test_direct_limit_rejects_a_grading_change(monkeypatch):
     def shift(N, orbits):
         if N == 2:
-            orbits[0] = dataclasses.replace(orbits[0], grading=orbits[0].grading + 2)
+            orbits[0] = orbits[0]._replace(grading=orbits[0].grading + 2)
         return orbits
 
     _levels_with(monkeypatch, shift)

@@ -3,6 +3,7 @@ numbers, index formulas, type classification, free homotopy classes, and
 action monotonicity within a class."""
 
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from chlab.orbits import (
     covering_multiplicity,
     degree_census,
     enumerate_orbits,
+    format_ratio,
     formal_ceil,
     formal_floor,
     make_orbit,
@@ -60,6 +62,72 @@ def test_formal_floor_and_ceil():
     assert formal_ceil(FormalScalar(2, Fraction(-1, 6))) == 2
     assert formal_floor(FormalScalar(2, 0)) == 2
     assert formal_ceil(FormalScalar(2, 0)) == 2
+
+
+def test_formal_scalar_repr():
+    assert repr(FormalScalar(Fraction(1, 3), -1)) == "FormalScalar(1/3, -1)"
+
+
+def test_format_ratio():
+    # the parts of a + b*eps, reduced or not, negative ones included
+    assert format_ratio(10, 6) == "5/3"
+    assert (format_ratio(12, 6), format_ratio(1, 6), format_ratio(-1, 6)) == ("2", "1/6", "-1/6")
+    assert (format_ratio(1, 3), format_ratio(3, 3), format_ratio(-3, 3)) == ("1/3", "1", "-1")
+    assert (format_ratio(6, 2), format_ratio(8, 2)) == ("3", "4")
+    assert (format_ratio(-35, 20), format_ratio(-8, 20)) == ("-7/4", "-2/5")
+    assert (format_ratio(-6, 2), format_ratio(0, 2)) == ("-3", "0")
+    # json's action_a/action_b must read as str(Fraction) does
+    for p in range(-13, 14):
+        for q in range(1, 13):
+            assert format_ratio(p, q) == str(Fraction(p, q))
+
+
+# ---------------------------------------------------------------------------
+# the orbit record
+# ---------------------------------------------------------------------------
+
+
+def test_orbit_record_is_an_immutable_value():
+    orbit = make_orbit("D:3", "Plus", 2)
+    with pytest.raises(AttributeError):
+        orbit.k = 3
+    twin = make_orbit("D:3", "Plus", 2)
+    assert twin is not orbit and twin == orbit and hash(twin) == hash(orbit)
+    assert len({orbit, twin, make_orbit("D:3", "Plus", 3)}) == 2
+    assert not hasattr(orbit, "__dict__")
+
+
+def _jet_text(x):
+    """Table text of a formal scalar, from its Fractions."""
+    return str(x.a) if x.b == 0 else f"{x.a} {'+' if x.b > 0 else '-'} {abs(x.b)}·eps"
+
+
+@pytest.mark.parametrize("label", ["C:7", "D:7", "T", "O", "I"])
+def test_record_action_and_rotation_are_the_fraction_jets(label):
+    bases = {b.name: b for b in base_table(label)}
+    for orbit in enumerate_orbits(label, 8):
+        base = bases[orbit.base.name]
+        a = Fraction(2 * orbit.k, base.cov)
+        action = FormalScalar(a, a * base.sign)
+        rotation = FormalScalar(a, Fraction(orbit.k, base.cov) * base.sign)
+        assert (orbit.action, orbit.rotation) == (action, rotation)
+        assert orbit.jet_texts == (_jet_text(action), _jet_text(rotation))
+    assert {orbit.base.name for orbit in enumerate_orbits(label, 8)} == set(bases)
+
+
+def test_a_retained_record_is_small():
+    # a record holds no per-instance dict and no Fraction: at most 256 bytes
+    # each, list slots and the integers past the small-int cache included
+    enumerate_orbits("D:64", 1)  # builds the group and checks its lift tables
+    orbits_module._orbit_family.cache_clear()
+    tracemalloc.start()
+    try:
+        records = enumerate_orbits("D:64", 8)
+        size, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 1085
+    assert size / len(records) <= 256
 
 
 # ---------------------------------------------------------------------------
@@ -372,12 +440,13 @@ def test_monotonicity_violation_is_assertion_error():
 
 
 def _swap_actions(first, last):
-    return (dataclasses.replace(first, action=last.action),
-            dataclasses.replace(last, action=first.action))
+    # a record's action is derived from (k, cov, sign): swap those, keep the cz
+    return (first._replace(k=last.k, cov=last.cov, sign=last.sign),
+            last._replace(k=first.k, cov=first.cov, sign=first.sign))
 
 
 def _share_cz(first, last):
-    return first, dataclasses.replace(last, cz=first.cz)
+    return first, last._replace(cz=first.cz)
 
 
 @pytest.mark.parametrize("corrupt, reason", [
