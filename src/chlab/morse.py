@@ -42,21 +42,22 @@ Every function is certified rather than assumed.  The maximum of
 |f(R x) - f(x)| over the rotations and a sphere sample must stay below
 TOL_INVARIANCE; a quasi-uniform scan must show that the critical set is
 exactly Fix(H); and every Hessian index must match the expected assignment
-(minima on minimum-type points, and so on).  Any failure raises
-SpuriousCriticalPoint.
+(minima on minimum-type points, and so on).  A failed certificate raises
+SpuriousCriticalPoint, a wrong index IndexMismatch.
 
 Flow lines and the weighted complex
 -----------------------------------
-Trajectories between consecutive-index critical points are found by
-displacing 1e-4 along the saddle's Hessian eigen-directions and integrating
-the (plus or minus) unit-speed gradient flow with an error-controlled
+Trajectories between consecutive-index critical points start from seeds
+displaced 1e-4 along the saddles' Hessian eigen-directions.  The rotations
+must permute the seeds; the seeds' H-orbits are the trajectory classes,
+which give the downstairs counts, and each class carries the integer weight
+|H_p| / |H_x| (source isotropy over trajectory stabilizer).  Since f is
+H-invariant, a rotation R maps the flow line from a seed onto the one from
+R's image of the seed.  So only one seed per class is integrated: along the
+(plus or minus) unit-speed gradient flow with an error-controlled
 Dormand-Prince 5(4) pair, every stage re-projected to the sphere, declaring
-convergence within 1e-6 of a critical point.  The H-action permutes
-trajectories, and the endpoints are certified to follow: the trajectory from
-the image of a seed under a rotation R must end at R's image of the seed's
-endpoint.  Quotient classes give the downstairs counts, and each class
-carries the integer weight |H_p| / |H_x| (source isotropy over trajectory
-stabilizer).
+convergence within 1e-6 of a critical point.  Every other trajectory of the
+class ends at the image of that endpoint under a rotation carrying the seed.
 
 Index-1 critical points with order-2 isotropy are non-orientable downstairs
 (the isotropy involution acts on the unstable direction by -1), so the
@@ -78,7 +79,7 @@ from .groups import (
     build_group,
     parse_group_spec,
 )
-from .orbits import base_table, covering_multiplicity, make_orbit
+from .orbits import _base_by_name, base_table, covering_multiplicity, make_orbit
 
 __all__ = [
     "InvariantMorseFunction",
@@ -218,7 +219,7 @@ class InvariantMorseFunction:
         self.centers_max = centers_max
         self.centers_min = centers_min
         self.sharpness = sharpness
-        self._critical_cache = None
+        self._critical_points = None  # the classification build_invariant_morse certified
         self._permutation_cache = None   # (critical points, their permutations)
 
     @property
@@ -463,11 +464,12 @@ def _fixed_distances(pts, fixed, reach):
     return np.sqrt(np.maximum(0.0, 2.0 - 2.0 * cosine))
 
 
-def _classify_critical_points(func, expected_indices):
+def _classify_critical_points(func):
     """Refine every fixed point and classify it; raises on any mismatch."""
+    expected = {entry.name: entry.morse_index for entry in base_table(func.spec)}
     out = []
     for fo in func.fixed_orbits:
-        want = expected_indices[fo.kind.name]
+        want = expected[fo.kind.name]
         starts = np.array(fo.points, dtype=float)
         refined, converged = _newton_refine(func, starts)
         frames = _tangent_frames(refined)
@@ -505,10 +507,6 @@ def _classify_critical_points(func, expected_indices):
     return tuple(out)
 
 
-def _expected_index_map(spec):
-    return {entry.name: entry.morse_index for entry in base_table(spec)}
-
-
 #: bump-sum sharpness per polyhedral image (the scan certifies each)
 _POLYHEDRAL_SHARPNESS = {"T": 4, "O": 4, "I": 6}
 
@@ -519,14 +517,15 @@ def build_invariant_morse(spec):
     Cyclic images get the axis height function, dihedral images the closed
     form of ``DihedralMorseFunction``, polyhedral images the bump sums at
     their fixed sharpness.  The invariance check, the critical-set scan and
-    the index classification must all pass; any failure raises
-    SpuriousCriticalPoint.
+    the index classification must all pass.  A failed certificate raises
+    SpuriousCriticalPoint, a Hessian index other than the expected one
+    IndexMismatch.  The classified critical points are stored on the
+    function for ``find_critical_points``.
     """
     spec = parse_group_spec(spec)
     group = build_group(spec)
     rotations = group.rotations
     fixed = group.fixed_orbits
-    expected = _expected_index_map(spec)
 
     if spec.kind == "cyclic":
         func = InvariantMorseFunction(spec, group, rotations, fixed, None, None, None)
@@ -550,24 +549,19 @@ def build_invariant_morse(spec):
     reason = _scan_critical_set(func)
     if reason is not None:
         raise SpuriousCriticalPoint(f"{spec.label}: {reason}")
-    try:
-        func._critical_cache = _classify_critical_points(func, expected)
-    except IndexMismatch as err:
-        raise SpuriousCriticalPoint(str(err)) from err
+    func._critical_points = _classify_critical_points(func)
     return func
 
 
 def find_critical_points(func):
     """All critical points of the invariant function, one per fixed point.
 
-    Points are refined by Newton iteration from the fixed-point seeds and
-    classified by the eigenvalue signs of the spherical Hessian; the result
-    is cached on the function.  Order follows the fixed-point orbits
-    (minimum kind first, then saddle, then maximum).
+    The classification ``build_invariant_morse`` certified: points refined
+    by Newton iteration from the fixed points and classified by the
+    eigenvalue signs of the spherical Hessian.  Order follows the
+    fixed-point orbits (minimum kind first, then saddle, then maximum).
     """
-    if func._critical_cache is None:
-        func._critical_cache = _classify_critical_points(func, _expected_index_map(func.spec))
-    return func._critical_cache
+    return func._critical_points
 
 
 # ---------------------------------------------------------------------------
@@ -598,14 +592,6 @@ class FlowLines:
     downstairs: int
     weights: tuple
     trajectories: tuple
-
-
-def _resolve_kind_name(spec, kind):
-    name = kind.name if isinstance(kind, OrbifoldPointKind) else str(kind)
-    for entry in base_table(spec):
-        if entry.name == name:
-            return entry
-    raise KeyError(f"{spec.label}: no orbifold point named {name!r}")
 
 
 # Dormand-Prince 5(4) tableau (J. Comput. Appl. Math. 6, 1980): the stage
@@ -731,17 +717,19 @@ def _critical_permutations(func, crits):
 def count_flow_lines(func, source, target):
     """Count gradient flow lines from `source` to `target` critical orbits.
 
-    `source` and `target` name orbifold points (strings or kinds).  When the
-    Morse index does not drop by exactly one the count is empty.  Otherwise
-    each saddle is seeded 1e-4 along its unstable (descending pairs) or
-    stable (ascending pairs) eigen-directions; trajectories are integrated
-    to convergence, their endpoints certified to be permuted with the seeds
-    by every rotation, and then grouped into H-orbit classes with their
-    isotropy weights.
+    `source` and `target` name orbifold points.  When the Morse index does
+    not drop by exactly one the count is empty.  Otherwise each saddle is
+    seeded 1e-4 along its unstable (descending pairs) or stable (ascending
+    pairs) eigen-directions, and the rotations must permute the seeds.  The
+    seeds' H-orbits are the trajectory classes.  Only each class's smallest
+    seed is integrated to convergence; the flow line from any other seed of
+    the class is the image of that one under a rotation carrying its seed
+    there, so it ends at the rotation's image of the representative's
+    endpoint.  Each class carries its isotropy weight.
     """
     spec = func.spec
-    src = _resolve_kind_name(spec, source)
-    tgt = _resolve_kind_name(spec, target)
+    src = _base_by_name(spec, source)
+    tgt = _base_by_name(spec, target)
     if src.morse_index - tgt.morse_index != 1:
         return FlowLines(src.name, tgt.name, 0, 0, (), ())
 
@@ -761,12 +749,8 @@ def count_flow_lines(func, source, target):
     origins = np.array([crits[ci].point for ci in seed_crit])
     seeds = _normalize(origins + SEED_DISPLACEMENT * dirs)
 
-    sign = -1.0 if descending else +1.0
-    endpoints = _integrate_batch(func, seeds, sign, target_points)
-
-    # quotient the trajectory set by the H-action: R maps the trajectory
-    # seeded at (saddle, w) to the one seeded at (R.saddle, R.w), one of the
-    # two seeds at R.saddle
+    # the H-action on the seeds: R maps the seed at (saddle, w) to the one at
+    # (R.saddle, R.w), one of the two seeds at R.saddle
     # both flow counts of one complex permute the same critical points
     if func._permutation_cache is None or func._permutation_cache[0] is not crits:
         func._permutation_cache = (crits, _critical_permutations(func, crits))
@@ -781,28 +765,23 @@ def count_flow_lines(func, source, target):
         raise NonConvergentTrajectory(
             f"{spec.label}: rotation did not permute the trajectory seeds")
     image_seed = np.where(hits[0], first, first + 1)
-    # R maps the trajectory from a seed to the one from its image seed, so
-    # that one must end at R's image of the first one's endpoint
-    end_crit = far_crit[endpoints]
-    if not np.array_equal(end_crit[image_seed], perms[:, end_crit]):
-        raise NonConvergentTrajectory(
-            f"{spec.label}: rotation did not permute the trajectory endpoints")
     # the rotations form a group, so the images of a seed are its orbit;
-    # label each orbit by its smallest seed
-    orbit_min = image_seed.min(axis=0)
-    _, class_of, class_sizes = np.unique(orbit_min, return_inverse=True, return_counts=True)
+    # label each orbit by its smallest seed, the one that is integrated
+    reps, class_of, class_sizes = np.unique(
+        image_seed.min(axis=0), return_inverse=True, return_counts=True)
+    sign = -1.0 if descending else +1.0
+    rep_end = far_crit[_integrate_batch(func, seeds[reps], sign, target_points)]
+    # H-invariance: a rotation R carrying a class's representative seed to
+    # another seed carries the flow line too, so that one ends at R's image
+    # of the representative's endpoint
+    carrier = np.argmax(image_seed[:, reps[class_of]] == np.arange(len(seeds)), axis=0)
+    end_crit = perms[carrier, rep_end[class_of]]
 
+    # a class is an orbit of the rotation group, so its trajectory
+    # stabilizer has order |H| / size; it fixes the source, so that order
+    # divides the source isotropy
     order = len(func.rotations)
-    weights = []
-    for size in class_sizes:
-        # a class is an orbit of the rotation group, so by orbit-stabilizer
-        # its size divides the order
-        stabilizer = order // int(size)
-        if src.isotropy % stabilizer != 0:
-            raise AssertionError(
-                f"{spec.label}: trajectory stabilizer {stabilizer} does not divide "
-                f"the source isotropy {src.isotropy}")
-        weights.append(src.isotropy // stabilizer)
+    weights = tuple(src.isotropy // (order // int(size)) for size in class_sizes)
 
     trajectories = []
     for ti, ci in enumerate(seed_crit):
@@ -816,7 +795,7 @@ def count_flow_lines(func, source, target):
         target=tgt.name,
         upstairs=len(seeds),
         downstairs=len(class_sizes),
-        weights=tuple(weights),
+        weights=weights,
         trajectories=tuple(trajectories),
     )
 

@@ -453,23 +453,73 @@ def test_verify_morse_unpermuted_trajectory_seeds_is_numeric_abort(capsys, monke
     assert err == ""
 
 
-def test_verify_morse_unpermuted_trajectory_endpoints_is_numeric_abort(capsys, monkeypatch):
-    # swapping the endpoints of one saddle's two seeds breaks the symmetry:
-    # the rotated seeds of the other saddles still end where they did
-    real = morse._integrate_batch
+def _unconverged_refinement(monkeypatch):
+    real = morse._newton_refine
 
-    def swapped(*args):
-        endpoints = real(*args)
-        assert endpoints[0] != endpoints[1]
-        endpoints[[0, 1]] = endpoints[[1, 0]]
-        return endpoints
+    def refine(func, starts, iters=60):
+        points, _ = real(func, starts, iters)
+        return points, np.zeros(len(points), dtype=bool)
 
-    monkeypatch.setattr(morse, "_integrate_batch", swapped)
+    monkeypatch.setattr(morse, "_newton_refine", refine)
+
+
+def _refinement_off_fix(monkeypatch):
+    # every refined point moves 1e-5 along the sphere: within the scan's
+    # candidate threshold, past the classification's TOL_CRITICAL_MATCH
+    real = morse._newton_refine
+
+    def refine(func, starts, iters=60):
+        points, converged = real(func, starts, iters)
+        u, _ = morse._tangent_frames(points)
+        return morse._normalize(points + 1e-5 * u), converged
+
+    monkeypatch.setattr(morse, "_newton_refine", refine)
+
+
+def _hessian_eigenvalues(change):
+    """A fault that applies `change` to every eigenvalue array of ``eigh``,
+    which only the classification of the critical points calls."""
+    def inject(monkeypatch):
+        real = np.linalg.eigh
+
+        def eigh(a):
+            values, vectors = real(a)
+            return change(values), vectors
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+    return inject
+
+
+@pytest.mark.parametrize("inject, reason", [
+    (_unconverged_refinement, "refinement from ("),
+    (_refinement_off_fix, "critical point drifted 1.000e-05 "),
+    (_hessian_eigenvalues(lambda values: 1e-9 * values), "degenerate Hessian ("),
+], ids=["unconverged", "drift", "degenerate"])
+def test_verify_morse_classification_miss_is_numeric_abort(capsys, monkeypatch, inject, reason):
+    # the first fixed orbit classified is D:3's Minus
+    inject(monkeypatch)
     code, out, err = run_cli(capsys, "verify", "morse", "-g", "D:3")
     assert code == 3
-    aborts = [line for line in out.splitlines() if line.startswith("morse: ABORT (")]
-    assert aborts == ["morse: ABORT (D:3: rotation did not permute the trajectory endpoints)"]
-    assert "verify morse: NUMERIC ABORT" in out
+    lines = out.splitlines()
+    assert len(lines) == 2 and lines[0].startswith(f"morse: ABORT (D:3/Minus: {reason}"), out
+    assert lines[1] == "verify morse: NUMERIC ABORT (seed 2026)"
+    assert err == ""
+
+
+def test_verify_seifert_wrong_cz_is_a_violation(capsys, monkeypatch):
+    real = morse.make_orbit
+
+    def shifted(spec, base, k):
+        orbit = real(spec, base, k)
+        return orbit._replace(cz=orbit.cz + 1) if base == "Plus" else orbit
+
+    monkeypatch.setattr(morse, "make_orbit", shifted)
+    code, out, err = run_cli(capsys, "verify", "seifert", "-g", "D:3")
+    assert code == 1
+    assert out.splitlines() == [
+        "seifert: FAIL (D:3: 4 pair(s) violate the index correspondence, first "
+        "{'pair': ('Minus', 'Plus'), 'morse_gap': -2, 'cz_gap': -3, 'cz': (3, 6), 'ok': False})",
+        "verify seifert: VIOLATION (seed 2026)"]
     assert err == ""
 
 
@@ -506,7 +556,9 @@ def _orientable_saddle(monkeypatch):
     (("spectral-flow",), _spectral_flow_off_by_one, "canonical: flow 2 (K=32) / 2 (K=64)"),
     (("sign-lemma",), _return_map_form_doubled, "canonical: [{"),
     (("morse", "-g", "D:3"), _orientable_saddle, "D:3: homology ranks (1, 1, 1)"),
-], ids=["cz-engine", "spectral-flow", "sign-lemma", "morse"])
+    (("morse", "-g", "D:3"), _hessian_eigenvalues(np.negative),
+     "D:3/Minus: Hessian index 2, expected 0 (eigenvalues ("),
+], ids=["cz-engine", "spectral-flow", "sign-lemma", "morse", "morse-index"])
 def test_battery_fault_is_a_violation(capsys, monkeypatch, argv, inject, reason):
     # each battery's own check fires on an injected fault: exit 1, one FAIL line
     inject(monkeypatch)
@@ -824,6 +876,18 @@ def test_verify_all_matches_golden_output(name, argv):
                           capture_output=True, text=True, env=_child_env())
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == (GOLDEN / name).read_text()
+
+
+#: the markdown stdout of the two Morse-layer batteries on the default
+#: battery, whose detail lines (which ``verify all`` omits) carry each
+#: group's flow counts and weights; regenerated from the repository root by
+#:     PYTHONPATH=src python -m chlab.cli verify morse > tests/golden/verify_morse.md
+#:     PYTHONPATH=src python -m chlab.cli verify seifert > tests/golden/verify_seifert.md
+@pytest.mark.parametrize("which", ["morse", "seifert"])
+def test_verify_morse_layer_matches_golden_output(capsys, which):
+    code, out, err = run_cli(capsys, "verify", which)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"verify_{which}.md").read_text()
 
 
 #: prints OpenBLAS's thread count after importing chlab.cli first, as the

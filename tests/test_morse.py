@@ -329,6 +329,27 @@ def test_trajectories_cover_every_seed():
                 assert 0 <= traj.orbit_class < flows.downstairs
 
 
+@pytest.mark.parametrize("label", ["T", "I", "D:64"])
+def test_one_seed_per_trajectory_class_is_integrated(monkeypatch, label):
+    rows = []
+    integrate = morse._integrate_batch
+
+    def spy(func, seeds, sign, target_points):
+        rows.append(len(seeds))
+        return integrate(func, seeds, sign, target_points)
+
+    monkeypatch.setattr(morse, "_integrate_batch", spy)
+    flows = orbifold_complex(label).flow_counts.values()
+    assert rows == [flow.downstairs for flow in flows]
+    assert all(flow.upstairs > flow.downstairs for flow in flows)
+
+
+def test_unknown_orbifold_point_name_is_a_key_error():
+    func = build_invariant_morse("D:3")
+    with pytest.raises(KeyError, match="no base named 'Face' for D:3"):
+        count_flow_lines(func, "Face", "Saddle")
+
+
 def test_step_budget_exhaustion_is_nonconvergent(monkeypatch):
     func = build_invariant_morse("D:3")
     monkeypatch.setattr(morse, "STEP_LIMIT", 1)
