@@ -295,6 +295,26 @@ def test_verify_sign_lemma_no_crossing_is_numeric_abort(capsys, monkeypatch, fmt
     assert err == ""  # no traceback
 
 
+def test_verify_spectral_flow_lost_crossing_is_numeric_abort(capsys, monkeypatch):
+    # the first crossing of every family goes missing, so the directions of
+    # the canonical family's one crossing no longer sum to its flow
+    real = czengine._locate_crossings
+
+    def drop_first(family, order):
+        crossings, flow = real(family, order)
+        return crossings[1:], flow
+
+    monkeypatch.setattr(czengine, "_locate_crossings", drop_first)
+    code, out, err = run_cli(capsys, "verify", "spectral-flow")
+    assert code == 3
+    aborts = [line for line in out.splitlines() if "ABORT" in line]
+    assert aborts == [
+        "spectral-flow: ABORT (crossing directions do not telescope to the flow)",
+        "verify spectral-flow: NUMERIC ABORT (seed 2026)",
+    ]
+    assert err == ""  # no traceback
+
+
 def _library_errors(base):
     """Every subclass of ``base`` defined in a chlab module, by name."""
     found = set()

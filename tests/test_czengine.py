@@ -239,6 +239,29 @@ def test_generator_path_needs_its_evaluator():
         SymmetricPath(values)
 
 
+def test_generator_samples_are_validated():
+    zero = lambda t: np.zeros((2, 2))
+    with pytest.raises(ValueError, match=r"must be an \(m, d, d\) array"):
+        SymmetricPath(np.zeros((512, 2, 3)), zero)
+    with pytest.raises(ValueError, match="needs >= 512 samples, got 256"):
+        SymmetricPath(np.zeros((256, 2, 2)), zero)
+    with pytest.raises(ValueError, match="dimension must be even"):
+        SymmetricPath.from_callable(lambda t: np.eye(3))
+
+
+def test_symplectic_path_is_validated():
+    generator = SymmetricPath.from_callable(lambda t: np.zeros((2, 2)), samples=512)
+    identity = np.broadcast_to(np.eye(2), (512, 2, 2))
+    with pytest.raises(ValueError, match="must match the generator grid"):
+        czengine.SymplecticPath(identity[:511], generator)
+    with pytest.raises(ValueError, match="must match the generator grid"):
+        czengine.SymplecticPath(np.broadcast_to(np.eye(4), (512, 4, 4)), generator)
+    shifted = identity.copy()
+    shifted[0, 0, 1] = 1e-9
+    with pytest.raises(ValueError, match="must start at the identity"):
+        czengine.SymplecticPath(shifted, generator)
+
+
 # ---------------------------------------------------------------------------
 # crossing-form index
 # ---------------------------------------------------------------------------
@@ -285,6 +308,17 @@ def test_crossing_inside_endpoint_gap_raises():
         crossing_records(_ramp_path(1e7))
 
 
+def test_crossing_inside_endpoint_gap_at_t1_raises():
+    # a local model at k is the one at 1 taken at k tau: the saddle model at
+    # k = 1/2 crosses at tau = 0.9950257, so at k = 0.497513 it crosses
+    # 3.2e-7 before t = 1, while |det(Phi(1) - Id)| = 1.3e-7 clears
+    # TOL_ENDPOINT
+    path = local_model_path(0.0, np.diag([1.0, -1.0]), eps=1e-2, k=Fraction("0.497513"))
+    assert path.endpoint_nondegenerate
+    with pytest.raises(czengine.IrregularCrossing, match="sits within 1e-06 of an endpoint"):
+        crossing_records(path)
+
+
 def test_near_resonant_saddle_pair_in_one_cell_matches_fine_grid():
     # a saddle model at k = 5/2 crosses twice, 2e-4 apart, near tau = 0.2:
     # inside one cell of its default grid, while a grid of 12k/eps nodes
@@ -304,36 +338,18 @@ def test_near_resonant_saddle_pair_in_one_cell_matches_fine_grid():
         assert abs(g.time - r.time) < czengine.TOL_BISECTION
 
 
-def _det_minus_id(path, t):
-    """det(Phi(t) - Id) by LU, independent of the engine's own evaluation."""
-    return float(np.linalg.det(path.at(t) - np.eye(2 * path.n)))
-
-
-def _bisect_sign_change(path, a, b, fa, fb):
+def _bisect_root(f, a, b, fa, fb):
+    # every bracket is a sign change of f: of g for a crossing, of g' for the
+    # extremum of g in a same-sign cell
     while b - a > czengine.TOL_BISECTION:
         m = 0.5 * (a + b)
-        fm = _det_minus_id(path, m)
+        fm = f(m)
         if fm == 0.0:
             return m
         if (fa < 0) != (fm < 0):
             b, fb = m, fm
         else:
             a, fa = m, fm
-    return 0.5 * (a + b)
-
-
-def _ternary_extremum(path, a, b, fa, fb):
-    # the extremum of g in a cell is the minimum of sign(g(a)) g, which stays
-    # unimodal when g dips through zero and back
-    sign = math.copysign(1.0, _det_minus_id(path, a))
-    f = lambda t: sign * _det_minus_id(path, t)
-    while b - a > czengine.TOL_BISECTION:
-        m1 = a + (b - a) / 3.0
-        m2 = b - (b - a) / 3.0
-        if f(m1) <= f(m2):
-            b = m2
-        else:
-            a = m1
     return 0.5 * (a + b)
 
 
@@ -350,10 +366,9 @@ def crossing_paths():
     return paths
 
 
-def test_refined_crossings_match_bisection_and_ternary_reference(crossing_paths, monkeypatch):
+def test_refined_crossings_match_bisection_reference(crossing_paths, monkeypatch):
     refined = {name: crossing_records(p) for name, p in crossing_paths.items()}
-    monkeypatch.setattr(czengine, "_refine_sign_change", _bisect_sign_change)
-    monkeypatch.setattr(czengine, "_refine_extremum", _ternary_extremum)
+    monkeypatch.setattr(czengine, "_bracketed_root", _bisect_root)
     total = 0
     for name, path in crossing_paths.items():
         reference = crossing_records(path)
@@ -365,9 +380,10 @@ def test_refined_crossings_match_bisection_and_ternary_reference(crossing_paths,
     assert refined["sum"] and total > 300
 
 
-def test_touch_refinement_makes_few_determinant_evaluations(crossing_paths, monkeypatch):
-    # an evaluation is one det(Phi(t) - Id), with or without its slope; the
-    # ternary search alone would make about 80 per extremum
+def test_refinement_makes_few_determinant_evaluations(crossing_paths, monkeypatch):
+    # an evaluation is one det(Phi(t) - Id), with or without its slope, and
+    # the cap holds for sign changes and extrema alike; a ternary search
+    # alone would make about 80 per extremum
     counts = []
     calls = 0
 
@@ -378,15 +394,15 @@ def test_touch_refinement_makes_few_determinant_evaluations(crossing_paths, monk
             return evaluate(path, t)
         return wrapper
 
-    def counted_extremum(path, a, b, fa, fb, refine=czengine._refine_extremum):
+    def counted_root(f, a, b, fa, fb, refine=czengine._bracketed_root):
         start = calls
-        t = refine(path, a, b, fa, fb)
+        t = refine(f, a, b, fa, fb)
         counts.append(calls - start)
         return t
 
     for name in ("_det_and_slope", "_det_minus_id"):
         monkeypatch.setattr(czengine, name, counted(getattr(czengine, name)))
-    monkeypatch.setattr(czengine, "_refine_extremum", counted_extremum)
+    monkeypatch.setattr(czengine, "_bracketed_root", counted_root)
     for path in crossing_paths.values():
         crossing_records(path)
     assert len(counts) > 200
@@ -394,7 +410,7 @@ def test_touch_refinement_makes_few_determinant_evaluations(crossing_paths, monk
 
 
 @pytest.mark.parametrize("fa", [-0.011034543650966365, -0.011034543650966363])
-def test_extremum_nudge_stays_inside_the_bracket(fa, monkeypatch):
+def test_extremum_nudge_stays_inside_the_bracket(fa):
     # a cell of the C:5 NorthPole^4 model whose regula falsi point lands
     # within TOL_BISECTION / 2 of the previous one at the bracket's end; one
     # ulp of the node slope decides whether the nudge points out of the
@@ -408,15 +424,14 @@ def test_extremum_nudge_stays_inside_the_bracket(fa, monkeypatch):
     _g, slope = czengine._det_and_slope_values(path.values, path.generator.values)
     calls = 0
 
-    def counted(path, t, evaluate=czengine._det_and_slope):
+    def counted_slope(t):
         nonlocal calls
         calls += 1
-        return evaluate(path, t)
+        return czengine._det_and_slope(path, t)[1]
 
-    monkeypatch.setattr(czengine, "_det_and_slope", counted)
-    t = czengine._refine_extremum(path, a, b, fa, slope[i + 1])
+    t = czengine._bracketed_root(counted_slope, a, b, fa, slope[i + 1])
     assert calls <= 5
-    reference = czengine._refine_extremum(path, a, b, slope[i], slope[i + 1])
+    reference = czengine._bracketed_root(counted_slope, a, b, slope[i], slope[i + 1])
     assert abs(t - reference) < czengine.TOL_BISECTION
     assert a < t < b
 
@@ -700,6 +715,21 @@ def test_rotation_index_negative_hyperbolic_half_turn():
     assert np.all(eigs.real < 0) and np.max(np.abs(eigs.imag)) < 1e-8
 
 
+def test_rotation_index_rejects_a_wrong_hyperbolic_eigenvector(monkeypatch):
+    # an eigenvector of the endpoint turned by 1e-3 rad is not mapped onto
+    # its own line, so its image winds by no multiple of pi
+    path = _constant_path(np.diag([1.0, -1.0]))
+    real = np.linalg.eig
+
+    def turned_eig(a):
+        values, vectors = real(a)
+        return values, _rot2(1e-3) @ vectors
+
+    monkeypatch.setattr(np.linalg, "eig", turned_eig)
+    with pytest.raises(czengine.UnwrapFailure, match="is not a half-integer"):
+        rotation_cz_sp2(path)
+
+
 def test_rotation_index_agrees_with_crossing_form_on_random_paths():
     rng = np.random.default_rng(42)
     checked = 0
@@ -738,6 +768,12 @@ def test_maslov_loop_of_fiber_reparameterization():
 def test_maslov_loop_rejects_open_paths():
     with pytest.raises(ValueError):
         maslov_loop(_constant_path(np.eye(2)))
+
+
+def test_maslov_loop_rejects_an_unresolved_grid():
+    # 300 turns on 1,024 nodes step 600 pi / 1023 = 1.843 rad per cell
+    with pytest.raises(czengine.UnwrapFailure, match="angle step 1.843 exceeds pi/2"):
+        maslov_loop(czengine._rotation_loop(300))
 
 
 @pytest.mark.parametrize("n, c", [(1, 0.25), (2, 0.5), (3, 0.5)])
@@ -820,6 +856,12 @@ def test_local_model_rejects_bad_arguments():
         local_model_path(0.0, np.zeros((2, 2)), eps=1e-3, k=1)
     with pytest.raises(ValueError):
         local_model_path(0.0, np.diag([1.0, -1.0]), eps=0.0, k=1)
+    with pytest.raises(ValueError, match="symmetric 2x2"):
+        local_model_path(0.0, [[1.0, 0.5], [0.0, -1.0]])
+    with pytest.raises(ValueError, match="symmetric 2x2"):
+        local_model_path(0.0, np.eye(3))
+    with pytest.raises(ValueError, match="1 \\+ eps\\*f must be positive"):
+        local_model_path(-200.0, np.eye(2), eps=1e-2)
 
 
 # ---------------------------------------------------------------------------
@@ -833,6 +875,11 @@ def test_path_product_multiplies_values():
     prod = path_product(p, q)
     for t in (0.4, 1.0):
         assert np.allclose(prod.at(t), p.at(t) @ q.at(t), atol=1e-8)
+
+
+def test_path_product_needs_one_dimension():
+    with pytest.raises(ValueError, match="paths must share a dimension"):
+        path_product(_constant_path(np.eye(2)), _constant_path(np.eye(4)))
 
 
 def test_path_inverse_inverts_values():
@@ -1207,6 +1254,26 @@ def test_family_must_be_affine_in_s():
 
     with pytest.raises(ValueError, match="family is not affine in s"):
         AsymptoticFamily(func, n=1)
+
+
+def test_family_arguments_are_validated():
+    even = lambda s, t: np.diag([1.0, -1.0])
+    with pytest.raises(ValueError, match="order must be >= 4"):
+        AsymptoticFamily(even, n=1, fourier_order=3)
+    with pytest.raises(ValueError, match="must be 2n x 2n"):
+        AsymptoticFamily(even, n=2)
+    with pytest.raises(ValueError, match="must be symmetric"):
+        AsymptoticFamily(lambda s, t: np.array([[1.0, 1.0], [0.0, -1.0]]), n=1)
+    with pytest.raises(ValueError, match="not 1-periodic in t: defect 1.000e\\+00"):
+        AsymptoticFamily(lambda s, t: np.diag([1.0, t - 1.0]), n=1)
+
+
+def test_family_end_with_a_kernel_is_endpoint_degenerate():
+    # S(-1, .) = 0 leaves A_-1 = -J0 d/dt, whose kernel holds the constant loops
+    fam = AsymptoticFamily(lambda s, t: 0.5 * (1.0 + s) * np.diag([1.0, -1.0]), n=1,
+                           fourier_order=8)
+    with pytest.raises(czengine.EndpointDegenerate, match="s = -1 has an eigenvalue"):
+        spectral_flow(fam)
 
 
 def test_spectral_flow_samples_each_family_end_once():

@@ -8,7 +8,9 @@ Every line run in a ``src/chlab`` module is recorded through ``sys.settrace``
 ``raise`` statements and function definitions are read from its syntax tree:
 a ``raise`` is reached when its line ran, a function when its body was
 entered.  Tests that run chlab in a child interpreter are not traced, so
-what only they reach is listed as unreached.  Standard library only.
+what only they reach is listed as unreached.  A run that leaves any raise
+or function unreached ends with a nonzero exit status, 1 when the tests
+themselves passed.  Standard library only.
 """
 
 import ast
@@ -19,6 +21,7 @@ from pathlib import Path
 _executed = {}   # file name -> set of line numbers run
 _entered = {}    # file name -> set of first line numbers of the code objects called
 _package = None
+_session = None
 
 
 def _local(frame, event, arg):
@@ -34,6 +37,11 @@ def _global(frame, event, arg):
     _executed.setdefault(name, set())
     _entered.setdefault(name, set()).add(frame.f_code.co_firstlineno)
     return _local(frame, event, arg)
+
+
+def pytest_sessionstart(session):
+    global _session
+    _session = session
 
 
 def pytest_configure(config):
@@ -69,13 +77,16 @@ def pytest_terminal_summary(terminalreporter):
     write("")
     write("reach: raises and functions no traced test executes "
           "(tests in child processes are not traced)")
-    total = unreached = 0
+    total = unreached = missed_functions = 0
     for path in sorted(Path(_package).glob("*.py")):
         raises, functions, missed = _unreached(path)
         n_raise = sum(1 for _, what in missed if what == "raise")
         total, unreached = total + len(raises), unreached + n_raise
+        missed_functions += len(missed) - n_raise
         write(f"{path.stem}: {n_raise} of {len(raises)} raises, "
               f"{len(missed) - n_raise} of {len(functions)} functions unreached")
         for line, what in missed:
             write(f"    {path.name}:{line} {what}")
-    write(f"total: {unreached} of {total} raises unreached")
+    write(f"total: {unreached} of {total} raises, {missed_functions} functions unreached")
+    if (unreached or missed_functions) and _session.exitstatus == 0:
+        _session.exitstatus = 1
