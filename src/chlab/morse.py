@@ -48,16 +48,18 @@ SpuriousCriticalPoint, a wrong index IndexMismatch.
 Flow lines and the weighted complex
 -----------------------------------
 Trajectories between consecutive-index critical points start from seeds
-displaced 1e-4 along the saddles' Hessian eigen-directions.  The rotations
-must permute the seeds; the seeds' H-orbits are the trajectory classes,
-which give the downstairs counts, and each class carries the integer weight
+displaced 1e-4 along the saddles' Hessian eigen-directions, two per saddle.
+Every saddle has isotropy 2, and its half-turn swaps its two seeds, so the
+seeds form a single H-orbit: each flow count has one trajectory class, so
+its downstairs count is 1, and the class carries the integer weight
 |H_p| / |H_x| (source isotropy over trajectory stabilizer).  Since f is
 H-invariant, a rotation R maps the flow line from a seed onto the one from
-R's image of the seed.  So only one seed per class is integrated: along the
+R's image of the seed.  So only the first seed is integrated: along the
 (plus or minus) unit-speed gradient flow with an error-controlled
 Dormand-Prince 5(4) pair, every stage re-projected to the sphere, declaring
-convergence within 1e-6 of a critical point.  Every other trajectory of the
-class ends at the image of that endpoint under a rotation carrying the seed.
+convergence within 1e-6 of a critical point.  Every other trajectory ends at
+the image of that endpoint under a rotation carrying the first seed to its
+own.
 
 Index-1 critical points with order-2 isotropy are non-orientable downstairs
 (the isotropy involution acts on the unstable direction by -1), so the
@@ -125,14 +127,14 @@ SNAP_RADIUS = 5e-4
 #: largest accepted local error of one flow step (embedded 5(4) estimate), far
 #: below SNAP_RADIUS so no step can carry a trajectory into a wrong basin
 TOL_STEP = 1e-7
-#: hard cap on attempted (accepted or rejected) flow steps per batch
+#: hard cap on attempted (accepted or rejected) flow steps per trajectory
 STEP_LIMIT = 20_000
 #: initial arc-length step of the unit-speed flow; the error control adapts
 #: it per trajectory, and 1e-2 STEP_BASE floors the near-target cap
 STEP_BASE = 2e-3
 #: sphere points one block of the certification kernels (invariance check,
-#: critical-set scan, rotation permutations) evaluates at once; each block is
-#: reduced to its max, min or argmax before the next is formed
+#: critical-set scan) evaluates at once; each block is reduced to its max or
+#: min before the next is formed
 BLOCK = 8192
 
 
@@ -185,11 +187,6 @@ def _fibonacci_sphere(count):
     return pts
 
 
-def _blocks(rows, size):
-    """Consecutive slices of at most `size` rows."""
-    return (rows[lo:lo + size] for lo in range(0, len(rows), size))
-
-
 def _tangent_frames(x):
     """Orthonormal bases (u, v) of the tangent planes at unit vectors x, shape (k, 3)."""
     u = np.cross(np.eye(3)[np.argmin(np.abs(x), axis=-1)], x)
@@ -211,16 +208,14 @@ class InvariantMorseFunction:
     (tangential) gradient all accept batched inputs of shape ``(..., 3)``.
     """
 
-    def __init__(self, spec, group, rotations, fixed_orbits, centers_max, centers_min, sharpness):
+    def __init__(self, spec, rotations, fixed_orbits, centers_max, centers_min, sharpness):
         self.spec = spec
-        self.group = group
         self.rotations = rotations
         self.fixed_orbits = tuple(fixed_orbits)
         self.centers_max = centers_max
         self.centers_min = centers_min
         self.sharpness = sharpness
         self._critical_points = None  # the classification build_invariant_morse certified
-        self._permutation_cache = None   # (critical points, their permutations)
 
     @property
     def kind(self):
@@ -290,8 +285,9 @@ class InvariantMorseFunction:
         pts = _fibonacci_sphere(samples)
         base = self.value(pts)
         step = max(1, BLOCK // samples)
-        worst = [np.max(np.abs(self.value(pts @ np.swapaxes(block, -1, -2)) - base))
-                 for block in _blocks(self.rotations, step)]
+        worst = [np.max(np.abs(self.value(pts @ np.swapaxes(self.rotations[lo:lo + step], -1, -2))
+                               - base))
+                 for lo in range(0, len(self.rotations), step)]
         return float(np.max(worst))
 
 
@@ -528,7 +524,7 @@ def build_invariant_morse(spec):
     fixed = group.fixed_orbits
 
     if spec.kind == "cyclic":
-        func = InvariantMorseFunction(spec, group, rotations, fixed, None, None, None)
+        func = InvariantMorseFunction(spec, rotations, fixed, None, None, None)
     else:
         by_name = {fo.kind.name: fo for fo in fixed}
         max_name = next(e.name for e in base_table(spec) if e.morse_index == 2)
@@ -536,11 +532,10 @@ def build_invariant_morse(spec):
         centers_max = np.array(by_name[max_name].points, dtype=float)
         centers_min = np.array(by_name[min_name].points, dtype=float)
         if spec.kind == "binary_dihedral":
-            func = DihedralMorseFunction(
-                spec, group, rotations, fixed, centers_max, centers_min, None)
+            func = DihedralMorseFunction(spec, rotations, fixed, centers_max, centers_min, None)
         else:
-            func = InvariantMorseFunction(spec, group, rotations, fixed, centers_max,
-                                          centers_min, _POLYHEDRAL_SHARPNESS[spec.label])
+            func = InvariantMorseFunction(spec, rotations, fixed, centers_max, centers_min,
+                                          _POLYHEDRAL_SHARPNESS[spec.label])
 
     residual = func.invariance_residual()
     if not (residual <= TOL_INVARIANCE):  # a NaN residual fails
@@ -574,7 +569,6 @@ class Trajectory:
 
     start: tuple
     end: tuple
-    orbit_class: int
 
 
 @dataclass
@@ -582,8 +576,8 @@ class FlowLines:
     """Unsigned flow-line count between two critical orbits.
 
     ``upstairs`` counts trajectories on the sphere; ``downstairs`` counts
-    their H-orbit classes; ``weights[c]`` is |H_p| / |H_x| for class c
-    (source isotropy over trajectory stabilizer).
+    their H-orbit classes, one for every nonempty count; ``weights[c]`` is
+    |H_p| / |H_x| for class c (source isotropy over trajectory stabilizer).
     """
 
     source: str
@@ -609,109 +603,59 @@ _DP_E = np.array(
     (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40))
 
 
-def _integrate_batch(func, seeds, sign, target_points):
-    """Follow every seed along the unit gradient flow until it reaches a target.
+def _integrate(func, seed, sign, targets):
+    """Follow `seed` along the unit gradient flow until it reaches a target.
 
-    The normalized field sign*grad/|grad| traces the same flow lines at unit
-    speed, so progress never stalls where the gradient is weak.  Each row
-    takes Dormand-Prince 5(4) steps on the sphere (every stage re-projected,
-    the last stage reused as the next step's first) with its own step size:
-    a step is accepted when its embedded error estimate is at most TOL_STEP,
-    and it never exceeds a quarter of the remaining distance to the nearest
-    target (floored at 1e-2 STEP_BASE), so a trajectory cannot hop over its
-    destination.  Once a seed comes within SNAP_RADIUS of a target it stops
-    there; after the march every stopped row is finished by one batch of
-    Newton iterations (the linear basin), each of which must land within
-    TOL_CONVERGENCE of its target.  Returns the endpoint indices.  Raises
-    NonConvergentTrajectory when STEP_LIMIT attempted steps run out or a
-    snap lands elsewhere, the earliest snap first.
+    The normalized field sign*grad/|grad| traces the same flow line at unit
+    speed, so progress never stalls where the gradient is weak.  The
+    trajectory takes Dormand-Prince 5(4) steps on the sphere (every stage
+    re-projected, the last stage reused as the next step's first): a step is
+    accepted when its embedded error estimate is at most TOL_STEP, and it
+    never exceeds a quarter of the remaining distance to the nearest target
+    (floored at 1e-2 STEP_BASE), so it cannot hop over its destination.
+    Once it comes within SNAP_RADIUS of a target, Newton iteration (the
+    linear basin) finishes it, and must land within TOL_CONVERGENCE of that
+    target.  Returns the target's row index.  Raises NonConvergentTrajectory
+    when STEP_LIMIT attempted steps run out or the snap lands elsewhere.
     """
-    x = np.array(seeds, dtype=float)
-    targets = np.asarray(target_points, dtype=float)
-    endpoints = np.full(len(x), -1, dtype=int)
+    x = np.array(seed, dtype=float)
 
-    def field_at(pts):
-        g = func.gradient(pts)
-        speed = _row_norms(g, keepdims=True)
-        return sign * g / np.maximum(speed, 1e-15)
+    def field_at(p):
+        g = func.gradient(p)
+        return sign * g / max(_row_norms(g), 1e-15)
 
-    def nearest(pts):
-        dist = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * pts @ targets.T))
-        which = np.argmin(dist, axis=1)
-        return which, dist[np.arange(len(pts)), which]
+    def nearest(p):
+        dist = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * targets @ p))
+        which = int(np.argmin(dist))
+        return which, dist[which]
 
-    # the rows stopped within SNAP_RADIUS, in the order they stopped, and
-    # their targets
-    snapped, snapped_to = [], []
-
-    def check_snaps():
-        if not snapped:
-            return
-        tgt = targets[np.concatenate(snapped_to)]
-        refined, converged = _newton_refine(func, np.concatenate(snapped), iters=30)
-        missed = ~converged | (np.linalg.norm(refined - tgt, axis=-1) > TOL_CONVERGENCE)
-        if np.any(missed):
-            raise NonConvergentTrajectory(
-                f"{func.spec.label}: endpoint snap near {tuple(np.round(tgt[np.argmax(missed)], 6))} "
-                f"failed to converge")
-
-    # the rows still moving: their seed index, position, first stage, next
-    # step size and distance to the nearest target
-    idx = np.arange(len(x))
-    k_first = field_at(x)
-    h = np.full(len(x), STEP_BASE)
+    stages = np.empty((7, 3))
+    stages[0] = field_at(x)
+    h = STEP_BASE
     _, near = nearest(x)
-    steps = 0
-    while idx.size:
-        if steps >= STEP_LIMIT:
-            check_snaps()
-            stuck = [tuple(np.round(row, 6)) for row in x][:3]
-            raise NonConvergentTrajectory(
-                f"{func.spec.label}: {idx.size} trajectories unresolved after "
-                f"{STEP_LIMIT} steps (sample positions {stuck})")
-        step = np.minimum(h, np.maximum(0.25 * near, 1e-2 * STEP_BASE))
-        stages = np.empty((7, idx.size, 3))
-        stages[0] = k_first
-        flat = stages.reshape(7, -1)
+    for _ in range(STEP_LIMIT):
+        step = min(h, max(0.25 * near, 1e-2 * STEP_BASE))
         for j, row in enumerate(_DP_A, start=1):
-            moved = _normalize(x + step[:, None] * (row @ flat[:j]).reshape(-1, 3))
+            moved = _normalize(x + step * (row @ stages[:j]))
             stages[j] = field_at(moved)
         # `moved` is now the fifth-order point and stages[6] the field there
-        error = step * _row_norms((_DP_E @ flat).reshape(-1, 3))
-        h = step * np.clip(0.9 * (TOL_STEP / np.maximum(error, 1e-300)) ** 0.2, 0.2, 5.0)
-        accepted = error <= TOL_STEP
-        x[accepted] = moved[accepted]
-        k_first[accepted] = stages[6, accepted]
-        steps += 1
+        error = step * _row_norms(_DP_E @ stages)
+        h = step * np.clip(0.9 * (TOL_STEP / max(error, 1e-300)) ** 0.2, 0.2, 5.0)
+        if error <= TOL_STEP:
+            x = moved
+            stages[0] = stages[6]
         which, near = nearest(x)
-        snap = near < SNAP_RADIUS
-        if not np.any(snap):
-            continue
-        snapped.append(x[snap])
-        snapped_to.append(which[snap])
-        endpoints[idx[snap]] = which[snap]
-        keep = ~snap
-        idx, x, k_first, h, near = idx[keep], x[keep], k_first[keep], h[keep], near[keep]
-    check_snaps()
-    return endpoints
-
-
-def _critical_permutations(func, crits):
-    """The permutation each rotation R induces on the critical points, shape (m, c).
-
-    Rotations are taken a few at a time: at most BLOCK image-by-point
-    products per block, or one rotation when its c^2 products exceed BLOCK.
-    """
-    pts = np.array([c.point for c in crits])
-    perms, worst = [], []
-    for block in _blocks(func.rotations, max(1, BLOCK // len(pts) ** 2)):
-        images = pts @ np.swapaxes(block, -1, -2)
-        perm = np.argmax(images @ pts.T, axis=-1)  # the nearest critical point
-        perms.append(perm)
-        worst.append(np.max(np.linalg.norm(images - pts[perm], axis=-1)))
-    if not (float(np.max(worst)) <= TOL_CRITICAL_MATCH):  # a NaN mismatch fails
-        raise SpuriousCriticalPoint("rotation failed to permute the critical points")
-    return np.concatenate(perms)
+        if near < SNAP_RADIUS:
+            refined, converged = _newton_refine(func, x[None], iters=30)
+            if not (converged[0]
+                    and np.linalg.norm(refined[0] - targets[which]) <= TOL_CONVERGENCE):
+                raise NonConvergentTrajectory(
+                    f"{func.spec.label}: endpoint snap near "
+                    f"{tuple(np.round(targets[which], 6))} failed to converge")
+            return which
+    raise NonConvergentTrajectory(
+        f"{func.spec.label}: trajectory unresolved after {STEP_LIMIT} steps "
+        f"(position {tuple(np.round(x, 6))})")
 
 
 def count_flow_lines(func, source, target):
@@ -720,12 +664,29 @@ def count_flow_lines(func, source, target):
     `source` and `target` name orbifold points.  When the Morse index does
     not drop by exactly one the count is empty.  Otherwise each saddle is
     seeded 1e-4 along its unstable (descending pairs) or stable (ascending
-    pairs) eigen-directions, and the rotations must permute the seeds.  The
-    seeds' H-orbits are the trajectory classes.  Only each class's smallest
-    seed is integrated to convergence; the flow line from any other seed of
-    the class is the image of that one under a rotation carrying its seed
-    there, so it ends at the rotation's image of the representative's
-    endpoint.  Each class carries its isotropy weight.
+    pairs) eigen-direction w, once along +w and once along -w.
+
+    The seeds form one H-orbit.  The saddles are one orbit of fixed points.
+    Since f is H-invariant, a rotation carrying one saddle to another
+    carries its Hessian eigen-directions to the other's, up to sign.  Each
+    saddle's isotropy has order 2: a half-turn about the saddle's axis,
+    which acts on its tangent plane by -1 and so swaps its two seeds.  So
+    some rotation carries any seed to any other, and a seed's stabilizer,
+    which lies in the saddle's isotropy but misses the half-turn, is trivial.
+    A rotation R maps the flow line from a seed onto the one from R's image
+    of the seed, so one class of trajectories holds them all, and its weight
+    is the source isotropy over the stabilizer order |H| / #seeds.
+
+    The count checks what it uses rather than assuming it:
+    1. the images of the first seed's saddle and direction under the
+       rotations must hit every seed's within TOL_CRITICAL_MATCH, or
+       NonConvergentTrajectory is raised;
+    2. the first seed alone is integrated to convergence;
+    3. each other trajectory ends at the image of that endpoint under the
+       first rotation carrying the first seed to its own, and that image
+       must match a target within TOL_CRITICAL_MATCH, or
+       SpuriousCriticalPoint is raised;
+    4. the class weight is ``src.isotropy * #seeds // |H|``.
     """
     spec = func.spec
     src = _base_by_name(spec, source)
@@ -734,68 +695,53 @@ def count_flow_lines(func, source, target):
         return FlowLines(src.name, tgt.name, 0, 0, (), ())
 
     crits = find_critical_points(func)
-    saddle_kind = src if src.morse_index == 1 else tgt
-    far_kind = tgt if src.morse_index == 1 else src
     descending = src.morse_index == 1  # saddle -> minimum, following -grad
-    far_crit = np.array([ci for ci, crit in enumerate(crits) if crit.kind.name == far_kind.name])
-    target_points = np.array([crits[ci].point for ci in far_crit])
+    saddle_name, far_name = (src.name, tgt.name) if descending else (tgt.name, src.name)
+    saddles = [crit for crit in crits if crit.kind.name == saddle_name]
+    far = [crit for crit in crits if crit.kind.name == far_name]
+    targets = np.array([crit.point for crit in far])
 
     eig_slot = 0 if descending else 1  # unstable (negative) vs stable eigenvalue
-    saddles = [ci for ci, crit in enumerate(crits) if crit.kind.name == saddle_kind.name]
     # two seeds per saddle, along +w and -w, in saddle order
-    seed_crit = np.repeat(saddles, 2)
-    dirs = np.array([crits[ci].eigendirection(eig_slot) for ci in saddles])
+    dirs = np.array([crit.eigendirection(eig_slot) for crit in saddles])
     dirs = np.stack([dirs, -dirs], axis=1).reshape(-1, 3)
-    origins = np.array([crits[ci].point for ci in seed_crit])
+    origins = np.repeat([crit.point for crit in saddles], 2, axis=0)
     seeds = _normalize(origins + SEED_DISPLACEMENT * dirs)
 
-    # the H-action on the seeds: R maps the seed at (saddle, w) to the one at
-    # (R.saddle, R.w), one of the two seeds at R.saddle
-    # both flow counts of one complex permute the same critical points
-    if func._permutation_cache is None or func._permutation_cache[0] is not crits:
-        func._permutation_cache = (crits, _critical_permutations(func, crits))
-    perms = func._permutation_cache[1]
-    first_seed = np.zeros(len(crits), dtype=int)
-    first_seed[saddles] = 2 * np.arange(len(saddles))
-    first = first_seed[perms[:, seed_crit]]
-    images = dirs @ np.swapaxes(func.rotations, -1, -2)
-    hits = [np.linalg.norm(images - dirs[first + j], axis=-1) < TOL_CRITICAL_MATCH
-            for j in (0, 1)]
-    if not np.all(hits[0] | hits[1]):
+    # a seed is its saddle and its direction there; the images of the first
+    # must match both of another's
+    hits = np.ones((len(func.rotations), len(seeds)), dtype=bool)
+    for part in (origins, dirs):
+        images = func.rotations @ part[0]
+        hits &= np.linalg.norm(images[:, None, :] - part, axis=-1) < TOL_CRITICAL_MATCH
+    if not np.all(np.any(hits, axis=0)):
         raise NonConvergentTrajectory(
-            f"{spec.label}: rotation did not permute the trajectory seeds")
-    image_seed = np.where(hits[0], first, first + 1)
-    # the rotations form a group, so the images of a seed are its orbit;
-    # label each orbit by its smallest seed, the one that is integrated
-    reps, class_of, class_sizes = np.unique(
-        image_seed.min(axis=0), return_inverse=True, return_counts=True)
-    sign = -1.0 if descending else +1.0
-    rep_end = far_crit[_integrate_batch(func, seeds[reps], sign, target_points)]
-    # H-invariance: a rotation R carrying a class's representative seed to
-    # another seed carries the flow line too, so that one ends at R's image
-    # of the representative's endpoint
-    carrier = np.argmax(image_seed[:, reps[class_of]] == np.arange(len(seeds)), axis=0)
-    end_crit = perms[carrier, rep_end[class_of]]
+            f"{spec.label}: the rotations did not carry the first seed to every seed")
 
-    # a class is an orbit of the rotation group, so its trajectory
-    # stabilizer has order |H| / size; it fixes the source, so that order
-    # divides the source isotropy
-    order = len(func.rotations)
-    weights = tuple(src.isotropy // (order // int(size)) for size in class_sizes)
+    sign = -1.0 if descending else +1.0
+    first_end = targets[_integrate(func, seeds[0], sign, targets)]
+    ends = func.rotations[np.argmax(hits, axis=0)] @ first_end
+    gaps = np.linalg.norm(ends[:, None, :] - targets, axis=-1)
+    end_of = np.argmin(gaps, axis=1)
+    miss = gaps[np.arange(len(seeds)), end_of]
+    if not np.all(miss <= TOL_CRITICAL_MATCH):  # a NaN miss fails
+        raise SpuriousCriticalPoint(
+            f"{spec.label}: a rotation carried the first endpoint {miss.max():.3e} "
+            f"off the {far_name} points")
 
     trajectories = []
-    for ti, ci in enumerate(seed_crit):
-        saddle_pt = crits[ci].point
-        far_pt = crits[end_crit[ti]].point
-        start, end = (saddle_pt, far_pt) if descending else (far_pt, saddle_pt)
-        trajectories.append(Trajectory(start=start, end=end, orbit_class=int(class_of[ti])))
+    for i, e in enumerate(end_of):
+        start, end = saddles[i // 2].point, far[e].point
+        if not descending:
+            start, end = end, start
+        trajectories.append(Trajectory(start=start, end=end))
 
     return FlowLines(
         source=src.name,
         target=tgt.name,
         upstairs=len(seeds),
-        downstairs=len(class_sizes),
-        weights=weights,
+        downstairs=1,
+        weights=(src.isotropy * len(seeds) // len(func.rotations),),
         trajectories=tuple(trajectories),
     )
 

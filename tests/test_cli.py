@@ -448,13 +448,16 @@ def _patch_critical_points(monkeypatch, kind, change):
 
 
 def test_verify_morse_unpermuted_critical_points_is_numeric_abort(capsys, monkeypatch):
-    # a Minus point moved off its fixed point is no longer permuted by the rotations
+    # a Minus point moved off its fixed point is no longer permuted by the
+    # rotations: the first Saddle->Minus trajectory ends at another Minus
+    # point, and a rotation carries that endpoint 1e-5 off the moved one
     _patch_critical_points(monkeypatch, "Minus", lambda c: dataclasses.replace(
         c, point=tuple(np.asarray(c.point) + np.array([0.0, 0.0, 1e-5]))))
     code, out, err = run_cli(capsys, "verify", "morse", "-g", "D:3")
     assert code == 3
     aborts = [line for line in out.splitlines() if line.startswith("morse: ABORT (")]
-    assert len(aborts) == 1 and "failed to permute the critical points" in aborts[0]
+    assert aborts == [
+        "morse: ABORT (D:3: a rotation carried the first endpoint 1.000e-05 off the Minus points)"]
     assert "verify morse: NUMERIC ABORT" in out
     assert err == ""
 
@@ -468,7 +471,7 @@ def test_verify_morse_unpermuted_trajectory_seeds_is_numeric_abort(capsys, monke
     code, out, err = run_cli(capsys, "verify", "morse", "-g", "D:3")
     assert code == 3
     assert out.splitlines()[0] == (
-        "morse: ABORT (D:3: rotation did not permute the trajectory seeds)")
+        "morse: ABORT (D:3: the rotations did not carry the first seed to every seed)")
     assert "verify morse: NUMERIC ABORT" in out
     assert err == ""
 

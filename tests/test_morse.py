@@ -2,7 +2,10 @@
 critical-set certification, gradient flow-line counting, the weighted
 orbifold complex, and the index-gap correspondence with orbit indices."""
 
+import hashlib
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,18 +157,15 @@ def test_banded_mask_is_the_whole_lattice_mask(label):
 @pytest.mark.parametrize("label", ["C:7", "D:64", "I"])
 def test_block_size_changes_no_certificate(monkeypatch, label):
     func = build_invariant_morse(label)
-    crits = find_critical_points(func)
 
     def certify():
-        return (func.invariance_residual(), morse._critical_permutations(func, crits),
-                morse._scan_critical_set(func))
+        return func.invariance_residual(), morse._scan_critical_set(func)
 
     blocked = certify()
     monkeypatch.setattr(morse, "BLOCK", 10 ** 9)  # every kernel in one block
     whole = certify()
     assert blocked[0] == whole[0]
-    assert np.array_equal(blocked[1], whole[1])
-    assert blocked[2] is whole[2] is None
+    assert blocked[1] is whole[1] is None
 
 
 def _flattened_near(func, point, radius=0.05):
@@ -233,11 +233,14 @@ def test_nan_fails_the_certificate(monkeypatch, label, inject, reason):
 
 
 def test_nan_rotation_image_fails_the_permutation_certificate():
+    # each seed is the image of the first under exactly one rotation, so a
+    # NaN rotation leaves one seed unhit
     func = build_invariant_morse("T")
-    crits = find_critical_points(func)
-    func.rotations = np.full((1, 3, 3), np.nan)
-    with pytest.raises(morse.SpuriousCriticalPoint, match="failed to permute"):
-        morse._critical_permutations(func, crits)
+    func.rotations = func.rotations.copy()
+    func.rotations[5] = np.nan
+    with pytest.raises(morse.NonConvergentTrajectory,
+                       match="T: the rotations did not carry the first seed to every seed"):
+        count_flow_lines(func, "Face", "Edge")
 
 
 #: traced allocation bound of one orbifold complex; evaluated whole, the
@@ -326,22 +329,60 @@ def test_trajectories_cover_every_seed():
                 for endpoint in (traj.start, traj.end):
                     assert abs(np.linalg.norm(np.asarray(endpoint)) - 1.0) < 1e-6
                 assert (crits[traj.start].index, crits[traj.end].index) == (hi, lo)
-                assert 0 <= traj.orbit_class < flows.downstairs
+            assert flows.downstairs == 1
 
 
 @pytest.mark.parametrize("label", ["T", "I", "D:64"])
 def test_one_seed_per_trajectory_class_is_integrated(monkeypatch, label):
-    rows = []
-    integrate = morse._integrate_batch
+    seeds = []
+    integrate = morse._integrate
 
-    def spy(func, seeds, sign, target_points):
-        rows.append(len(seeds))
-        return integrate(func, seeds, sign, target_points)
+    def spy(func, seed, sign, targets):
+        seeds.append(seed)
+        return integrate(func, seed, sign, targets)
 
-    monkeypatch.setattr(morse, "_integrate_batch", spy)
+    monkeypatch.setattr(morse, "_integrate", spy)
     flows = orbifold_complex(label).flow_counts.values()
-    assert rows == [flow.downstairs for flow in flows]
-    assert all(flow.upstairs > flow.downstairs for flow in flows)
+    assert len(seeds) == len(flows) == 2   # one call per nonempty flow count
+    assert all(flow.downstairs == 1 < flow.upstairs for flow in flows)
+
+
+#: every group whose complex has flow counts: the dihedral range and the
+#: polyhedral three
+SADDLED = tuple(f"D:{n}" for n in range(2, 65)) + ("T", "O", "I")
+
+
+def _flow_digest(label):
+    """Both flow counts of `label`: source, target, upstairs, downstairs,
+    weights, each trajectory's (start, end) as critical-point indices, and
+    the SHA-256 of the trajectories' start and end coordinates."""
+    func = build_invariant_morse(label)
+    at = {cp.point: i for i, cp in enumerate(find_critical_points(func))}
+    names = {e.morse_index: e.name for e in base_table(func.spec)}
+    digest = []
+    for hi, lo in ((2, 1), (1, 0)):
+        flow = count_flow_lines(func, names[hi], names[lo])
+        ends = np.array([traj.start + traj.end for traj in flow.trajectories])
+        digest.append([flow.source, flow.target, flow.upstairs, flow.downstairs,
+                       list(flow.weights), [[at[t.start], at[t.end]] for t in flow.trajectories],
+                       hashlib.sha256(ends.tobytes()).hexdigest()])
+    return digest
+
+
+#: ``_flow_digest`` of every group in SADDLED, one group per line, recorded
+#: while each flow count still integrated a batch of class representatives;
+#: regenerated from the repository root by
+#:     PYTHONPATH=src:tests python -c "import json, test_morse as t; print('{\n' + ',\n'.join(
+#:         f'{json.dumps(g)}: {json.dumps(t._flow_digest(g))}' for g in t.SADDLED) + '\n}')" \
+#:         > tests/data/flow_digests.json
+FLOW_DIGESTS = Path(__file__).parent / "data" / "flow_digests.json"
+
+
+def test_every_flow_matches_its_recorded_digest():
+    recorded = json.loads(FLOW_DIGESTS.read_text())
+    assert list(recorded) == list(SADDLED)
+    for label in SADDLED:
+        assert _flow_digest(label) == recorded[label], label
 
 
 def test_unknown_orbifold_point_name_is_a_key_error():
@@ -357,43 +398,18 @@ def test_step_budget_exhaustion_is_nonconvergent(monkeypatch):
         count_flow_lines(func, "Saddle", "Minus")
 
 
-def test_snaps_are_refined_in_one_batch_and_a_miss_names_the_earliest(monkeypatch):
+def test_a_snap_miss_names_its_target(monkeypatch):
     func = build_invariant_morse("D:3")
     crits = find_critical_points(func)
     saddle = next(c for c in crits if c.index == 1)
     targets = np.array([c.point for c in crits if c.index == 0])
-    w = saddle.eigendirection(0)
-    seeds = morse._normalize(np.array(saddle.point) + morse.SEED_DISPLACEMENT * np.stack([w, -w]))
-    assert np.all(morse._integrate_batch(func, seeds, -1.0, targets) >= 0)
-
-    batches = []
-    refine = morse._newton_refine
-
-    def spy(f, starts, iters=60):
-        batches.append(np.array(starts))
-        return refine(f, starts, iters)
-
-    monkeypatch.setattr(morse, "_newton_refine", spy)
+    seed = morse._normalize(np.array(saddle.point)
+                            + morse.SEED_DISPLACEMENT * saddle.eigendirection(0))
+    reached = morse._integrate(func, seed, -1.0, targets)
     monkeypatch.setattr(morse, "TOL_CONVERGENCE", -1.0)  # every snap misses
     with pytest.raises(morse.NonConvergentTrajectory, match="endpoint snap near") as err:
-        morse._integrate_batch(func, seeds, -1.0, targets)
-    (rows,) = batches   # one Newton batch, after the march, of both seeds
-    assert len(rows) == 2
-    first = targets[np.argmin(np.linalg.norm(targets - rows[0], axis=1))]
-    assert f"near {tuple(np.round(first, 6))} failed" in str(err.value)
-
-
-def test_one_complex_permutes_its_critical_points_once(monkeypatch):
-    calls = []
-    permutations = morse._critical_permutations
-
-    def spy(func, crits):
-        calls.append(len(crits))
-        return permutations(func, crits)
-
-    monkeypatch.setattr(morse, "_critical_permutations", spy)
-    orbifold_complex("D:3")
-    assert len(calls) == 1   # both flow counts read the same permutations
+        morse._integrate(func, seed, -1.0, targets)
+    assert f"near {tuple(np.round(targets[reached], 6))} failed" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
