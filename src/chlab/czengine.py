@@ -284,7 +284,11 @@ def _node_at_or_below(ts, t):
 
 
 class SymplecticPath:
-    """A path Phi : [0,1] -> Sp(2n) with Phi(0) = Id and its generator.
+    """A path Phi : [0,1] -> Sp(2n) with Phi(0) = Id: samples on its
+    generator's grid plus its evaluator ``func``, which ``at`` calls at any
+    time: a substep off the grid for a solved path (``_solved_path``), else
+    a closed form or a pointwise rule (``_pointwise``).  A path without an
+    evaluator raises ``ValueError``.
 
     Invariants checked at construction: the initial value is the identity,
     and the symplecticity residual ``Phi^T J0 Phi - J0`` stays within
@@ -296,9 +300,11 @@ class SymplecticPath:
     """
 
     __slots__ = ("values", "ts", "generator", "func", "n", "endpoint_nondegenerate",
-                 "_residual", "_substep")
+                 "_residual")
 
-    def __init__(self, values, generator, func=None):
+    def __init__(self, values, generator, func):
+        if not callable(func):
+            raise ValueError("a symplectic path needs its evaluator")
         values = np.asarray(values, dtype=float)
         if values.shape[0] != generator.samples or values.shape[1] != generator.dim:
             raise ValueError("path samples must match the generator grid")
@@ -315,7 +321,6 @@ class SymplecticPath:
         self.ts = _grid(values.shape[0])
         self.generator = generator
         self.func = func
-        self._substep = (None, None)
         self.endpoint_nondegenerate = (
             abs(float(np.linalg.det(values[-1] - _identity(2 * self.n)))) > TOL_ENDPOINT
         )
@@ -333,30 +338,8 @@ class SymplecticPath:
         return self._residual
 
     def at(self, t):
-        """Evaluate Phi(t); off-grid values come from the exact evaluator
-        when present, else from one Runge-Kutta substep off the nearest
-        lower grid node.  A grid node returns its stored sample.  The last
-        substep is kept, read-only, and returned again for the same t: the
-        evaluators of a product or an inverse read their operand twice per
-        time, once for the value and once for the generator."""
-        if self.func is not None:
-            return np.asarray(self.func(t), dtype=float)
-        last_t, last = self._substep
-        if t == last_t:
-            return last
-        i0 = _node_at_or_below(self.ts, t)
-        t0 = self.ts[i0]
-        h = float(t) - t0
-        if abs(h) < 1e-15:
-            return self.values[i0]
-        gen, j0 = self.generator, standard_j(self.n)
-        step = _rk4_increment(
-            j0 @ gen.at(t0), j0 @ gen.at(t0 + 0.5 * h), j0 @ gen.at(t0 + h), h
-        )
-        value = self.values[i0] + step @ self.values[i0]
-        value.flags.writeable = False
-        self._substep = (t, value)
-        return value
+        """Evaluate Phi(t) by the evaluator."""
+        return np.asarray(self.func(t), dtype=float)
 
     def endpoint(self):
         return self.values[-1]
@@ -484,8 +467,34 @@ def solve_paths(generators):
     if not generators:
         return []
     values = _march(generators)
-    return [SymplecticPath(np.ascontiguousarray(values[:, k]), g)
-            for k, g in enumerate(generators)]
+    return [_solved_path(values[:, k], g) for k, g in enumerate(generators)]
+
+
+def _solved_path(values, generator):
+    """The path solved from ``generator``, its node samples ``values`` (a
+    column of a march).  Its evaluator returns the stored sample at a grid
+    node, else one Runge-Kutta substep off the nearest lower node; the last
+    read is kept, read-only, and returned again for the same t, since the
+    evaluators of a product or an inverse read their operand twice per
+    time, once for the value and once for the generator."""
+    values = np.ascontiguousarray(values)
+    ts, j0 = generator.ts, standard_j(generator.dim // 2)
+
+    @functools.lru_cache(maxsize=1)
+    def substep(t):
+        i0 = _node_at_or_below(ts, t)
+        t0 = ts[i0]
+        h = float(t) - t0
+        if abs(h) < 1e-15:
+            return values[i0]
+        step = _rk4_increment(
+            j0 @ generator.at(t0), j0 @ generator.at(t0 + 0.5 * h), j0 @ generator.at(t0 + h), h
+        )
+        value = values[i0] + step @ values[i0]
+        value.flags.writeable = False
+        return value
+
+    return SymplecticPath(values, generator, func=substep)
 
 
 def _march(generators):
@@ -1018,65 +1027,55 @@ def local_model_for(orbit, eps=DEFAULT_EPSILON):
 # ---------------------------------------------------------------------------
 
 
-def _require_one_grid(p, q):
-    if p.samples != q.samples:
-        raise ValueError(
-            f"paths combined pointwise must share one grid, got {p.samples} and {q.samples} nodes"
-        )
+def _pointwise(phi_of, gen_of, *paths):
+    """The path ``t -> phi_of(P(t), Q(t), ...)`` of paths on one grid
+    (``ValueError`` otherwise), with generator ``gen_of(P(t), S_P(t),
+    S_Q(t), ...)`` symmetrized against rounding: the generator rule reads
+    the first operand's value and every operand's generator.
 
+    Each rule is one expression that takes single matrices and stacks
+    alike: it is applied once to the operands' grid stacks for the
+    samples, and once per time to their ``at`` values for the evaluators.
+    """
+    samples = [p.samples for p in paths]
+    if len(set(samples)) > 1:
+        raise ValueError("paths combined pointwise must share one grid, got "
+                         f"{' and '.join(map(str, samples))} nodes")
+    first = paths[0]
 
-def _symplectic_inverse(m, j0):
-    return -j0 @ np.swapaxes(m, -1, -2) @ j0
+    def gen(t):
+        return _symmetrized(gen_of(first.at(t), *(p.generator.at(t) for p in paths)))
 
+    def func(t):
+        return phi_of(*(p.at(t) for p in paths))
 
-def _product_generator(p_val, s_p, s_q, j0):
-    return s_p + j0 @ p_val @ j0 @ s_q @ j0 @ np.swapaxes(p_val, -1, -2) @ j0
-
-
-def _inverse_generator(p_val, s_p):
-    return -(np.swapaxes(p_val, -1, -2) @ s_p @ p_val)
+    s_vals = _symmetrized(gen_of(first.values, *(p.generator.values for p in paths)))
+    return SymplecticPath(phi_of(*(p.values for p in paths)), SymmetricPath(s_vals, func=gen),
+                          func=func)
 
 
 def path_product(p, q):
     """Pointwise product path t -> P(t) Q(t) of two paths of one dimension
-    on one grid (``ValueError`` otherwise).
-
-    The generator is ``S_P + J0 P J0 S_Q J0 P^T J0``, which is symmetric
-    for symplectic P and is symmetrized against rounding.  Both are computed
-    from the operands' grid samples at once; the per-point evaluators serve
-    off-grid times.
-    """
+    on one grid (``ValueError`` otherwise), generator
+    ``S_P + J0 P J0 S_Q J0 P^T J0``, which is symmetric for symplectic P."""
     if p.n != q.n:
         raise ValueError("paths must share a dimension")
-    _require_one_grid(p, q)
     j0 = standard_j(p.n)
-
-    def gen(t):
-        return _symmetrized(
-            _product_generator(p.at(t), p.generator.at(t), q.generator.at(t), j0)
-        )
-
-    def func(t):
-        return p.at(t) @ q.at(t)
-
-    s_vals = _product_generator(p.values, p.generator.values, q.generator.values, j0)
-    s_path = SymmetricPath(_symmetrized(s_vals), func=gen)
-    return SymplecticPath(p.values @ q.values, s_path, func=func)
+    return _pointwise(
+        lambda a, b: a @ b,
+        lambda a, s_a, s_b: s_a + j0 @ a @ j0 @ s_b @ j0 @ np.swapaxes(a, -1, -2) @ j0,
+        p, q,
+    )
 
 
 def path_inverse(p):
     """Pointwise inverse path t -> P(t)^{-1} = -J0 P^T J0, generator -P^T S P."""
     j0 = standard_j(p.n)
-
-    def gen(t):
-        return _symmetrized(_inverse_generator(p.at(t), p.generator.at(t)))
-
-    def func(t):
-        return _symplectic_inverse(p.at(t), j0)
-
-    s_vals = _symmetrized(_inverse_generator(p.values, p.generator.values))
-    s_path = SymmetricPath(s_vals, func=gen)
-    return SymplecticPath(_symplectic_inverse(p.values, j0), s_path, func=func)
+    return _pointwise(
+        lambda a: -j0 @ np.swapaxes(a, -1, -2) @ j0,
+        lambda a, s_a: -(np.swapaxes(a, -1, -2) @ s_a @ a),
+        p,
+    )
 
 
 def _interleave_indices(n1, n2):
@@ -1092,7 +1091,6 @@ def path_direct_sum(p, q):
     """Direct-sum path in Sp(2(n1+n2)) of two paths on one grid
     (``ValueError`` otherwise), with block coordinates interleaved into the
     (q..., p...) convention."""
-    _require_one_grid(p, q)
     d = 2 * (p.n + q.n)
     i1, i2 = _interleave_indices(p.n, q.n)
     block1 = (Ellipsis,) + np.ix_(i1, i1)
@@ -1104,14 +1102,7 @@ def path_direct_sum(p, q):
         m[block2] = b
         return m
 
-    def gen(t):
-        return embed(p.generator.at(t), q.generator.at(t))
-
-    def func(t):
-        return embed(p.at(t), q.at(t))
-
-    s_path = SymmetricPath(_symmetrized(embed(p.generator.values, q.generator.values)), func=gen)
-    return SymplecticPath(embed(p.values, q.values), s_path, func=func)
+    return _pointwise(embed, lambda _a, s_a, s_b: embed(s_a, s_b), p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -1432,7 +1423,7 @@ class _DrawAhead:
         generator = self[key]
         del self._data[key]
         values, column = self._marched.pop(key)
-        return SymplecticPath(np.ascontiguousarray(values[:, column]), generator)
+        return _solved_path(values[:, column], generator)
 
     def redraw(self, key):
         """Draw the datum of ``key`` again, and every later drawn one."""

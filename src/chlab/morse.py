@@ -118,6 +118,8 @@ GRADIENT_FLOOR = 1e-6
 CANDIDATE_THRESHOLD = 1e-3
 #: number of quasi-uniform scan points on the sphere
 SCAN_POINTS = 100_000
+#: number of quasi-uniform sphere points of the invariance check
+INVARIANCE_POINTS = 2048
 #: initial displacement along a Hessian eigen-direction when shooting
 SEED_DISPLACEMENT = 1e-4
 #: a trajectory converges when it comes within this distance of a critical point
@@ -217,11 +219,6 @@ class InvariantMorseFunction:
         self.sharpness = sharpness
         self._critical_points = None  # the classification build_invariant_morse certified
 
-    @property
-    def kind(self):
-        """"height" for the cyclic axis function, else "bump-sum"."""
-        return "height" if self.centers_max is None else "bump-sum"
-
     # -- evaluation ---------------------------------------------------------
 
     def value(self, x):
@@ -276,15 +273,16 @@ class InvariantMorseFunction:
 
     # -- invariance ---------------------------------------------------------
 
-    def invariance_residual(self, samples=2048):
-        """max |f(R x) - f(x)| over the rotation image and a sphere sample.
+    def invariance_residual(self):
+        """max |f(R x) - f(x)| over the rotation image and INVARIANCE_POINTS
+        sphere points.
 
         The images are formed a few rotations at a time, at most BLOCK
         points per block.
         """
-        pts = _fibonacci_sphere(samples)
+        pts = _fibonacci_sphere(INVARIANCE_POINTS)
         base = self.value(pts)
-        step = max(1, BLOCK // samples)
+        step = max(1, BLOCK // INVARIANCE_POINTS)
         worst = [np.max(np.abs(self.value(pts @ np.swapaxes(self.rotations[lo:lo + step], -1, -2))
                                - base))
                  for lo in range(0, len(self.rotations), step)]
@@ -298,8 +296,6 @@ class DihedralMorseFunction(InvariantMorseFunction):
     (the first Minus point), ``e2 = a x e1``, ``z = <x, w>`` with
     ``w = e1 + i e2``, and n is the group parameter.
     """
-
-    kind = "dihedral"
 
     @cached_property
     def _axes(self):
@@ -825,14 +821,15 @@ def seifert_index_check(spec):
     """
     spec = parse_group_spec(spec)
     entries = base_table(spec)
+    cz = {e.name: make_orbit(spec, e.name, covering_multiplicity(spec, e.name)).cz
+          for e in entries}
     rows = []
     failures = []
     for p in entries:
         for q in entries:
             if p.name == q.name:
                 continue
-            mu_p = make_orbit(spec, p.name, covering_multiplicity(spec, p.name)).cz
-            mu_q = make_orbit(spec, q.name, covering_multiplicity(spec, q.name)).cz
+            mu_p, mu_q = cz[p.name], cz[q.name]
             morse_gap = p.morse_index - q.morse_index
             cz_gap = mu_p - mu_q
             row = {

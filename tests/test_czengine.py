@@ -2,6 +2,7 @@
 numbers, loop indices, local models, path algebra, spectral flow, the
 crossing-sign relation, and building index bookkeeping."""
 
+import hashlib
 import json
 import math
 import tracemalloc
@@ -46,6 +47,12 @@ def _nondegenerate_path(rng, n, scale=1.0):
     draws its paths."""
     ((path, _mu),) = czengine._random_nondegenerate_paths(rng, n, 1, scale=scale)
     return path
+
+
+def _is_solved(path):
+    """Whether ``path`` was solved from its generator: its evaluator is the
+    Runge-Kutta substep off its grid, not a closed form or a pointwise rule."""
+    return path.func.__qualname__ == "_solved_path.<locals>.substep"
 
 
 def _rot2(angle):
@@ -97,7 +104,7 @@ def test_path_at_grid_node_returns_stored_sample(samples):
     s0, s1 = np.array([[2.0, 0.3], [0.3, -1.0]]), np.array([[1.0, 0.5], [0.5, 4.0]])
     ts = np.linspace(0.0, 1.0, samples)[:, None, None]
     path = solve_path(SymmetricPath(s0 + ts * s1, func=lambda t: s0 + t * s1))
-    assert path.func is None
+    assert _is_solved(path)
     for i, t in enumerate(path.ts):
         assert np.array_equal(path.at(t), path.values[i]), i
 
@@ -252,14 +259,17 @@ def test_generator_samples_are_validated():
 def test_symplectic_path_is_validated():
     generator = SymmetricPath.from_callable(lambda t: np.zeros((2, 2)), samples=512)
     identity = np.broadcast_to(np.eye(2), (512, 2, 2))
+    func = lambda t: np.eye(2)
+    with pytest.raises(ValueError, match="needs its evaluator"):
+        czengine.SymplecticPath(identity, generator, None)
     with pytest.raises(ValueError, match="must match the generator grid"):
-        czengine.SymplecticPath(identity[:511], generator)
+        czengine.SymplecticPath(identity[:511], generator, func)
     with pytest.raises(ValueError, match="must match the generator grid"):
-        czengine.SymplecticPath(np.broadcast_to(np.eye(4), (512, 4, 4)), generator)
+        czengine.SymplecticPath(np.broadcast_to(np.eye(4), (512, 4, 4)), generator, func)
     shifted = identity.copy()
     shifted[0, 0, 1] = 1e-9
     with pytest.raises(ValueError, match="must start at the identity"):
-        czengine.SymplecticPath(shifted, generator)
+        czengine.SymplecticPath(shifted, generator, func)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +526,7 @@ def test_sp2_path_forms_its_drift_when_read(monkeypatch):
     # a stack off Sp(2) fails the bound and the residual itself
     with pytest.raises(czengine.DriftExceeded):
         czengine.SymplecticPath(path.values * (1.0 + 1e-7 * path.ts[:, None, None]),
-                                path.generator)
+                                path.generator, path.func)
 
 
 def test_non_finite_samples_exceed_the_drift_guard():
@@ -526,7 +536,7 @@ def test_non_finite_samples_exceed_the_drift_guard():
     values = path.values.copy()
     values[500:, 0, 0] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(czengine.DriftExceeded):
-        czengine.SymplecticPath(values, path.generator)
+        czengine.SymplecticPath(values, path.generator, path.func)
 
 
 def _lapack_cofactors(m):
@@ -949,7 +959,7 @@ def operand_paths():
 def test_batched_algebra_matches_per_sample_on_shared_grid(operand_paths):
     p, q, exact = operand_paths
     assert p.samples == q.samples == exact.samples == 1024
-    assert p.func is None and exact.func is not None
+    assert _is_solved(p) and not _is_solved(exact)
     _assert_matches(path_product(p, q), _product_reference(p, q, p.ts))
     _assert_matches(path_product(p, exact), _product_reference(p, exact, p.ts))
     _assert_matches(path_product(exact, p), _product_reference(exact, p, p.ts))
@@ -1105,11 +1115,11 @@ def _reject_first_draw_of_path(instance):
 def _irregular_first_homotopy(instance):
     """A ``path_product`` that raises ``IrregularCrossing`` on the first
     homotopy product of path ``instance``: the homotopy products are the
-    ones of a solved path (no evaluator) by a perturbation (one)."""
+    ones of a solved path by a perturbation, which has a closed form."""
     real, seen = czengine.path_product, []
 
     def product(p, q):
-        if p.func is None and q.func is not None:
+        if _is_solved(p) and not _is_solved(q):
             seen.append(q)
             if len(seen) == instance + 1:
                 raise czengine.IrregularCrossing("injected irregular homotopy")
@@ -1132,6 +1142,62 @@ def test_axiom_suite_redraw_replays_the_sequential_draw(monkeypatch, name):
         with monkeypatch.context() as mp:
             mp.setattr(czengine, attribute, patched())
             assert _digest(seed, cz_axiom_suite(seed, 10)) == [seed, *digest]
+
+
+def _crossing_digest(run):
+    """The ``crossing_records`` calls that ``run()`` makes: their count, the
+    count of records they return, and the SHA-256 of every call's records
+    in call order, each record as ``(time.hex(), kernel_dimension,
+    signature)`` and a call that raises as its exception's name."""
+    real, calls = czengine.crossing_records, []
+
+    def recording(path):
+        try:
+            records = real(path)
+        except ArithmeticError as error:
+            calls.append(type(error).__name__)
+            raise
+        calls.append([[r.time.hex(), int(r.kernel_dimension), int(r.signature)]
+                      for r in records])
+        return records
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(czengine, "crossing_records", recording)
+        run()
+    records = sum(len(call) for call in calls if isinstance(call, list))
+    return [len(calls), records, hashlib.sha256(json.dumps(calls).encode()).hexdigest()]
+
+
+def _suite_crossings(seed):
+    return _crossing_digest(lambda: cz_axiom_suite(seed, 10))
+
+
+def _battery_crossings(label):
+    return _crossing_digest(lambda: [czengine.crossing_records(local_model_for(orbit))
+                                     for orbit in enumerate_orbits(label, 3)])
+
+
+#: ``_suite_crossings`` of the axiom suite at seeds 0-9 (10 paths each) and
+#: ``_battery_crossings`` of every spec of the cz-engine battery (local
+#: models below the level-3 threshold, default eps), recorded while solved
+#: paths still read off-grid values by a substep inside ``SymplecticPath.at``;
+#: regenerated from the repository root by
+#:     PYTHONPATH=src:tests python -c "import json, test_czengine as t; print(json.dumps(
+#:         {'suites': {s: t._suite_crossings(s) for s in range(10)},
+#:          'battery': {g: t._battery_crossings(g) for g in t.cli.BATTERY}}, indent=1))" \
+#:         > tests/data/crossing_digests.json
+CROSSING_DIGESTS = Path(__file__).parent / "data" / "crossing_digests.json"
+
+
+def test_every_crossing_record_matches_its_recorded_digest():
+    recorded = json.loads(CROSSING_DIGESTS.read_text())
+    suites, battery = recorded["suites"], recorded["battery"]
+    assert list(suites) == [str(seed) for seed in range(10)]
+    assert list(battery) == list(cli.BATTERY)
+    for seed, digest in suites.items():
+        assert _suite_crossings(int(seed)) == digest, seed
+    for label, digest in battery.items():
+        assert _battery_crossings(label) == digest, label
 
 
 def test_nondegenerate_paths_drawn_ahead_equal_one_at_a_time(monkeypatch):

@@ -40,13 +40,13 @@ def _index_census(label):
 
 def test_cyclic_function_is_a_height():
     func = build_invariant_morse("C:4")
-    assert func.kind == "height"
+    assert func.centers_max is None and func.value(np.eye(3)).tolist() == [1.0, 0.0, 0.0]
     assert _index_census("C:4") == {0: 1, 2: 1}
 
 
 def test_dihedral_critical_census():
     func = build_invariant_morse("D:3")
-    assert func.kind == "dihedral"
+    assert isinstance(func, morse.DihedralMorseFunction)
     assert _index_census("D:3") == {0: 3, 1: 3, 2: 2}
 
 
