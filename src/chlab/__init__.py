@@ -4,7 +4,7 @@ Library layout:
 
 - ``chlab.groups``    finite quaternion subgroups, classes, spherical geometry
 - ``chlab.orbits``    closed orbit enumeration, indices, homotopy classes
-- ``chlab.homology``  filtered complexes, ranks, direct limits
+- ``chlab.homology``  filtration levels as graded counts, direct limits
 - ``chlab.czengine``  numerical index engines (crossing form, spectral flow)
 - ``chlab.morse``     invariant Morse functions on the quotient sphere
 - ``chlab.cli``       command line interface

@@ -6,6 +6,10 @@ their conjugacy classes with stable labels, the 2-to-1 projection to
 rotations, the fiber projection S^3 -> S^2, the fixed-point orbits of the
 rotation image on S^2, and the ADE type attached to each group.
 
+An element is the row (a, b, c, d) of its components, a + bi + cj + dk, read
+as the SU(2) matrix [[alpha, -conj(beta)], [beta, conj(alpha)]] with
+alpha = a + ib and beta = c + id; no quaternion type is built.
+
 The closure matches every generator times every element it finds, by a
 lookup in an index of cells 1e-6 wide rather than a scan of every element
 found so far; those matches (the left Cayley graph) give each group's
@@ -56,61 +60,6 @@ class NonClosure(ArithmeticError):
 
 class AmbiguousLabel(ArithmeticError):
     """Conjugacy classes could not be separated into stable labels."""
-
-
-class Quaternion:
-    """Unit quaternion a + bi + cj + dk, identified with the 2x2 matrix
-    [[alpha, -conj(beta)], [beta, conj(alpha)]] where alpha = a + ib and
-    beta = c + id.  Multiplication matches the matrix product exactly.
-    """
-
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a, b, c, d):
-        self.a = float(a)
-        self.b = float(b)
-        self.c = float(c)
-        self.d = float(d)
-
-    @staticmethod
-    def identity():
-        return Quaternion(1.0, 0.0, 0.0, 0.0)
-
-    @property
-    def alpha(self):
-        return complex(self.a, self.b)
-
-    @property
-    def beta(self):
-        return complex(self.c, self.d)
-
-    def components(self):
-        return (self.a, self.b, self.c, self.d)
-
-    def norm(self):
-        return math.sqrt(self.a * self.a + self.b * self.b + self.c * self.c + self.d * self.d)
-
-    def normalized(self):
-        r = self.norm()
-        return Quaternion(self.a / r, self.b / r, self.c / r, self.d / r)
-
-    def conjugate(self):
-        return Quaternion(self.a, -self.b, -self.c, -self.d)
-
-    def __mul__(self, other):
-        return Quaternion(*_product(self.components(), other.components()))
-
-    def apply(self, z1, z2):
-        """Act on (z1, z2) in C^2 by the SU(2) matrix."""
-        return (self.alpha * z1 - self.beta.conjugate() * z2,
-                self.beta * z1 + self.alpha.conjugate() * z2)
-
-    def close_to(self, other, tol=TOL_EQ):
-        return (abs(self.a - other.a) <= tol and abs(self.b - other.b) <= tol
-                and abs(self.c - other.c) <= tol and abs(self.d - other.d) <= tol)
-
-    def __repr__(self):
-        return f"Quaternion({self.a:+.6f}, {self.b:+.6f}, {self.c:+.6f}, {self.d:+.6f})"
 
 
 @dataclass(frozen=True)
@@ -189,22 +138,23 @@ def parse_group_spec(text):
 
 
 def _generators(spec):
+    """The hard-coded generators, as component 4-tuples."""
     if spec.kind == CYCLIC:
         t = 2.0 * math.pi / spec.n
-        return [Quaternion(math.cos(t), math.sin(t), 0.0, 0.0)]
+        return [(math.cos(t), math.sin(t), 0.0, 0.0)]
     if spec.kind == BINARY_DIHEDRAL:
         t = math.pi / spec.n
-        return [Quaternion(math.cos(t), math.sin(t), 0.0, 0.0),   # A
-                Quaternion(0.0, 0.0, 1.0, 0.0)]                   # B
-    i = Quaternion(0.0, 1.0, 0.0, 0.0)
-    omega = Quaternion(0.5, 0.5, 0.5, 0.5)
+        return [(math.cos(t), math.sin(t), 0.0, 0.0),   # A
+                (0.0, 0.0, 1.0, 0.0)]                   # B
+    i = (0.0, 1.0, 0.0, 0.0)
+    omega = (0.5, 0.5, 0.5, 0.5)
     if spec.kind == BINARY_TETRAHEDRAL:
         return [i, omega]
     if spec.kind == BINARY_OCTAHEDRAL:
-        s = Quaternion(math.sqrt(0.5), math.sqrt(0.5), 0.0, 0.0)  # (1+i)/sqrt(2)
+        s = (math.sqrt(0.5), math.sqrt(0.5), 0.0, 0.0)  # (1+i)/sqrt(2)
         return [omega, s]
     phi = (1.0 + math.sqrt(5.0)) / 2.0
-    t = Quaternion(phi / 2.0, 1.0 / (2.0 * phi), 0.5, 0.0)
+    t = (phi / 2.0, 1.0 / (2.0 * phi), 0.5, 0.0)
     return [omega, t]
 
 
@@ -359,7 +309,8 @@ class FiniteSubgroup:
         return len(self.coords)
 
     def index_of(self, q):
-        idx = self._index.find(q.components())
+        """The index of the element with components q, a 4-tuple."""
+        idx = self._index.find(q)
         if idx is None:
             raise NonClosure(f"element {q!r} not in the group {self.spec}")
         return idx
@@ -420,7 +371,7 @@ def _closed_group(spec):
     breadth-first level all sit in the levels before it, so the rows are
     filled a level at a time.
     """
-    gens = [g.components() for g in _generators(spec)]
+    gens = _generators(spec)
     expected = spec.order
     index = _CellIndex([(1.0, 0.0, 0.0, 0.0)])
     rows = index.rows

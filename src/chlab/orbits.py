@@ -89,22 +89,6 @@ class FormalScalar:
         return f"FormalScalar({self.a}, {self.b})"
 
 
-def formal_floor(x):
-    """Floor of a + b*eps: for integer a the sign of b breaks the tie."""
-    if x.a.denominator != 1:
-        return math.floor(x.a)
-    n = int(x.a)
-    return n - 1 if x.b < 0 else n
-
-
-def formal_ceil(x):
-    """Ceiling of a + b*eps, the dual tie-break."""
-    if x.a.denominator != 1:
-        return math.ceil(x.a)
-    n = int(x.a)
-    return n + 1 if x.b > 0 else n
-
-
 @dataclass(frozen=True)
 class BaseData:
     """One exceptional point under the embedded orbits: the base datum.
@@ -145,7 +129,7 @@ def _base_by_name(spec, name):
     for base in base_table(spec):
         if base.name == name:
             return base
-    raise KeyError(f"no base named {name!r} for {parse_group_spec(spec).label}")
+    raise ValueError(f"no base named {name!r} for {parse_group_spec(spec).label}")
 
 
 class ReebOrbit(NamedTuple):

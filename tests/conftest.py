@@ -1,4 +1,6 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures and reference helpers shared by the test modules."""
+
+import math
 
 import pytest
 
@@ -14,3 +16,22 @@ def fresh_groups():
     clear()
     yield
     clear()
+
+
+# The floor and ceiling of a formal scalar a + b*eps, a reference for the
+# orbit records, which take them from divmod(2k, cov) instead.
+
+def formal_floor(x):
+    """Floor of a + b*eps: for integer a the sign of b breaks the tie."""
+    if x.a.denominator != 1:
+        return math.floor(x.a)
+    n = int(x.a)
+    return n - 1 if x.b < 0 else n
+
+
+def formal_ceil(x):
+    """Ceiling of a + b*eps, the dual tie-break."""
+    if x.a.denominator != 1:
+        return math.ceil(x.a)
+    n = int(x.a)
+    return n + 1 if x.b > 0 else n

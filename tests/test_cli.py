@@ -420,7 +420,7 @@ def test_group_closure_failure_is_numeric_abort(capsys, monkeypatch, fresh_group
     # an order-3 generator closes at 3 elements where C:6 has 6
     t = 2.0 * np.pi / 3
     monkeypatch.setattr(groups, "_generators",
-                        lambda spec: [groups.Quaternion(np.cos(t), np.sin(t), 0.0, 0.0)])
+                        lambda spec: [(float(np.cos(t)), float(np.sin(t)), 0.0, 0.0)])
     code, out, err = run_cli(capsys, "orbits", "-g", "C:6")
     assert code == 3
     assert out == "orbits: NUMERIC ABORT (closure of C:6 stopped at 3, expected 6)\n"

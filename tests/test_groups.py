@@ -18,7 +18,6 @@ from chlab.groups import (
     TOL_POINT,
     NonClosure,
     ParseError,
-    Quaternion,
     build_group,
     conjugacy_classes,
     dynkin_type,
@@ -35,14 +34,37 @@ BATTERY = tuple(f"C:{n}" for n in range(2, 13)) + tuple(
 ) + ("T", "O", "I")
 
 
+def _su2(q):
+    """The SU(2) matrix [[alpha, -conj(beta)], [beta, conj(alpha)]] of the
+    components q = (a, b, c, d), with alpha = a + ib and beta = c + id: a
+    reference for products, inverses and the action on C^2 that shares no
+    code with the engine's arithmetic on component rows."""
+    a, b, c, d = q
+    alpha, beta = complex(a, b), complex(c, d)
+    return np.array([[alpha, -beta.conjugate()], [beta, alpha.conjugate()]])
+
+
+def _components(m):
+    """The components (a, b, c, d) of an SU(2) matrix."""
+    return (float(m[0, 0].real), float(m[0, 0].imag), float(m[1, 0].real), float(m[1, 0].imag))
+
+
+IDENTITY = _su2((1.0, 0.0, 0.0, 0.0))
+
+
+def _close(p, q):
+    """SU(2) matrices whose components differ by at most TOL_EQ each."""
+    return max(abs(x - y) for x, y in zip(_components(p), _components(q))) <= groups.TOL_EQ
+
+
 def _elements(group):
-    """The group's elements as quaternions, in the order of its coords."""
-    return [Quaternion(*row) for row in group.coords]
+    """The group's elements as SU(2) matrices, in the order of its coords."""
+    return [_su2(row) for row in group.coords]
 
 
 def _so3(q):
-    """The rotation of one quaternion, through the engine's stacked projection."""
-    return groups._so3_stack([q.components()])[0]
+    """The rotation of one component row, through the engine's stacked projection."""
+    return groups._so3_stack([q])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -87,20 +109,20 @@ def test_group_closure_inverses_identity():
     for label in ("C:6", "D:4", "T"):
         group = build_group(label)
         elements = _elements(group)
-        ident = group.index_of(Quaternion.identity())
+        ident = group.index_of((1.0, 0.0, 0.0, 0.0))
         for q in elements:
             # inverse present
-            group.index_of(q.conjugate())
+            group.index_of(_components(q.conj().T))
         # spot-check closure on a few products
         rng = np.random.default_rng(3)
         for _ in range(25):
             i, j = rng.integers(group.order, size=2)
-            group.index_of(elements[int(i)] * elements[int(j)])
-        assert elements[ident].components() == (1.0, 0.0, 0.0, 0.0)
+            group.index_of(_components(elements[int(i)] @ elements[int(j)]))
+        assert _components(elements[ident]) == (1.0, 0.0, 0.0, 0.0)
 
 
 def test_minus_identity_membership_tracks_parity():
-    minus_one = Quaternion(-1.0, 0.0, 0.0, 0.0)
+    minus_one = (-1.0, 0.0, 0.0, 0.0)
     for label in ("C:4", "C:6", "D:3", "T", "O", "I"):
         build_group(label).index_of(minus_one)  # must not raise
     odd = build_group("C:5")
@@ -114,15 +136,14 @@ def test_minus_identity_membership_tracks_parity():
 
 
 def test_projection_of_center_is_identity():
-    assert np.allclose(_so3(Quaternion.identity()), np.eye(3))
-    assert np.allclose(_so3(Quaternion(-1.0, 0.0, 0.0, 0.0)), np.eye(3))
+    assert np.allclose(_so3((1.0, 0.0, 0.0, 0.0)), np.eye(3))
+    assert np.allclose(_so3((-1.0, 0.0, 0.0, 0.0)), np.eye(3))
 
 
 @pytest.mark.parametrize("n", [3, 5, 8])
 def test_projection_of_diagonal_generator_is_axis_rotation(n):
     zeta = complex(math.cos(2 * math.pi / n), math.sin(2 * math.pi / n))
-    q = Quaternion(zeta.real, zeta.imag, 0.0, 0.0)
-    r = _so3(q)
+    r = _so3((zeta.real, zeta.imag, 0.0, 0.0))
     assert np.allclose(r @ r.T, np.eye(3), atol=1e-12)
     assert abs(np.linalg.det(r) - 1.0) < 1e-12
     # fixes the first axis and rotates by 2*pi * (2/n) ... the square of the
@@ -136,18 +157,17 @@ def test_projection_is_a_homomorphism_with_kernel_pm_one():
     rng = np.random.default_rng(11)
     for _ in range(40):
         v, w = rng.normal(size=4), rng.normal(size=4)
-        q = Quaternion(*v).normalized()
-        r = Quaternion(*w).normalized()
-        assert np.allclose(_so3(q * r), _so3(q) @ _so3(r), atol=1e-10)
-        neg = Quaternion(-q.a, -q.b, -q.c, -q.d)
-        assert np.allclose(_so3(neg), _so3(q), atol=1e-12)
+        q, r = v / np.linalg.norm(v), w / np.linalg.norm(w)
+        qr = _components(_su2(q) @ _su2(r))
+        assert np.allclose(_so3(qr), _so3(q) @ _so3(r), atol=1e-10)
+        assert np.allclose(_so3(-q), _so3(q), atol=1e-12)
 
 
 @pytest.mark.parametrize("label,image_order", [("C:6", 3), ("C:5", 5), ("D:3", 6), ("T", 12)])
 def test_rotation_image_order(label, image_order):
     group = build_group(label)
     seen = {
-        tuple(np.round(_so3(q), 9).ravel()) for q in _elements(group)
+        tuple(np.round(_so3(q), 9).ravel()) for q in group.coords
     }
     assert len(seen) == image_order
 
@@ -196,7 +216,7 @@ def test_equivariance_battery(label):
         v /= np.linalg.norm(v)
         z = (complex(v[0], v[1]), complex(v[2], v[3]))
         row = group.coords[int(rng.integers(group.order))]
-        lhs = hopf(*Quaternion(*row).apply(*z))
+        lhs = hopf(*(_su2(row) @ np.array(z)))
         rhs = groups._so3_stack([row])[0] @ hopf(*z)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     assert worst < groups.TOL_EQ
@@ -212,7 +232,7 @@ def test_fiber_phase_of_pole_isotropy():
     power = group.identity
     for k in range(1, 5):
         power = int(group.mul[power, gi])
-        w = Quaternion(*group.coords[power]).apply(*z)
+        w = _su2(group.coords[power]) @ np.array(z)
         turn = complex(math.cos(2.0 * math.pi * k / 4), math.sin(2.0 * math.pi * k / 4))
         assert np.allclose(w, (turn * z[0], turn * z[1]), atol=1e-12), k
     assert power == group.identity
@@ -340,7 +360,7 @@ def _patch_generator(monkeypatch, order):
     """Make every group's generator set one rotation of the given order."""
     t = 2.0 * math.pi / order
     monkeypatch.setattr(groups, "_generators",
-                        lambda spec: [Quaternion(math.cos(t), math.sin(t), 0.0, 0.0)])
+                        lambda spec: [(math.cos(t), math.sin(t), 0.0, 0.0)])
 
 
 def test_closure_past_the_expected_order_is_non_closure(monkeypatch, fresh_groups):
@@ -402,13 +422,13 @@ def test_product_matches_the_complex_matrix_product_bit_for_bit():
     rng = np.random.default_rng(7)
     special = (0.0, -0.0, 1.0, -1.0, 0.5, math.sqrt(0.5))
     for _ in range(2000):
-        p, q = (Quaternion(*(special[int(rng.integers(6))] if rng.random() < 0.3 else x
-                             for x in rng.normal(size=4))) for _ in range(2))
-        a1, b1, a2, b2 = p.alpha, p.beta, q.alpha, q.beta
+        p, q = (tuple(float(special[int(rng.integers(6))] if rng.random() < 0.3 else x)
+                      for x in rng.normal(size=4)) for _ in range(2))
+        a1, b1, a2, b2 = complex(*p[:2]), complex(*p[2:]), complex(*q[:2]), complex(*q[2:])
         alpha = a1 * a2 - b1.conjugate() * b2
         beta = b1 * a2 + a1.conjugate() * b2
         want = np.array([alpha.real, alpha.imag, beta.real, beta.imag])
-        assert np.array((p * q).components()).tobytes() == want.tobytes()
+        assert np.array(groups._product(p, q)).tobytes() == want.tobytes()
 
 
 #: a cell boundary: cells are centred on the multiples of CELL
@@ -472,19 +492,19 @@ class _ReferenceLookup:
 
     @staticmethod
     def _key(q):
-        return tuple(round(x, 6) for x in q.components())
+        return tuple(round(x, 6) for x in _components(q))
 
     def index(self, q):
         i = self.by_key.get(self._key(q))
-        if i is not None and self.elements[i].close_to(q):
+        if i is not None and _close(self.elements[i], q):
             return i
-        return next(i for i, e in enumerate(self.elements) if e.close_to(q))
+        return next(i for i, e in enumerate(self.elements) if _close(e, q))
 
 
 def _reference_order(q):
     p, k = q, 1
-    while not p.close_to(Quaternion.identity()):
-        p, k = p * q, k + 1
+    while not _close(p, IDENTITY):
+        p, k = p @ q, k + 1
     return k
 
 
@@ -492,16 +512,16 @@ def _reference_classes(elements, find):
     assigned, classes = set(), []
     for i, g in enumerate(elements):
         if i not in assigned:
-            orbit = tuple(sorted({find.index(x * g * x.conjugate()) for x in elements}))
+            orbit = tuple(sorted({find.index(x @ g @ x.conj().T) for x in elements}))
             assigned.update(orbit)
             classes.append(orbit)
     return classes
 
 
-def _reference_rotations(elements):
-    """P(q) of every element, each rotation kept at its first preimage."""
+def _reference_rotations(rows):
+    """P(q) of every component row, each rotation kept at its first preimage."""
     rots, seen = [], set()
-    for q in elements:
+    for q in rows:
         r = _so3(q)
         key = tuple(np.round(r, 6).ravel())
         if key not in seen:
@@ -512,7 +532,7 @@ def _reference_rotations(elements):
 
 def _reference_fixed_orbits(group):
     """Fixed orbits by pairwise loops over per-element rotations."""
-    rots = _reference_rotations(_elements(group))
+    rots = _reference_rotations(group.coords)
 
     def isotropy(p):
         return sum(1 for r in rots if np.max(np.abs(r @ p - p)) < TOL_POINT)
@@ -566,7 +586,7 @@ def _reference_fixed_orbits(group):
 
 
 def _reference_labels(group, classes, orders):
-    """Class labels from generator powers taken by quaternion multiplication."""
+    """Class labels from generator powers taken by SU(2) matrix products."""
     elements = _elements(group)
     spec, find = group.spec, _ReferenceLookup(elements)
     class_of = {m: c for c in classes for m in c}
@@ -575,22 +595,22 @@ def _reference_labels(group, classes, orders):
         p, out = q, []
         for _ in range(_reference_order(q)):
             out.append(class_of[find.index(p)])
-            p = p * q
+            p = p @ q
         return out
 
-    ident = class_of[find.index(Quaternion.identity())]
+    ident = class_of[find.index(IDENTITY)]
     if spec.kind == "cyclic":
-        gen = Quaternion(math.cos(2 * math.pi / spec.n), math.sin(2 * math.pi / spec.n), 0, 0)
+        gen = _su2((math.cos(2 * math.pi / spec.n), math.sin(2 * math.pi / spec.n), 0, 0))
         labels = {}
         for k, c in enumerate(powers(gen), start=1):
             labels.setdefault(c, "Id" if c == ident else f"g^{k}")
         return labels
-    neg = class_of[find.index(Quaternion(-1.0, 0.0, 0.0, 0.0))]
+    neg = class_of[find.index(-IDENTITY)]
     if spec.kind == "binary_dihedral":
-        a = Quaternion(math.cos(math.pi / spec.n), math.sin(math.pi / spec.n), 0, 0)
-        b = Quaternion(0.0, 0.0, 1.0, 0.0)
+        a = _su2((math.cos(math.pi / spec.n), math.sin(math.pi / spec.n), 0, 0))
+        b = _su2((0.0, 0.0, 1.0, 0.0))
         labels = {ident: "Id", neg: "-Id",
-                  class_of[find.index(b)]: "B", class_of[find.index(a * b)]: "AB"}
+                  class_of[find.index(b)]: "B", class_of[find.index(a @ b)]: "AB"}
         for k, c in enumerate(powers(a), start=1):
             labels.setdefault(c, f"A^{min(k, 2 * spec.n - k)}")
         return labels
@@ -599,7 +619,7 @@ def _reference_labels(group, classes, orders):
     vertex = max(_reference_fixed_orbits(group)[0][2])
     z, best = fiber_point(vertex), None
     for q in elements:
-        w = q.apply(*z)
+        w = q @ np.array(z)
         if np.max(np.abs(hopf(*w) - np.asarray(vertex))) <= TOL_POINT:
             # q.z = e^{i theta} z on the fiber
             theta = cmath.phase(w[0] * z[0].conjugate() + w[1] * z[1].conjugate()) % (2 * math.pi)
@@ -627,16 +647,16 @@ def test_table_derived_data_matches_per_element_reference(label):
     elements = _elements(group)
     find = _ReferenceLookup(elements)
 
-    assert group.mul.tolist() == [[find.index(p * q) for q in elements] for p in elements]
-    assert np.array_equal(group.rotations, np.array(_reference_rotations(elements)))
-    assert group.inverses.tolist() == [find.index(q.conjugate()) for q in elements]
+    assert group.mul.tolist() == [[find.index(p @ q) for q in elements] for p in elements]
+    assert np.array_equal(group.rotations, np.array(_reference_rotations(group.coords)))
+    assert group.inverses.tolist() == [find.index(q.conj().T) for q in elements]
     orders = [_reference_order(q) for q in elements]
     assert [group.element_order(i) for i in range(group.order)] == orders
     rng = np.random.default_rng(0)
     for i, k in zip(rng.integers(group.order, size=20), rng.integers(0, 300, size=20)):
-        p, power = Quaternion.identity(), group.identity
+        p, power = IDENTITY, group.identity
         for _ in range(k):
-            p, power = p * elements[i], group.mul[power, i]
+            p, power = p @ elements[i], group.mul[power, i]
         assert power == find.index(p)
 
     classes = _reference_classes(elements, find)

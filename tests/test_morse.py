@@ -385,9 +385,9 @@ def test_every_flow_matches_its_recorded_digest():
         assert _flow_digest(label) == recorded[label], label
 
 
-def test_unknown_orbifold_point_name_is_a_key_error():
+def test_unknown_orbifold_point_name_is_a_value_error():
     func = build_invariant_morse("D:3")
-    with pytest.raises(KeyError, match="no base named 'Face' for D:3"):
+    with pytest.raises(ValueError, match="no base named 'Face' for D:3"):
         count_flow_lines(func, "Face", "Saddle")
 
 

@@ -7,6 +7,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from conftest import formal_ceil, formal_floor
 
 from chlab import groups, orbits as orbits_module
 from chlab.groups import AmbiguousLabel
@@ -19,8 +20,6 @@ from chlab.orbits import (
     degree_census,
     enumerate_orbits,
     format_ratio,
-    formal_ceil,
-    formal_floor,
     make_orbit,
     orbit_row,
     verify_monotonicity,
@@ -492,8 +491,8 @@ def test_orbit_row_shape():
 # ---------------------------------------------------------------------------
 
 
-def test_unknown_base_name_is_a_key_error():
-    with pytest.raises(KeyError, match="no base named 'Pole' for T"):
+def test_unknown_base_name_is_a_value_error():
+    with pytest.raises(ValueError, match="no base named 'Pole' for T"):
         make_orbit("T", "Pole", 1)
 
 

@@ -1,5 +1,6 @@
 """pytest plugin: the ``raise`` statements and functions of chlab that a test
-run never executes.
+run never executes, and the functions that nothing in chlab or the
+benchmark calls.
 
     PYTHONPATH=src:tools python -m pytest -q -p reach
 
@@ -10,13 +11,43 @@ a ``raise`` is reached when its line ran, a function when its body was
 entered.  Tests that run chlab in a child interpreter are not traced, so
 what only they reach is listed as unreached.  A run that leaves any raise
 or function unreached ends with a nonzero exit status, 1 when the tests
-themselves passed.  Standard library only.
+themselves passed.
+
+The same summary ends with a static pass, ``unreferenced``: every function
+and method defined under ``src/chlab`` must be referenced from ``src/chlab``
+or ``perfbench`` outside its own body, or be on the keep list below.  A
+reference is a name read, bare (``name``) or as an attribute (``x.name``);
+an import, a string and an ``__all__`` entry are not references.  The match
+is by name alone, so a function shares its reference with every definition
+and attribute of the same name.  Dunder methods are exempt: Python calls
+them.  The pass also lists a keep-list entry that has a caller, or that
+names no definition, and anything it lists ends the run with a nonzero exit
+status as an unreached raise does.  Standard library only.
+
+Keep list, each entry with the reason it stays without a caller:
+
+    keep homology.direct_limit: acceptance criterion 1 checks the direct limit of the levels
+    keep orbits.degree_census: acceptance criterion 2 checks the good/bad census per grading
+    keep czengine.building_index: acceptance criterion 10 checks the index of the buildings
+    keep czengine.SymmetricPath.from_callable: spanned by name in perfbench/tracing.py SPANNED
+
+What the pass does not cover: record fields are not functions, so fields
+that only tests read stay, because the pins and the tests read them.  They
+are ``FlowLines.upstairs`` and ``trajectories`` (the flow digests pin them),
+``OrbifoldComplex.generators`` and ``excluded``,
+``CrossingRecord.kernel_dimension`` (the crossing pin hashes it),
+``ConjugacyClass.element_order`` and ``trace``, and
+``CriticalPoint.hessian_eigenvalues``.
 """
 
 import ast
+import re
 import sys
 import threading
 from pathlib import Path
+
+#: qualified name (module.function or module.Class.method) -> reason
+KEEP = dict(re.findall(r"^ {4}keep (\S+): (\S.*)$", __doc__, re.MULTILINE))
 
 _executed = {}   # file name -> set of line numbers run
 _entered = {}    # file name -> set of first line numbers of the code objects called
@@ -88,5 +119,69 @@ def pytest_terminal_summary(terminalreporter):
         for line, what in missed:
             write(f"    {path.name}:{line} {what}")
     write(f"total: {unreached} of {total} raises, {missed_functions} functions unreached")
-    if (unreached or missed_functions) and _session.exitstatus == 0:
+    package = Path(_package)
+    listed = unreferenced(package, [package, package.parents[1] / "perfbench"])
+    write(f"static: {len(listed)} listed, functions without a caller in src/chlab or "
+          f"perfbench and off the keep list, or stale keep entries ({len(KEEP)} kept)")
+    for line in listed:
+        write(f"    {line}")
+    if (unreached or missed_functions or listed) and _session.exitstatus == 0:
         _session.exitstatus = 1
+
+
+def _definitions(tree, module):
+    """(qualified name, node) of every function and method in a module,
+    nested ones included, by a walk that carries the enclosing names."""
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{prefix}.{child.name}"
+                if not isinstance(child, ast.ClassDef):
+                    out.append((name, child))
+                visit(child, name)
+            else:
+                visit(child, prefix)
+
+    visit(tree, module)
+    return out
+
+
+def _references(tree):
+    """(name, line) of every name a module reads, bare or as an attribute."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.append((node.attr, node.end_lineno))
+    return out
+
+
+def unreferenced(package, callers, keep=KEEP):
+    """What the static pass lists, one line each: every function of
+    ``package`` that no module under ``callers`` reads outside its own body
+    (dunders exempt) and ``keep`` does not name, every ``keep`` entry that
+    has such a reader, and every one that names no function of ``package``."""
+    references = {}   # name -> [(file, line)]
+    for directory in callers:
+        for path in sorted(Path(directory).glob("*.py")):
+            for name, line in _references(ast.parse(path.read_text())):
+                references.setdefault(name, []).append((path.resolve(), line))
+    listed, defined = [], set()
+    for path in sorted(Path(package).glob("*.py")):
+        source = path.resolve()
+        for qualified, node in _definitions(ast.parse(path.read_text()), path.stem):
+            defined.add(qualified)
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            called = any(file != source or not node.lineno <= line <= node.end_lineno
+                         for file, line in references.get(name, ()))
+            if qualified in keep and called:
+                listed.append(f"keep {qualified}: it has a caller, so it needs no entry")
+            elif qualified not in keep and not called:
+                listed.append(f"{path.name}:{node.lineno} def {qualified}")
+    listed.extend(f"keep {name}: no such function" for name in sorted(set(keep) - defined))
+    return listed
