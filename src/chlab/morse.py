@@ -39,11 +39,22 @@ Because each sum ranges over a whole orbit, f is exactly H-invariant, and
 saddle points appear at the remaining fixed points, forced by symmetry.
 
 Every function is certified rather than assumed.  The maximum of
-|f(R x) - f(x)| over the rotations and a sphere sample must stay below
-TOL_INVARIANCE; a quasi-uniform scan must show that the critical set is
+|f(R x) - f(x)| over the rotations and a sphere sample must stay below half
+of TOL_INVARIANCE; a quasi-uniform scan must show that the critical set is
 exactly Fix(H); and every Hessian index must match the expected assignment
 (minima on minimum-type points, and so on).  A failed certificate raises
 SpuriousCriticalPoint, a wrong index IndexMismatch.
+
+Both certificates read only the lattice points of F', a fundamental domain
+of H on S^2 widened by a margin above the lattice's covering radius
+(``_fundamental_domain``); every point of S^2 has an H-image in the
+domain.  For the scan: f is H-invariant, so its gradient is H-equivariant
+and |grad f| is invariant, and the scanned points stand for all their
+H-images, which cover the sphere as densely as the whole lattice.  For
+invariance: over those images, f(R h x) - f(h x) = [f(R h x) - f(x)] -
+[f(h x) - f(x)] with R h and h in H, so the defect is at most twice the
+residual over the points of F'.  So neither guard is weaker than on the
+whole lattice, and the scan takes about 1/|H| of its gradients.
 
 Flow lines and the weighted complex
 -----------------------------------
@@ -175,18 +186,77 @@ def _normalize(x):
 def _fibonacci_sphere(count):
     """Quasi-uniform sample of the unit sphere (golden-angle lattice).
 
-    Built once per count and process, and read-only, since every caller
-    shares it.
+    Built once per count and process, BLOCK rows at a time into one array,
+    and read-only, since every caller shares it.
     """
-    i = np.arange(count, dtype=float) + 0.5
-    polar = np.arccos(1.0 - 2.0 * i / count)
-    azimuth = math.pi * (1.0 + math.sqrt(5.0)) * i
-    pts = np.stack(
-        [np.cos(polar), np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth)],
-        axis=1,
-    )
+    pts = np.empty((count, 3))
+    for lo in range(0, count, BLOCK):
+        i = np.arange(lo, min(lo + BLOCK, count), dtype=float) + 0.5
+        polar = np.arccos(1.0 - 2.0 * i / count)
+        azimuth = math.pi * (1.0 + math.sqrt(5.0)) * i
+        sin_polar = np.sin(polar)
+        rows = pts[lo:lo + BLOCK]
+        rows[:, 0] = np.cos(polar)
+        rows[:, 1] = sin_polar * np.cos(azimuth)
+        rows[:, 2] = sin_polar * np.sin(azimuth)
     pts.setflags(write=False)
     return pts
+
+
+def _lattice_margin(count):
+    """Margin of the fundamental domain for the `count`-point lattice:
+    twice 2/sqrt(count), the area bound below which `count` caps cannot
+    cover the sphere.  The lattice's covering radius exceeds that bound
+    (about 1.2 times it at 100,000 points and 1.3 times at 2,048, largest
+    near the poles), so the bound alone would be too thin a margin."""
+    return 4.0 / math.sqrt(count)
+
+
+def _fundamental_domain(func, x, margin):
+    """Mask of the rows of `x` within `margin` of a fundamental domain of H.
+
+    The domain D is the cap about e0 = (1, 0, 0) of radius rho, cut to the
+    sector of width 2 pi/k about e0 centred on (0, 1, 0), where k is the
+    order of the stabilizer of e0 in H and rho the largest distance from a
+    point of Fix(H) to the orbit H.e0 (180 degrees for C:n, 90 for D:n,
+    54.7 for T and O, 31.7 for I).  For every supported H the vertices of
+    the orbit's Voronoi cells are points of Fix(H), so every point of S^2
+    lies within rho of some image of e0, and some rotation carries it into
+    the cap; a rotation about e0 then carries it into the sector.  So the
+    H-images of D cover S^2, as a test checks for every supported group.
+    Widened by `margin`, the cap has radius
+    rho + margin and the sector admits points within `margin` of its two
+    edges (a slight superset of the margin neighbourhood near -e0).  Raises
+    ValueError unless e0 is a point of Fix(H).  Evaluated BLOCK rows at a
+    time.
+    """
+    e0 = np.array([1.0, 0.0, 0.0])
+    fixed = _all_fixed_point_array(func.fixed_orbits)
+    if not np.min(np.linalg.norm(fixed - e0, axis=-1)) <= 1e-12:
+        raise ValueError(f"{func.spec.label}: e0 = (1, 0, 0) is not a point of Fix(H)")
+    orbit = func.rotations[:, :, 0]  # R e0 is the first column of R
+    k = int(np.sum(orbit[:, 0] >= 1.0 - 1e-12))
+    rho = math.acos(max(-1.0, float(np.min(np.max(fixed @ orbit.T, axis=1)))))
+    cap = math.cos(rho + margin) if rho + margin < math.pi else -np.inf
+    # the outward normals of the sector's edges, at azimuths +-pi/k, are
+    # (0, -sin(pi/k), +-cos(pi/k)); a point past an edge has a positive
+    # component along its normal: the sine of its distance to the edge's
+    # great circle, which is no more than its distance to the sector
+    sin_half, cos_half = math.sin(math.pi / k), math.cos(math.pi / k)
+    edge = math.sin(margin) if k > 1 else np.inf
+    inside = np.empty(len(x), dtype=bool)
+    for lo in range(0, len(x), BLOCK):
+        rows = x[lo:lo + BLOCK]
+        inside[lo:lo + BLOCK] = ((rows[:, 0] >= cap)
+                                 & (cos_half * np.abs(rows[:, 2]) - sin_half * rows[:, 1] <= edge))
+    return inside
+
+
+def _domain_lattice(func, count):
+    """The points of the `count`-point lattice in F', the fundamental domain
+    of H widened by ``_lattice_margin(count)``, in lattice order."""
+    lattice = _fibonacci_sphere(count)
+    return lattice[_fundamental_domain(func, lattice, _lattice_margin(count))]
 
 
 def _tangent_frames(x):
@@ -274,15 +344,18 @@ class InvariantMorseFunction:
     # -- invariance ---------------------------------------------------------
 
     def invariance_residual(self):
-        """max |f(R x) - f(x)| over the rotation image and INVARIANCE_POINTS
-        sphere points.
+        """max |f(R x) - f(x)| over the rotation image and the points x of
+        the INVARIANCE_POINTS lattice in the widened fundamental domain F'.
 
-        The images are formed a few rotations at a time, at most BLOCK
-        points per block.
+        Over the H-images of those points, which sample the whole sphere at
+        the lattice's density, the invariance defect is at most twice this
+        residual: f(R h x) - f(h x) = [f(R h x) - f(x)] - [f(h x) - f(x)],
+        and both R h and h are rotations of H.  The images are formed a few
+        rotations at a time, at most BLOCK points per block.
         """
-        pts = _fibonacci_sphere(INVARIANCE_POINTS)
+        pts = _domain_lattice(self, INVARIANCE_POINTS)
         base = self.value(pts)
-        step = max(1, BLOCK // INVARIANCE_POINTS)
+        step = max(1, BLOCK // len(pts))
         worst = [np.max(np.abs(self.value(pts @ np.swapaxes(self.rotations[lo:lo + step], -1, -2))
                                - base))
                  for lo in range(0, len(self.rotations), step)]
@@ -394,15 +467,19 @@ def _all_fixed_point_array(fixed_orbits):
 def _scan_critical_set(func):
     """Certify that the critical set is exactly Fix(H).
 
-    Scans a quasi-uniform lattice; outside MASK_RADIUS neighborhoods of
-    Fix(H) (``_fixed_distances``, one band of the lattice per fixed point)
-    the tangent gradient norm must exceed GRADIENT_FLOOR, and every scan point
-    below CANDIDATE_THRESHOLD must Newton-refine back into a Fix(H)
-    neighborhood.  The gradient is evaluated BLOCK points at a time, each
-    block reduced to its floor and its candidates.  Returns None on success,
-    else a failure reason.
+    Scans the points of a quasi-uniform lattice that lie in the widened
+    fundamental domain F' (``_fundamental_domain``).  Since f is
+    H-invariant, its gradient is H-equivariant and |grad f| is invariant, so
+    scanning those points is scanning all their H-images, which cover the
+    sphere as densely as the whole lattice does.  Outside MASK_RADIUS
+    neighborhoods of Fix(H) (``_fixed_distances``, one band of the scanned
+    points per fixed point) the tangent gradient norm must exceed
+    GRADIENT_FLOOR, and every scanned point below CANDIDATE_THRESHOLD must
+    Newton-refine back into a Fix(H) neighborhood.  The gradient is
+    evaluated BLOCK points at a time, each block reduced to its floor and
+    its candidates.  Returns None on success, else a failure reason.
     """
-    pts = _fibonacci_sphere(SCAN_POINTS)
+    pts = _domain_lattice(func, SCAN_POINTS)
     fixed = _all_fixed_point_array(func.fixed_orbits)
     # the mask needs the distances up to MASK_RADIUS; twice that against rounding
     outside = _fixed_distances(pts, fixed, 2.0 * MASK_RADIUS) > MASK_RADIUS
@@ -533,10 +610,11 @@ def build_invariant_morse(spec):
             func = InvariantMorseFunction(spec, rotations, fixed, centers_max, centers_min,
                                           _POLYHEDRAL_SHARPNESS[spec.label])
 
+    # the defect over the H-images of the sample is at most twice the residual
     residual = func.invariance_residual()
-    if not (residual <= TOL_INVARIANCE):  # a NaN residual fails
+    if not (2.0 * residual <= TOL_INVARIANCE):  # a NaN residual fails
         raise SpuriousCriticalPoint(
-            f"{spec.label}: invariance residual {residual:.3e} exceeds {TOL_INVARIANCE}")
+            f"{spec.label}: invariance residual {residual:.3e} exceeds half of {TOL_INVARIANCE}")
     reason = _scan_critical_set(func)
     if reason is not None:
         raise SpuriousCriticalPoint(f"{spec.label}: {reason}")
@@ -607,8 +685,10 @@ def _integrate(func, seed, sign, targets):
     trajectory takes Dormand-Prince 5(4) steps on the sphere (every stage
     re-projected, the last stage reused as the next step's first): a step is
     accepted when its embedded error estimate is at most TOL_STEP, and it
-    never exceeds a quarter of the remaining distance to the nearest target
-    (floored at 1e-2 STEP_BASE), so it cannot hop over its destination.
+    never exceeds half the remaining distance to the nearest target
+    (floored at 1e-2 STEP_BASE), so it cannot reach, let alone hop over,
+    its destination before the snap; the final approach shrinks the
+    distance geometrically, by half or more per accepted step.
     Once it comes within SNAP_RADIUS of a target, Newton iteration (the
     linear basin) finishes it, and must land within TOL_CONVERGENCE of that
     target.  Returns the target's row index.  Raises NonConvergentTrajectory
@@ -630,7 +710,7 @@ def _integrate(func, seed, sign, targets):
     h = STEP_BASE
     _, near = nearest(x)
     for _ in range(STEP_LIMIT):
-        step = min(h, max(0.25 * near, 1e-2 * STEP_BASE))
+        step = min(h, max(0.5 * near, 1e-2 * STEP_BASE))
         for j, row in enumerate(_DP_A, start=1):
             moved = _normalize(x + step * (row @ stages[:j]))
             stages[j] = field_at(moved)

@@ -6,6 +6,7 @@ import hashlib
 import json
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -127,12 +128,87 @@ def test_invariance_residual_is_tiny(label):
     assert func.invariance_residual() <= 1e-10
 
 
+def _fibonacci_sphere_whole(count):
+    """The lattice from whole-array formulas, the reference of the blocked build."""
+    i = np.arange(count, dtype=float) + 0.5
+    polar = np.arccos(1.0 - 2.0 * i / count)
+    azimuth = np.pi * (1.0 + np.sqrt(5.0)) * i
+    return np.stack([np.cos(polar), np.sin(polar) * np.cos(azimuth),
+                     np.sin(polar) * np.sin(azimuth)], axis=1)
+
+
 def test_scan_lattice_is_built_once_and_read_only():
     pts = morse._fibonacci_sphere(morse.SCAN_POINTS)
     assert morse._fibonacci_sphere(morse.SCAN_POINTS) is pts
     with pytest.raises(ValueError):
         pts[0, 0] = 0.0
     assert np.array_equal(pts, morse._fibonacci_sphere.__wrapped__(morse.SCAN_POINTS))
+
+
+@pytest.mark.parametrize("count", [morse.SCAN_POINTS, morse.INVARIANCE_POINTS, 12_345])
+def test_blocked_lattice_build_is_the_whole_array_build(count):
+    assert np.array_equal(morse._fibonacci_sphere.__wrapped__(count),
+                          _fibonacci_sphere_whole(count))
+
+
+def test_blocked_lattice_build_has_a_small_traced_peak():
+    # the whole-array build of the scan lattice peaks at 7.2 MB traced; the
+    # lattice itself is 2.4 MB
+    tracemalloc.start()
+    try:
+        morse._fibonacci_sphere.__wrapped__(morse.SCAN_POINTS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+#: the 129 supported groups
+ALL_GROUPS = tuple(f"{kind}:{n}" for kind in "CD" for n in range(2, 65)) + ("T", "O", "I")
+
+
+@pytest.mark.parametrize("label", ALL_GROUPS)
+def test_images_of_the_fundamental_domain_cover_the_sphere(label):
+    # the scan's and the invariance check's reduction to F' rests on this:
+    # every point has an H-image in the domain without its margin
+    group = build_group(label)
+    x = morse._normalize(np.random.default_rng(11).standard_normal((400, 3)))
+    images = np.einsum("rij,pj->rpi", group.rotations, x).reshape(-1, 3)
+    inside = morse._fundamental_domain(group, images, 0.0).reshape(len(group.rotations), -1)
+    assert np.all(np.any(inside, axis=0))
+
+
+@pytest.mark.parametrize("label", ALL_GROUPS)
+def test_gradient_is_equivariant(label):
+    # ... and on this: grad f(R x) = R grad f(x), so |grad f| is invariant
+    func = build_invariant_morse(label)
+    x = morse._normalize(np.random.default_rng(12).standard_normal((8, 3)))
+    grad = func.gradient(x)
+    for rotation in func.rotations:
+        assert np.max(np.abs(func.gradient(x @ rotation.T) - grad @ rotation.T)) < 1e-12
+
+
+def test_fundamental_domain_needs_e0_in_fix_h():
+    group = build_group("T")
+    tilted = SimpleNamespace(spec=group.spec, rotations=group.rotations,
+                             fixed_orbits=[SimpleNamespace(points=[(0.0, 0.6, 0.8)])])
+    with pytest.raises(ValueError, match=r"T: e0 = \(1, 0, 0\) is not a point of Fix\(H\)"):
+        morse._fundamental_domain(tilted, np.eye(3), 0.0)
+
+
+@pytest.mark.parametrize("count", [morse.SCAN_POINTS, morse.INVARIANCE_POINTS])
+def test_lattice_margin_exceeds_the_covering_radius(count):
+    # the margin must exceed the lattice's covering radius, so that the
+    # nearest lattice point of every point of the domain lies in F';
+    # sampled at random and near the poles, where the lattice is coarsest
+    lattice = morse._fibonacci_sphere(count)
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((1500, 3))
+    x[:500, 0] = 40.0 * np.sign(x[:500, 0])
+    x = morse._normalize(x)
+    nearest = np.max(np.concatenate([x[lo:lo + 100] @ lattice.T for lo in range(0, len(x), 100)]),
+                     axis=1)
+    assert np.max(np.sqrt(np.maximum(0.0, 2.0 - 2.0 * nearest))) < morse._lattice_margin(count)
 
 
 def test_scan_lattice_first_coordinate_falls_strictly():
@@ -143,15 +219,18 @@ def test_scan_lattice_first_coordinate_falls_strictly():
 
 @pytest.mark.parametrize("label", ["C:7", "D:64", "T", "I"])
 def test_banded_mask_is_the_whole_lattice_mask(label):
-    pts = morse._fibonacci_sphere(morse.SCAN_POINTS)
-    fixed = morse._all_fixed_point_array(build_group(label).fixed_orbits)
-    # every lattice point against every fixed point, a block at a time
-    whole = []
-    for lo in range(0, len(pts), 10_000):
-        cosine = np.max(pts[lo:lo + 10_000] @ fixed.T, axis=1)
-        whole.append(np.sqrt(np.maximum(0.0, 2.0 - 2.0 * cosine)) > morse.MASK_RADIUS)
-    banded = morse._fixed_distances(pts, fixed, 2.0 * morse.MASK_RADIUS) > morse.MASK_RADIUS
-    assert np.array_equal(banded, np.concatenate(whole))
+    group = build_group(label)
+    lattice = morse._fibonacci_sphere(morse.SCAN_POINTS)
+    fixed = morse._all_fixed_point_array(group.fixed_orbits)
+    # the scan bands the points of F', a subset in lattice order
+    for pts in (lattice, morse._domain_lattice(group, morse.SCAN_POINTS)):
+        # every point against every fixed point, a block at a time
+        whole = []
+        for lo in range(0, len(pts), 10_000):
+            cosine = np.max(pts[lo:lo + 10_000] @ fixed.T, axis=1)
+            whole.append(np.sqrt(np.maximum(0.0, 2.0 - 2.0 * cosine)) > morse.MASK_RADIUS)
+        banded = morse._fixed_distances(pts, fixed, 2.0 * morse.MASK_RADIUS) > morse.MASK_RADIUS
+        assert np.array_equal(banded, np.concatenate(whole))
 
 
 @pytest.mark.parametrize("label", ["C:7", "D:64", "I"])
@@ -181,19 +260,28 @@ def _flattened_near(func, point, radius=0.05):
     return func
 
 
-@pytest.mark.parametrize("block", [1000, 8192, 10 ** 9])
-def test_scan_failure_reports_the_floor_of_the_whole_lattice(monkeypatch, block):
-    # a spurious near-critical patch on the equator of C:5, far from Fix(H)
-    func = _flattened_near(build_invariant_morse("C:5"), np.array([0.0, 1.0, 0.0]))
-    monkeypatch.setattr(morse, "BLOCK", block)
-    reason = morse._scan_critical_set(func)
-    pts = morse._fibonacci_sphere(morse.SCAN_POINTS)
+def _floor_reason(func, pts):
+    """The scan's failure reason, from every point of `pts` at once."""
     fixed = morse._all_fixed_point_array(func.fixed_orbits)
     nearest = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * np.max(pts @ fixed.T, axis=1)))
     outside = nearest > morse.MASK_RADIUS
     floor = np.min(np.linalg.norm(func.gradient(pts), axis=-1)[outside])
-    assert reason == (f"gradient floor {floor:.3e} at distance "
-                      f"{np.min(nearest[outside]):.3e}")
+    return f"gradient floor {floor:.3e} at distance {np.min(nearest[outside]):.3e}"
+
+
+@pytest.mark.parametrize("block", [1000, 8192, 10 ** 9])
+def test_scan_failure_reports_the_floor_of_the_scanned_points(monkeypatch, block):
+    # a spurious near-critical patch of C:5, far from Fix(H), astride an
+    # edge of the scanned sector (half-width 36 degrees about (0, 1, 0))
+    azimuth = np.radians(39.0)
+    patch = np.array([0.3, 0.95 * np.cos(azimuth), 0.95 * np.sin(azimuth)])
+    func = _flattened_near(build_invariant_morse("C:5"), patch / np.linalg.norm(patch))
+    monkeypatch.setattr(morse, "BLOCK", block)
+    reason = morse._scan_critical_set(func)
+    assert reason == _floor_reason(func, morse._domain_lattice(func, morse.SCAN_POINTS))
+    # the patch's flattest lattice point lies outside F', so the whole
+    # lattice reads a lower floor
+    assert reason != _floor_reason(func, morse._fibonacci_sphere(morse.SCAN_POINTS))
 
 
 def test_scan_with_no_point_outside_the_mask_certifies_nothing(monkeypatch):
@@ -230,6 +318,91 @@ def test_nan_fails_the_certificate(monkeypatch, label, inject, reason):
     inject(monkeypatch)
     with pytest.raises(morse.SpuriousCriticalPoint, match=reason):
         build_invariant_morse(label)
+
+
+#: a generic point: for C:5, D:7, T and I its H-images are at least 0.18
+#: apart and at least 0.09 from Fix(H)
+GENERIC_POINT = morse._normalize(np.array([0.31, 0.72, 0.55]))
+
+
+def _plateau(x, centers, radius):
+    """Sum over `centers` of a C^1 cutoff of the chordal distance d: 1 for
+    d <= radius/2, 0 for d >= radius; and its ambient gradient."""
+    diff = x[..., None, :] - centers
+    d = np.linalg.norm(diff, axis=-1)
+    t = np.clip((radius - d) / (0.5 * radius), 0.0, 1.0)
+    slope = 6.0 * t * (1.0 - t) * (-2.0 / radius) / np.maximum(d, 1e-300)
+    return (t * t * (3.0 - 2.0 * t)).sum(axis=-1), (slope[..., None] * diff).sum(axis=-2)
+
+
+#: support radius of the planted bump
+PLATEAU_RADIUS = 0.06
+
+
+def _plant_invariant_plateau(monkeypatch, radius=PLATEAU_RADIUS, lift=0.01):
+    """Replace f by f + s (f(z) + lift - f), s the cutoff about every H-image
+    of z = GENERIC_POINT: an H-invariant bump whose top, within radius/2 of
+    each image, is flat, so its gradient there is exactly 0."""
+    for cls in (morse.InvariantMorseFunction, morse.DihedralMorseFunction):
+        def value(self, x, real=cls.value):
+            x = np.asarray(x, dtype=float)
+            s, _ = _plateau(x, self.rotations @ GENERIC_POINT, radius)
+            f = real(self, x)
+            return f + s * (real(self, GENERIC_POINT) + lift - f)
+
+        def gradient_ambient(self, x, real_value=cls.value, real=cls.gradient_ambient):
+            x = np.asarray(x, dtype=float)
+            s, ds = _plateau(x, self.rotations @ GENERIC_POINT, radius)
+            top = real_value(self, GENERIC_POINT) + lift - real_value(self, x)
+            return (1.0 - s)[..., None] * real(self, x) + top[..., None] * ds
+
+        monkeypatch.setattr(cls, "value", value)
+        monkeypatch.setattr(cls, "gradient_ambient", gradient_ambient)
+
+
+@pytest.mark.parametrize("label", ["C:5", "D:7", "T", "I"])
+def test_invariant_flat_bump_on_a_generic_orbit_is_spurious(monkeypatch, label):
+    group = build_group(label)
+    orbit = group.rotations @ GENERIC_POINT
+    fixed = morse._all_fixed_point_array(group.fixed_orbits)
+    gaps = np.linalg.norm(orbit[:, None, :] - orbit, axis=-1)
+    # the bumps are disjoint and outside the scan's mask
+    assert np.min(gaps + 9.0 * np.eye(len(orbit))) > 2.0 * PLATEAU_RADIUS
+    assert (np.min(np.linalg.norm(orbit[:, None, :] - fixed, axis=-1))
+            > PLATEAU_RADIUS + morse.MASK_RADIUS)
+    _plant_invariant_plateau(monkeypatch)
+    # the planted function is invariant, so only the scan can catch it
+    with pytest.raises(morse.SpuriousCriticalPoint,
+                       match=f"{label}: gradient floor 0.000e\\+00 at distance"):
+        build_invariant_morse(label)
+
+
+@pytest.mark.parametrize("label", ["C:5", "D:7", "T", "I"])
+def test_non_invariant_value_outside_the_domain_fails_invariance(monkeypatch, label):
+    # a Gaussian of height 1e-6 about one point outside F', not its orbit
+    z = morse._normalize(np.array([-0.3, -0.8, -0.5]))
+    assert not morse._fundamental_domain(
+        build_group(label), z[None], morse._lattice_margin(morse.INVARIANCE_POINTS))[0]
+    for cls in (morse.InvariantMorseFunction, morse.DihedralMorseFunction):
+        def value(self, x, real=cls.value):
+            x = np.asarray(x, dtype=float)
+            return real(self, x) + 1e-6 * np.exp(-np.sum((x - z) ** 2, axis=-1) / 0.04)
+
+        monkeypatch.setattr(cls, "value", value)
+    with pytest.raises(morse.SpuriousCriticalPoint, match=f"{label}: invariance residual"):
+        build_invariant_morse(label)
+
+
+@pytest.mark.parametrize("share, fails", [(0.4, False), (0.6, True)])
+def test_invariance_guard_holds_twice_the_residual(monkeypatch, share, fails):
+    # the defect over the H-images of F' is up to twice the residual on F'
+    monkeypatch.setattr(morse.InvariantMorseFunction, "invariance_residual",
+                        lambda self: share * morse.TOL_INVARIANCE)
+    if fails:
+        with pytest.raises(morse.SpuriousCriticalPoint, match="T: invariance residual 6.000e-11"):
+            build_invariant_morse("T")
+    else:
+        build_invariant_morse("T")
 
 
 def test_nan_rotation_image_fails_the_permutation_certificate():
@@ -345,6 +518,29 @@ def test_one_seed_per_trajectory_class_is_integrated(monkeypatch, label):
     flows = orbifold_complex(label).flow_counts.values()
     assert len(seeds) == len(flows) == 2   # one call per nonempty flow count
     assert all(flow.downstairs == 1 < flow.upstairs for flow in flows)
+
+
+#: single-point gradient calls of both flow counts per group, with each
+#: step capped at half the distance to the nearest target; a cap of a
+#: quarter took 350, 314, 362, 344 and 320.  D:64 (776) is left out: its
+#: stiff first steps are ROADMAP item 10's
+FLOW_GRADIENT_CALLS = {"D:9": 182, "D:33": 164, "T": 182, "O": 170, "I": 158}
+
+
+@pytest.mark.parametrize("label", FLOW_GRADIENT_CALLS)
+def test_flow_gradient_calls_are_pinned(label):
+    func = build_invariant_morse(label)
+    gradient, calls = func.gradient, []
+
+    def counted(x):
+        calls.append(np.ndim(x) == 1)
+        return gradient(x)
+
+    func.gradient = counted
+    names = {e.morse_index: e.name for e in base_table(func.spec)}
+    for hi, lo in ((2, 1), (1, 0)):
+        count_flow_lines(func, names[hi], names[lo])
+    assert sum(calls) <= FLOW_GRADIENT_CALLS[label]
 
 
 #: every group whose complex has flow counts: the dihedral range and the

@@ -56,9 +56,11 @@ def test_static_pass_lists_a_function_without_a_caller(tmp_path):
     package.mkdir()
     bench.mkdir()
     (package / "mod.py").write_text(PLANTED)
-    # neither __all__ nor a call from its own body is a caller; dunders are exempt
+    # neither __all__ nor a call from its own body is a caller, nor a call
+    # from the body of a function listed; dunders are exempt
     assert reach.unreferenced(package, [package, bench], keep={}) == [
-        "mod.py:8 def mod.unused", "mod.py:12 def mod.recursive", "mod.py:20 def mod.Box.size"]
+        "mod.py:4 def mod.used", "mod.py:8 def mod.unused", "mod.py:12 def mod.recursive",
+        "mod.py:20 def mod.Box.size"]
     # a caller in any of the caller directories counts
     (bench / "run.py").write_text("import mod\n\nmod.unused()\nmod.Box().size()\n")
     assert reach.unreferenced(package, [package, bench], keep={}) == [
@@ -73,3 +75,39 @@ def test_static_pass_lists_a_stale_keep_entry(tmp_path):
     assert reach.unreferenced(tmp_path, [tmp_path], keep=keep) == [
         "keep mod.used: it has a caller, so it needs no entry",
         "keep mod.gone: no such function"]
+
+
+CHAINED = '''def leaf():
+    return 0
+
+
+def middle():
+    return leaf() + shared()
+
+
+def head():
+    return middle()
+
+
+def shared():
+    return 1
+
+
+def live():
+    def inner():
+        return shared()
+    return inner()
+
+
+live()
+'''
+
+
+def test_static_pass_iterates_to_a_fixed_point(tmp_path):
+    (tmp_path / "mod.py").write_text(CHAINED)
+    # head has no caller; middle only head calls, and leaf only middle, so
+    # each is listed a round later; shared keeps its other caller
+    assert reach.unreferenced(tmp_path, [tmp_path], keep={}) == [
+        "mod.py:1 def mod.leaf", "mod.py:5 def mod.middle", "mod.py:9 def mod.head"]
+    # a kept function is live, so what it calls is too
+    assert reach.unreferenced(tmp_path, [tmp_path], keep={"mod.head": "why"}) == []

@@ -17,12 +17,15 @@ The same summary ends with a static pass, ``unreferenced``: every function
 and method defined under ``src/chlab`` must be referenced from ``src/chlab``
 or ``perfbench`` outside its own body, or be on the keep list below.  A
 reference is a name read, bare (``name``) or as an attribute (``x.name``);
-an import, a string and an ``__all__`` entry are not references.  The match
-is by name alone, so a function shares its reference with every definition
-and attribute of the same name.  Dunder methods are exempt: Python calls
-them.  The pass also lists a keep-list entry that has a caller, or that
-names no definition, and anything it lists ends the run with a nonzero exit
-status as an unreached raise does.  Standard library only.
+an import, a string and an ``__all__`` entry are not references.  A read
+inside the body of a listed function does not count either: the pass drops
+what it listed and recounts until nothing new is listed, so a function that
+only dead code calls is listed too.  The match is by name alone, so a
+function shares its reference with every definition and attribute of the
+same name.  Dunder methods are exempt: Python calls them.  The pass also
+lists a keep-list entry that has a caller, or that names no definition, and
+anything it lists ends the run with a nonzero exit status as an unreached
+raise does.  Standard library only.
 
 Keep list, each entry with the reason it stays without a caller:
 
@@ -162,26 +165,43 @@ def _references(tree):
 def unreferenced(package, callers, keep=KEEP):
     """What the static pass lists, one line each: every function of
     ``package`` that no module under ``callers`` reads outside its own body
-    (dunders exempt) and ``keep`` does not name, every ``keep`` entry that
-    has such a reader, and every one that names no function of ``package``."""
+    and outside the bodies of the functions listed so far (dunders exempt),
+    and that ``keep`` does not name; every ``keep`` entry that has such a
+    reader; and every one that names no function of ``package``.
+
+    The listing iterates to a fixed point: once a function is listed, what
+    only its body reads is listed in the next round."""
     references = {}   # name -> [(file, line)]
     for directory in callers:
         for path in sorted(Path(directory).glob("*.py")):
             for name, line in _references(ast.parse(path.read_text())):
                 references.setdefault(name, []).append((path.resolve(), line))
-    listed, defined = [], set()
+    functions = []    # (file, qualified name, node)
     for path in sorted(Path(package).glob("*.py")):
-        source = path.resolve()
         for qualified, node in _definitions(ast.parse(path.read_text()), path.stem):
-            defined.add(qualified)
-            name = node.name
-            if name.startswith("__") and name.endswith("__"):
-                continue
-            called = any(file != source or not node.lineno <= line <= node.end_lineno
-                         for file, line in references.get(name, ()))
-            if qualified in keep and called:
-                listed.append(f"keep {qualified}: it has a caller, so it needs no entry")
-            elif qualified not in keep and not called:
-                listed.append(f"{path.name}:{node.lineno} def {qualified}")
+            functions.append((path.resolve(), qualified, node))
+    dead = {}         # qualified name -> (file, first line, last line) of its body
+
+    def called(source, node):
+        return any((file != source or not node.lineno <= line <= node.end_lineno)
+                   and not any(file == f and lo <= line <= hi for f, lo, hi in dead.values())
+                   for file, line in references.get(node.name, ()))
+
+    while True:
+        found = {qualified: (source, node.lineno, node.end_lineno)
+                 for source, qualified, node in functions
+                 if qualified not in keep and qualified not in dead
+                 and not (node.name.startswith("__") and node.name.endswith("__"))
+                 and not called(source, node)}
+        if not found:
+            break
+        dead.update(found)
+    listed = []
+    for source, qualified, node in functions:
+        if qualified in dead:
+            listed.append(f"{source.name}:{node.lineno} def {qualified}")
+        elif qualified in keep and called(source, node):
+            listed.append(f"keep {qualified}: it has a caller, so it needs no entry")
+    defined = {qualified for _, qualified, _ in functions}
     listed.extend(f"keep {name}: no such function" for name in sorted(set(keep) - defined))
     return listed
